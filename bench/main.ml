@@ -20,9 +20,7 @@
 module E = Ndp_experiments
 
 (* A 256-instance sample of cholesky's first nest, with a compile context,
-   for the window-size preprocessing benchmarks: the sliced path runs
-   [Dep.analyze] once per call, the reanalyze oracle once per (candidate,
-   chunk). *)
+   for the window-size preprocessing benchmark. *)
 let choose_size_fixture () =
   let kernel = Ndp_workloads.Suite.find "cholesky" in
   let config = Ndp_sim.Config.default in
@@ -300,24 +298,14 @@ let micro ?(json = false) () =
                    { Ndp_core.Pipeline.partitioned_defaults with Ndp_core.Pipeline.fuse = true })
                 dnn)))
   in
-  (* Window-size preprocessing on a 256-instance sample. The sampled
-     implementation compiles every (candidate, chunk) pair with the
-     dependence analysis done once and sliced per chunk; the reanalyze
-     oracle re-runs the analysis for every pair; the analytic path prices
-     instances once with the closed-form cost model and compiles only to
-     break ties. *)
+  (* Window-size preprocessing on a 256-instance sample: the analytic
+     sizer prices instances once with the closed-form cost model and
+     compiles only the near-tied candidates. The row keeps its historical
+     name so [bench diff] joins it across revisions. *)
   let cs_ctx, cs_metas = choose_size_fixture () in
-  let bench_choose_sampled =
-    Test.make ~name:"choose-size-sampled-256"
-      (Staged.stage (fun () -> Ndp_core.Window.choose_size cs_ctx cs_metas ~max:8))
-  in
-  let bench_choose_reanalyze =
-    Test.make ~name:"choose-size-reanalyze-256"
-      (Staged.stage (fun () -> Ndp_core.Window.choose_size_reanalyze cs_ctx cs_metas ~max:8))
-  in
   let bench_choose_analytic =
     Test.make ~name:"choose-size-analytic-256"
-      (Staged.stage (fun () -> Ndp_core.Window.choose_size_analytic cs_ctx cs_metas ~max:8))
+      (Staged.stage (fun () -> Ndp_core.Window.choose_size cs_ctx cs_metas ~max:8))
   in
   (* Layer microbenchmarks for the flat-engine hot paths: a burst of
      [Network.send]s over varied routes, the Machine L1-hit and deep-miss
@@ -388,8 +376,7 @@ let micro ?(json = false) () =
         bench_metrics_disabled; bench_metrics_enabled; bench_pipeline_obs;
         bench_spans_disabled; bench_spans_enabled;
         bench_pipeline_spans_disabled; bench_pipeline_spans_enabled;
-        bench_dep_bucketed; bench_dep_naive; bench_choose_sampled; bench_choose_reanalyze;
-        bench_choose_analytic;
+        bench_dep_bucketed; bench_dep_naive; bench_choose_analytic;
         bench_inject_disabled; bench_inject_enabled; bench_pipeline_fused;
         bench_net_send; bench_load_hit; bench_load_miss; bench_exec_task;
       ]

@@ -65,29 +65,23 @@ module Args = struct
       & opt memory_conv Ndp_sim.Config.Flat
       & info [ "memory" ] ~doc:"Memory mode: flat, cache or hybrid.")
 
+  let window_to_string = function
+    | Pipeline.Adaptive -> "adaptive"
+    | Pipeline.Fixed k -> string_of_int k
+
   let window_conv =
-    let parse s =
-      if String.lowercase_ascii s = "analytic" then Ok `Analytic
-      else
-        match int_of_string_opt s with
-        | Some k -> Ok (`Fixed k)
-        | None -> Error (`Msg (Printf.sprintf "expected a window size or \"analytic\", got %S" s))
-    in
-    Arg.conv
-      ( parse,
-        fun ppf -> function
-          | `Analytic -> Format.pp_print_string ppf "analytic"
-          | `Fixed k -> Format.pp_print_int ppf k )
+    let parse s = Result.map_error (fun m -> `Msg m) (Service.window_of_string s) in
+    Arg.conv (parse, fun ppf w -> Format.pp_print_string ppf (window_to_string w))
 
   let window =
     Arg.(
       value
-      & opt (some window_conv) None
+      & opt window_conv Pipeline.Adaptive
       & info [ "window" ]
           ~doc:
-            "Window size: a fixed integer, or $(b,analytic) to size each nest with the \
-             closed-form static cost model instead of sampled compilation (default: adaptive \
-             sampled sizing per nest).")
+            "Window size: a positive fixed integer, or $(b,adaptive) to size each nest for \
+             the least estimated data movement ($(b,analytic) is an older spelling of \
+             $(b,adaptive)).")
 
   let threshold =
     Arg.(
@@ -250,14 +244,7 @@ let scheme_of ?(fuse = false) ?fuse_capacity scheme window =
   match scheme with
   | `Default -> Pipeline.Default
   | `Partitioned ->
-    let w =
-      match window with
-      | None -> Pipeline.Adaptive
-      | Some `Analytic -> Pipeline.Analytic
-      | Some (`Fixed k) -> Pipeline.Fixed k
-    in
-    Pipeline.Partitioned
-      { Pipeline.partitioned_defaults with Pipeline.window = w; fuse; fuse_capacity }
+    Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window; fuse; fuse_capacity }
 
 (* The document builders and human renderers live in [Ndp_serve.Service]
    now, shared with the daemon: a serve response body is byte-identical
@@ -704,7 +691,7 @@ let check_act kernel cluster memory window fuse format jobs =
   in
   (* W204 checks a concrete size against each nest; only a fixed window
      gives it one. *)
-  let fixed = match window with Some (`Fixed k) -> Some k | Some `Analytic | None -> None in
+  let fixed = match window with Pipeline.Fixed k -> Some k | Pipeline.Adaptive -> None in
   let reports = Ndp_analysis.Checker.check_suite ~config ?window:fixed ~jobs ~schemes kernels in
   print_endline (Ndp_analysis.Checker.render ~format reports);
   if Ndp_analysis.Checker.has_errors reports then exit 1
@@ -716,11 +703,7 @@ let spec_of_flags app cluster memory scheme window faults fault_seed repair =
   {
     Protocol.app;
     scheme = (match scheme with `Default -> "default" | `Partitioned -> "partitioned");
-    window =
-      (match window with
-      | None -> "adaptive"
-      | Some `Analytic -> "analytic"
-      | Some (`Fixed k) -> string_of_int k);
+    window = Args.window_to_string window;
     cluster = Ndp_noc.Cluster.to_string cluster;
     memory = Ndp_sim.Config.memory_mode_to_string memory;
     tweaks = Pipeline.no_tweaks;

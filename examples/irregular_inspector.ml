@@ -6,6 +6,7 @@
      dune exec examples/irregular_inspector.exe *)
 
 open Ndp_ir
+module Job = Ndp_core.Pipeline.Job
 
 let n = 16384
 let trips = 400
@@ -28,13 +29,13 @@ let build () =
 let () =
   let kernel = build () in
   let run label options =
-    let r = Ndp_core.Pipeline.run (Ndp_core.Pipeline.Partitioned options) kernel in
+    let r = Job.run (Job.make (Ndp_core.Pipeline.Partitioned options) kernel) in
     Printf.printf "%-22s exec %6d | movement %6d | analyzable refs %4.1f%%\n" label
       r.Ndp_core.Pipeline.exec_time (Ndp_sim.Stats.hops r.Ndp_core.Pipeline.stats)
       (100.0 *. r.Ndp_core.Pipeline.analyzable_fraction);
     r
   in
-  let d = Ndp_core.Pipeline.run Ndp_core.Pipeline.Default kernel in
+  let d = Job.run (Job.make Ndp_core.Pipeline.Default kernel) in
   Printf.printf "%-22s exec %6d | movement %6d\n" "default" d.Ndp_core.Pipeline.exec_time
     (Ndp_sim.Stats.hops d.Ndp_core.Pipeline.stats);
   let with_inspector = run "executor (inspector)" Ndp_core.Pipeline.partitioned_defaults in

@@ -5,6 +5,7 @@
      dune exec examples/quickstart.exe *)
 
 open Ndp_ir
+module Job = Ndp_core.Pipeline.Job
 
 let () =
   (* Five arrays of 16K doubles; the layout assigns page-aligned virtual
@@ -23,11 +24,10 @@ let () =
   let kernel =
     Ndp_core.Kernel.make ~name:"quickstart" ~description:"Figure 3/11 example" ~program ()
   in
-  let default = Ndp_core.Pipeline.run Ndp_core.Pipeline.Default kernel in
+  let default = Job.run (Job.make Ndp_core.Pipeline.Default kernel) in
   let ours =
-    Ndp_core.Pipeline.run
-      (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
-      kernel
+    Job.run
+      (Job.make (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults) kernel)
   in
   let line label (r : Ndp_core.Pipeline.result) =
     Printf.printf "%-12s exec %6d cycles | movement %6d flit-hops | L1 %4.1f%% | syncs %d\n" label

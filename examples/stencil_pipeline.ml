@@ -6,6 +6,7 @@
      dune exec examples/stencil_pipeline.exe *)
 
 open Ndp_ir
+module Job = Ndp_core.Pipeline.Job
 
 let dim = 128
 
@@ -37,11 +38,12 @@ let () =
       List.iter
         (fun memory ->
           let config = Ndp_sim.Config.with_modes Ndp_sim.Config.default cluster memory in
-          let d = Ndp_core.Pipeline.run ~config Ndp_core.Pipeline.Default kernel in
+          let d = Job.run (Job.make ~config Ndp_core.Pipeline.Default kernel) in
           let o =
-            Ndp_core.Pipeline.run ~config
-              (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
-              kernel
+            Job.run
+              (Job.make ~config
+                 (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
+                 kernel)
           in
           Printf.printf "%-12s %-8s %10d %10d %7.1f%%\n"
             (Ndp_noc.Cluster.to_string cluster)
@@ -53,8 +55,8 @@ let () =
         Ndp_sim.Config.all_memory_modes)
     Ndp_noc.Cluster.all;
   let o =
-    Ndp_core.Pipeline.run (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
-      kernel
+    Job.run
+      (Job.make (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults) kernel)
   in
   Printf.printf "\nadaptive window chosen per nest: %s\n"
     (String.concat ", "

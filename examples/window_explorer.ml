@@ -5,6 +5,8 @@
 
      dune exec examples/window_explorer.exe [app] *)
 
+module Job = Ndp_core.Pipeline.Job
+
 let () =
   let app = if Array.length Sys.argv > 1 then Sys.argv.(1) else "water" in
   let kernel =
@@ -14,7 +16,7 @@ let () =
         (String.concat ", " Ndp_workloads.Suite.names);
       exit 1
   in
-  let default = Ndp_core.Pipeline.run Ndp_core.Pipeline.Default kernel in
+  let default = Job.run (Job.make Ndp_core.Pipeline.Default kernel) in
   let base = default.Ndp_core.Pipeline.exec_time in
   Printf.printf "app: %s (default exec %d cycles)\n\n" app base;
   Printf.printf "%-10s %10s %8s %8s %8s\n" "window" "exec" "gain" "L1" "syncs";
@@ -26,18 +28,18 @@ let () =
   in
   for w = 1 to 8 do
     let r =
-      Ndp_core.Pipeline.run
-        (Ndp_core.Pipeline.Partitioned
-           { Ndp_core.Pipeline.partitioned_defaults with
-             Ndp_core.Pipeline.window = Ndp_core.Pipeline.Fixed w })
-        kernel
+      Job.run
+        (Job.make
+           (Ndp_core.Pipeline.Partitioned
+              { Ndp_core.Pipeline.partitioned_defaults with
+                Ndp_core.Pipeline.window = Ndp_core.Pipeline.Fixed w })
+           kernel)
     in
     report (Printf.sprintf "fixed %d" w) r
   done;
   let adaptive =
-    Ndp_core.Pipeline.run
-      (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults)
-      kernel
+    Job.run
+      (Job.make (Ndp_core.Pipeline.Partitioned Ndp_core.Pipeline.partitioned_defaults) kernel)
   in
   report "adaptive" adaptive;
   Printf.printf "\nadaptive chose: %s\n"

@@ -4,11 +4,11 @@
    Footprints and reuse come from the symbolic subscript analysis
    ([Affine_range]/[Reuse]); per-statement movement comes from the same
    splitter estimates the pipeline's compiler uses, driven by the analytic
-   window model ([Window.analytic_of]) instead of per-candidate sampled
-   compilation. The table's flit-hop column is therefore directly
-   comparable to the Ledger's per-statement [s_predicted] and (to the
-   extent the prediction is faithful) [s_flit_hops] columns — the
-   [ndp_run analyze] subcommand performs exactly that reconciliation. *)
+   window model ([Window.analytic_of]) instead of compiled schedules. The
+   table's flit-hop column is therefore directly comparable to the
+   Ledger's per-statement [s_predicted] and (to the extent the prediction
+   is faithful) [s_flit_hops] columns — the [ndp_run analyze] subcommand
+   performs exactly that reconciliation. *)
 
 module Config = Ndp_sim.Config
 module Pipeline = Ndp_core.Pipeline
@@ -98,8 +98,7 @@ let nest_movement ~scheme config ctx (nest : Loop.nest) metas =
       Some
         (match o.Pipeline.window with
         | Pipeline.Fixed k -> max 1 k
-        | Pipeline.Adaptive | Pipeline.Analytic ->
-          Window.choose_size_analytic ctx metas ~max:config.Config.max_window)
+        | Pipeline.Adaptive -> Window.choose_size ctx metas ~max:config.Config.max_window)
   in
   (match window with
   | None ->

@@ -39,8 +39,8 @@ val table : ?config:Ndp_sim.Config.t -> scheme:Ndp_core.Pipeline.scheme -> Ndp_c
 (** The static cost table for a kernel under a scheme. [Default] prices
     every instance at its default movement; partitioned schemes run the
     analytic window model ([Window.analytic_of]) under the scheme's window
-    policy (adaptive and analytic policies both size nests with
-    {!Ndp_core.Window.choose_size_analytic} — no sampled compilation). *)
+    policy (an adaptive policy sizes nests with the pipeline's own
+    {!Ndp_core.Window.choose_size}). *)
 
 val lint_kernel : ?config:Ndp_sim.Config.t -> Ndp_core.Kernel.t -> Diagnostic.t list
 (** The W4xx family, sorted by {!Diagnostic.compare_diag}:

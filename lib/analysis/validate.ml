@@ -147,5 +147,5 @@ let check_result ~kernel (result : Pipeline.result) =
     result.Pipeline.traces
 
 let check_kernel ?(config = Ndp_sim.Config.default) scheme kernel =
-  let result = Pipeline.run ~config ~validate:true scheme kernel in
+  let result = Pipeline.Job.run (Pipeline.Job.make ~config ~validate:true scheme kernel) in
   check_result ~kernel result

@@ -53,7 +53,7 @@ val ground_truth_resolver : Ndp_core.Kernel.t -> Ndp_ir.Dependence.resolver
     reference the kernel's index arrays cover. *)
 
 val check_result : kernel:Ndp_core.Kernel.t -> Ndp_core.Pipeline.result -> Diagnostic.t list
-(** Validate every trace a [Pipeline.run ~validate:true] captured. *)
+(** Validate every trace a [validate] job captured. *)
 
 val check_kernel :
   ?config:Ndp_sim.Config.t -> Ndp_core.Pipeline.scheme -> Ndp_core.Kernel.t -> Diagnostic.t list

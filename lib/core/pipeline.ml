@@ -5,7 +5,7 @@ module Task = Ndp_sim.Task
 module Dep = Ndp_ir.Dependence
 module Loop = Ndp_ir.Loop
 
-type window_policy = Adaptive | Analytic | Fixed of int
+type window_policy = Adaptive | Fixed of int
 
 type part_options = {
   window : window_policy;
@@ -94,7 +94,6 @@ let scheme_name = function
     let base =
       match o.window with
       | Adaptive -> "partitioned(adaptive)"
-      | Analytic -> "partitioned(analytic)"
       | Fixed k -> Printf.sprintf "partitioned(w=%d)" k
     in
     if o.fuse then base ^ "+fuse" else base
@@ -183,8 +182,8 @@ let apply_tweaks tweaks (task : Task.t) =
 
 let line_of config va = va / config.Config.line_bytes
 
-(* The record request behind every entry point: one value carries what
-   used to be [run]'s optional-argument sprawl, so jobs can be hashed
+(* The record request behind every entry point: one value carries every
+   input of a compile+simulate run, so jobs can be hashed
    (Ndp_serve.Key), batched ([run_batch]) and shipped over a wire
    (Ndp_serve.Protocol) without re-encoding eight optionals each time. *)
 type job = {
@@ -359,7 +358,6 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
           match opts.window with
           | Fixed k -> max 1 k
           | Adaptive -> Window.choose_size ?pool ctx metas ~max:config.Config.max_window
-          | Analytic -> Window.choose_size_analytic ?pool ctx metas ~max:config.Config.max_window
         in
         Ndp_obs.Span.attr_int spans sp_w "w" w;
         Ndp_obs.Span.exit spans sp_w;
@@ -564,21 +562,11 @@ module Job = struct
   let run = run_job
 end
 
-(* Thin compatibility wrapper over [Job]; prefer [Job.make] + [Job.run]. *)
-let run ?config ?tweaks ?(validate = false) ?(capture = false) ?pool ?obs ?faults ?repair
-    scheme kernel =
-  run_job ?pool ?obs (job_make ?config ?tweaks ?faults ?repair ~validate ~capture scheme kernel)
-
 (* --- Batched simulation ------------------------------------------------ *)
-
-type batch_job = Job.t
-
-let batch_job ?config ?tweaks ?faults ?repair scheme kernel =
-  job_make ?config ?tweaks ?faults ?repair scheme kernel
 
 (* Each job builds its own machine, engine, context and inspector, and a
    [Kernel.t] is immutable, so jobs share no mutable state and each result
-   is byte-identical to the corresponding solo [run]. Metrics follow the
+   is byte-identical to the corresponding solo [Job.run]. Metrics follow the
    [Sharded] discipline with a twist: every JOB (not domain) fills a
    private registry — two jobs sharing a per-domain shard would also share
    [Stats] counter handles and read each other's counts — and the private

@@ -7,7 +7,9 @@
     (the profiling-on-beginning-iterations effect of Section 4.5), and the
     simulated L1s see exactly the schedule the compiler produced. *)
 
-type window_policy = Adaptive | Analytic | Fixed of int
+type window_policy =
+  | Adaptive  (** size each nest with {!Window.choose_size} *)
+  | Fixed of int  (** one size for every nest; non-positive runs as 1 *)
 
 type part_options = {
   window : window_policy;
@@ -47,8 +49,8 @@ val no_tweaks : tweaks
 
 (** Evidence the schedule validator ([Ndp_analysis.Validate]) checks
     against: which instances were compiled into which tasks, in emission
-    order, and under which ordering regime. Captured only when [run] is
-    given [~validate:true]; empty otherwise. *)
+    order, and under which ordering regime. Captured only for a job with
+    [validate = true]; empty otherwise. *)
 type schedule_trace =
   | Serialized of {
       t_nest : string;
@@ -87,7 +89,7 @@ type result = {
   remapped_tasks : int;
       (** subcomputations repair placed on a different node than the
           fault-free compiler would (avoided-node evictions plus
-          degraded-weight rebalancing); always 0 without [~repair] *)
+          degraded-weight rebalancing); always 0 without [repair] *)
   node_finish : int array; (** per-node completion times *)
   node_busy : int array; (** per-node busy cycles (occupancy) *)
   fusion_decisions : Fusion.decision list;
@@ -95,19 +97,18 @@ type result = {
           signature); empty unless the scheme fuses. Fusion is skipped
           under fault repair (a remap would strand the L1-resident
           intermediate). *)
-  traces : schedule_trace list; (** empty unless run with [~validate:true] *)
+  traces : schedule_trace list; (** empty unless the job sets [validate] *)
   emitted : Ndp_sim.Task.t list list;
       (** the task stream as issued to the engine, one sublist per engine
-          call, before counterfactual tweaks; empty unless run with
-          [~capture:true]. Feed to {!replay} to re-simulate the schedule
+          call, before counterfactual tweaks; empty unless the job sets
+          [capture]. Feed to {!replay} to re-simulate the schedule
           under a different cost model without recompiling. *)
 }
 
-(** The primary entry point: a pipeline request as one record.
+(** The entry point: a pipeline request as one record.
 
-    [Job.t] is the record-based successor to {!run}'s optional-argument
-    sprawl: everything that determines a compile+simulate outcome lives in
-    one value, so the CLI, the serving daemon ([Ndp_serve]) and the tests
+    Everything that determines a compile+simulate outcome lives in one
+    value, so the CLI, the serving daemon ([Ndp_serve]) and the tests
     build requests the same way, [Ndp_serve.Key] can hash them, and
     {!run_batch} can ship lists of them across a pool. *)
 module Job : sig
@@ -136,71 +137,45 @@ module Job : sig
       validation traces, no capture. *)
 
   val run : ?pool:Ndp_prelude.Pool.t -> ?obs:Ndp_obs.Sink.t -> t -> result
-  (** Execute one job. See {!run} below for the semantics of the job
-      fields and of [pool]/[obs]; the two entry points are the same code
-      path. *)
+  (** Compile the job's kernel under its scheme and simulate it.
+
+      [validate] additionally records a {!schedule_trace} per emitted
+      window (or per nest under the default scheme) so the schedule can
+      be re-checked against ground-truth dependences after the run.
+      [pool] parallelizes the window-size preprocessing:
+      {!Window.choose_size} compiles its near-tied candidate sizes
+      concurrently. The result is bit-identical with and without it.
+      [obs] threads an observability sink through the machine and engine
+      (per-link, cache, core metric families plus task/message trace
+      events) and records each nest's chosen window size as a
+      [core.window_size{nest=..}] gauge; observability never changes the
+      result.
+
+      [faults] injects an {!Ndp_fault.Plan} into the simulated machine
+      (link degradation/kill retries, node stalls, MC backpressure);
+      omitting it leaves every code path byte-identical to the fault-free
+      simulator. [repair] (meaningful only with [faults]) additionally
+      hands the plan to the compiler: partitioning runs Kruskal over the
+      surviving mesh with degraded link weights, the iteration assignment
+      and the balance pass avoid stalled or isolated nodes and
+      {!Schedule.repair} sweeps up anything still placed on one. Every
+      subcomputation that ends up on a different node than under the
+      fault-free assignment is counted in [remapped_tasks] and the
+      [fault.remapped_tasks] counter. *)
 end
 
-val run :
-  ?config:Ndp_sim.Config.t ->
-  ?tweaks:tweaks ->
-  ?validate:bool ->
-  ?capture:bool ->
-  ?pool:Ndp_prelude.Pool.t ->
-  ?obs:Ndp_obs.Sink.t ->
-  ?faults:Ndp_fault.Plan.t ->
-  ?repair:bool ->
-  scheme ->
-  Kernel.t ->
-  result
-(** Deprecated thin wrapper over {!Job.make} + {!Job.run}, kept for one
-    PR while external callers migrate; prefer {!Job}.
-
-    [~validate:true] additionally records a {!schedule_trace} per emitted
-    window (or per nest under the default scheme) so the schedule can be
-    re-checked against ground-truth dependences after the run. [pool]
-    parallelizes the adaptive window-size preprocessing across candidate
-    sizes; the result is bit-identical with and without it. [obs] threads
-    an observability sink through the machine and engine (per-link, cache,
-    core metric families plus task/message trace events) and records each
-    nest's chosen window size as a [core.window_size{nest=..}] gauge;
-    observability never changes the result.
-
-    [faults] injects an {!Ndp_fault.Plan} into the simulated machine (link
-    degradation/kill retries, node stalls, MC backpressure); omitting it
-    leaves every code path byte-identical to the fault-free simulator.
-    [~repair:true] (meaningful only with [faults]) additionally hands the
-    plan to the compiler: partitioning runs Kruskal over the surviving
-    mesh with degraded link weights, the iteration assignment and the
-    balance pass avoid stalled or isolated nodes and {!Schedule.repair}
-    sweeps up anything still placed on one. Every subcomputation that ends
-    up on a different node than under the fault-free assignment is counted
-    in [remapped_tasks] and the [fault.remapped_tasks] counter. *)
-
 (** {1 Batched and replayed simulation} *)
-
-type batch_job = Job.t
-(** A batch entry is an ordinary {!Job.t}. *)
-
-val batch_job :
-  ?config:Ndp_sim.Config.t ->
-  ?tweaks:tweaks ->
-  ?faults:Ndp_fault.Plan.t ->
-  ?repair:bool ->
-  scheme ->
-  Kernel.t ->
-  batch_job
 
 val run_batch :
   ?pool:Ndp_prelude.Pool.t ->
   ?metrics:Ndp_obs.Metrics.Sharded.t ->
-  batch_job list ->
+  Job.t list ->
   result list
 (** Run every job, concurrently when given a [pool], returning results in
     input order. Each job is an independent simulation — its own machine,
     engine, context and inspector — so a batch is deterministic at any
     pool size and each result is byte-identical to the corresponding solo
-    {!run}. [metrics] applies the [Metrics.Sharded] discipline at job
+    {!Job.run}. [metrics] applies the [Metrics.Sharded] discipline at job
     granularity: every job fills its own private registry (jobs must not
     share instrument handles — a shared [Stats] counter would bleed one
     simulation's counts into another's result), and the registries are
@@ -222,7 +197,7 @@ val replay :
   Kernel.t ->
   Ndp_sim.Task.t list list ->
   replayed
-(** Re-simulate a task stream captured by [run ~capture:true] on a fresh
+(** Re-simulate a task stream captured by a [capture] job on a fresh
     machine, skipping compilation. With the capture run's config and
     tweaks the replay is cycle-identical to the original simulation; with
     a different config it answers how the {e fixed} schedule performs
@@ -238,7 +213,7 @@ val profile_page_accesses :
     profile input of the Figure 23 data-to-MC mapping. *)
 
 val static_context : ?config:Ndp_sim.Config.t -> scheme -> Kernel.t -> Context.t
-(** The compilation context exactly as {!run} would build it for the
+(** The compilation context exactly as {!Job.run} would build it for the
     scheme — hot ranges, inspector execution, resolver choice, context
     options — but with no engine and no observability attached. This is
     the entry point for static analysis passes that must see the same

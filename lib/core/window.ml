@@ -271,12 +271,11 @@ let movement_estimate (ctx : Context.t) metas ~window =
     (fun acc w -> acc + estimate_of_compiled ~sync_links (compile ctx w))
     0 windows
 
-(* Like [movement_estimate], but against a forked context and with the
-   nest sample's dependence analysis computed once ([all_deps], indices
-   into [sample]) and sliced per chunk: a dependence whose endpoints both
-   fall inside a chunk is exactly what analyzing the chunk alone would
-   find (the analysis is pairwise), so re-deriving it per candidate
-   window size only repeats work. *)
+(* Like [movement_estimate], but with the nest sample's dependence
+   analysis computed once ([all_deps], indices into [sample]) and sliced
+   per chunk: a dependence whose endpoints both fall inside a chunk is
+   exactly what analyzing the chunk alone would find (the analysis is
+   pairwise), so re-deriving it per tied candidate only repeats work. *)
 let estimate_sliced (ctx : Context.t) sample all_deps ~window =
   let ctx = Context.fork_for_estimate ctx in
   let sync_links = sync_links_of ctx in
@@ -306,8 +305,8 @@ let preprocessing_sample = 256
 
 (* A nest whose references are all indirect gives the movement estimate
    nothing to discriminate on: every candidate size scores the inspector
-   fallback identically, so the sampled search is pure waste. Such nests
-   run at window size 1 (and lint surfaces a W402). *)
+   fallback identically, so sizing is pure waste. Such nests run at
+   window size 1 (and lint surfaces a W402). *)
 let all_non_affine metas =
   metas <> []
   && List.for_all
@@ -318,48 +317,21 @@ let all_non_affine metas =
            (Ndp_ir.Stmt.output stmt :: Ndp_ir.Stmt.inputs stmt))
        metas
 
-let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
-  if max_size < 1 || all_non_affine metas then 1
-  else begin
-    let sample = Array.of_list (List.filteri (fun i _ -> i < preprocessing_sample) metas) in
-    let all_deps =
-      Dep.analyze ctx.Context.compiler_resolve
-        (Array.to_list (Array.map (fun m -> m.inst) sample))
-    in
-    let estimate w = estimate_sliced ctx sample all_deps ~window:w in
-    (* Size 1 is evaluated first and serially: it resolves (and thereby
-       page-allocates) every address the sample can reach, so the
-       remaining candidates — possibly running concurrently on forked
-       contexts — only ever read the machine's page table and predictor. *)
-    let m1 = estimate 1 in
-    let rest = List.init (max 0 (max_size - 1)) (fun i -> i + 2) in
-    let estimates =
-      match pool with
-      | Some p -> Ndp_prelude.Pool.parallel_map p estimate rest
-      | None -> List.map estimate rest
-    in
-    let best_w, _ =
-      List.fold_left2
-        (fun (best_w, best_m) w m -> if m < best_m then (w, m) else (best_w, best_m))
-        (1, m1) rest estimates
-    in
-    best_w
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Analytic (closed-form) movement estimation.
+(* Analytic (closed-form) window sizing.
 
-   [compile] prices a candidate window by actually building it: splitting,
-   scheduling, repairing and sync-minimizing every statement of the sample
-   once per candidate size. The analytic path prices the same objective
-   from one walk over the sample plus integer arithmetic per candidate:
-   movement comes from the splitter's per-statement estimates under the
-   two reuse regimes (window captures the providers / window cut them
-   off), synchronization from the dependence pairs whose endpoints share a
-   chunk. What it forgoes — schedule placements landing on exec nodes,
-   join arcs, transitive sync reduction — are second-order against the
-   movement term, and the chooser falls back to the sampled estimator
-   whenever the analytic curve is too flat to call the winner. *)
+   Pricing a candidate window by compiling it ([movement_estimate]) means
+   splitting, scheduling, repairing and sync-minimizing every statement of
+   the sample once per candidate size. The analytic path prices the same
+   objective from one walk over the sample plus integer arithmetic per
+   candidate: movement comes from the splitter's per-statement estimates
+   under the two reuse regimes (window captures the providers / window
+   cut them off), synchronization from the dependence pairs whose
+   endpoints share a chunk. What it forgoes — schedule placements landing
+   on exec nodes, join arcs, transitive sync reduction — are second-order
+   against the movement term, and the chooser compiles candidates
+   ([estimate_sliced]) only when the analytic curve is too flat to call
+   the winner. *)
 
 type analytic = { a_est : int array; a_syncs : int }
 
@@ -443,7 +415,7 @@ let analytic_of ?deps (ctx : Context.t) metas ~window =
    uncontested analytic winner skips sampling entirely. *)
 let analytic_tie_margin = 0.10
 
-let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
+let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
   if max_size < 1 || metas = [] || all_non_affine metas then 1
   else begin
     let sample = Array.of_list (List.filteri (fun i _ -> i < preprocessing_sample) metas) in
@@ -529,8 +501,8 @@ let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
     | [ w ] -> w
     | ties ->
       (* Too close to call analytically: re-score only the contested
-         candidates with the sampled estimator, keeping [choose_size]'s
-         smallest-window tie-break. The walk above already resolved (and
+         candidates by compiling them, breaking exact ties toward the
+         smallest window. The walk above already resolved (and
          page-allocated) every address the sample reaches, so pooled
          evaluation only reads shared machine state. *)
       let estimate w = estimate_sliced ctx sample all_deps ~window:w in
@@ -547,14 +519,3 @@ let choose_size_analytic ?pool (ctx : Context.t) metas ~max:max_size =
       in
       best_w
   end
-
-let choose_size_reanalyze (ctx : Context.t) metas ~max:max_size =
-  let sample = List.filteri (fun i _ -> i < preprocessing_sample) metas in
-  let rec best w best_w best_m =
-    if w > max_size then best_w
-    else begin
-      let m = movement_estimate ctx sample ~window:w in
-      if m < best_m then best (w + 1) w m else best (w + 1) best_w best_m
-    end
-  in
-  best 1 1 max_int

@@ -25,7 +25,7 @@ val run :
   Ndp_core.Pipeline.scheme ->
   Ndp_core.Kernel.t ->
   Ndp_core.Pipeline.result
-(** Memoized {!Ndp_core.Pipeline.run}. [key_suffix] must distinguish calls
+(** Memoized {!Ndp_core.Pipeline.Job.run}. [key_suffix] must distinguish calls
     whose config/tweaks differ in ways the automatic key cannot see.
     Safe to call from pool workers. *)
 

@@ -99,7 +99,7 @@ let run ?config ~mode ~scheme kernel =
   let config = Option.value config ~default:Ndp_sim.Config.default in
   match mode with
   | Plain ->
-    let r = P.run ~config ~validate:true scheme kernel in
+    let r = P.Job.run (P.Job.make ~config ~validate:true scheme kernel) in
     digest_result r
   | Faulted ->
     let mesh = Ndp_sim.Config.mesh config in
@@ -108,13 +108,13 @@ let run ?config ~mode ~scheme kernel =
       | Ok p -> p
       | Error e -> failwith ("Equiv.run: bad fault spec: " ^ e)
     in
-    let r = P.run ~config ~validate:true ~faults:plan ~repair:true scheme kernel in
+    let r = P.Job.run (P.Job.make ~config ~validate:true ~faults:plan ~repair:true scheme kernel) in
     digest_result r
   | Profiled ->
     let obs =
       Ndp_obs.Sink.create ~metrics:true ~trace:false ~ledger:true ()
     in
-    let r = P.run ~config ~validate:true ~obs scheme kernel in
+    let r = P.Job.run ~obs (P.Job.make ~config ~validate:true scheme kernel) in
     digest_result ~obs r
 
 let all_combos () =

@@ -219,7 +219,7 @@ let link_heatmap ?(app = "ocean") common =
   let cols = Ndp_noc.Mesh.cols mesh and rows = Ndp_noc.Mesh.rows mesh in
   let grid_of scheme =
     let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in
-    ignore (Pipeline.run ~config ~obs scheme k);
+    ignore (Pipeline.Job.run ~obs (Pipeline.Job.make ~config scheme k));
     let grid = Array.make_matrix rows cols 0 in
     let max_link = ref 0 in
     List.iter
@@ -263,7 +263,7 @@ let attribution common =
   let config = Ndp_sim.Config.default in
   let measure scheme k =
     let obs = Ndp_obs.Sink.create ~metrics:false ~trace:false ~ledger:true () in
-    ignore (Pipeline.run ~config ~obs scheme k);
+    ignore (Pipeline.Job.run ~obs (Pipeline.Job.make ~config scheme k));
     let ledger = obs.Ndp_obs.Sink.ledger in
     (Ndp_obs.Ledger.total_predicted ledger, Ndp_obs.Ledger.total_flit_hops ledger)
   in
@@ -445,7 +445,7 @@ let degradation ?(app = "ocean") common =
     Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window = Pipeline.Adaptive }
   in
   let time ?faults ?repair scheme =
-    (Pipeline.run ~config ?faults ?repair scheme k).Pipeline.exec_time
+    (Pipeline.Job.run (Pipeline.Job.make ~config ?faults ?repair scheme k)).Pipeline.exec_time
   in
   let base_default = time Pipeline.Default in
   let base_part = time part in

@@ -1,7 +1,7 @@
 (** The observability handle threaded through the simulator and compiler:
     one metrics registry, one event tracer, one data-movement attribution
     ledger and one counter timeline. Subsystem constructors
-    ([Machine.create], [Engine.create], [Pipeline.run], ...) take
+    ([Machine.create], [Engine.create], [Pipeline.Job.run], ...) take
     [?obs:Sink.t] defaulting to {!none}, so unobserved runs pay only the
     inert-handle branches. *)
 

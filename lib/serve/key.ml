@@ -60,7 +60,6 @@ let scheme = function
     Printf.sprintf "part(w=%s,r=%b,s=%b,l=%b,bt=%s,id=%b,insp=%b,f=%b,fc=%s)"
       (match o.Pipeline.window with
       | Pipeline.Adaptive -> "a"
-      | Pipeline.Analytic -> "an"
       | Pipeline.Fixed k -> string_of_int k)
       o.Pipeline.reuse_aware o.Pipeline.sync_minimize o.Pipeline.level_based
       (match o.Pipeline.balance_threshold with None -> "-" | Some f -> Printf.sprintf "%h" f)

@@ -15,7 +15,7 @@
 type job_spec = {
   app : string; (** suite kernel name *)
   scheme : string; (** ["default"] or ["partitioned"] *)
-  window : string; (** ["adaptive"], ["analytic"] or a fixed size *)
+  window : string; (** ["adaptive"] or a positive fixed size *)
   cluster : string; (** all-to-all, quadrant or snc-4 *)
   memory : string; (** flat, cache or hybrid *)
   tweaks : Ndp_core.Pipeline.tweaks;

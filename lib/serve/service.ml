@@ -15,12 +15,13 @@ let ( let* ) = Result.bind
 
 let window_of_string s =
   match String.lowercase_ascii s with
-  | "" | "adaptive" -> Ok Pipeline.Adaptive
-  | "analytic" -> Ok Pipeline.Analytic
+  (* "analytic" is the older spelling of the one adaptive sizer. *)
+  | "" | "adaptive" | "analytic" -> Ok Pipeline.Adaptive
   | other -> (
     match int_of_string_opt other with
-    | Some k -> Ok (Pipeline.Fixed k)
-    | None -> Error (Printf.sprintf "expected a window size, \"adaptive\" or \"analytic\", got %S" s))
+    | Some k when k >= 1 -> Ok (Pipeline.Fixed k)
+    | Some k -> Error (Printf.sprintf "window size must be positive, got %d" k)
+    | None -> Error (Printf.sprintf "expected a window size or \"adaptive\", got %S" s))
 
 let scheme_of_spec (s : Protocol.job_spec) =
   match String.lowercase_ascii s.Protocol.scheme with

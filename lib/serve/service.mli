@@ -8,7 +8,8 @@
 (** {1 Spec resolution} *)
 
 val window_of_string : string -> (Ndp_core.Pipeline.window_policy, string) result
-(** [""]/["adaptive"], ["analytic"] or a decimal fixed size. *)
+(** [""]/["adaptive"] (or its older spelling ["analytic"]) or a positive
+    decimal fixed size. *)
 
 val scheme_of_spec : Protocol.job_spec -> (Ndp_core.Pipeline.scheme, string) result
 

@@ -259,7 +259,7 @@ let validate_pipeline_clean_and_tampered () =
   let scheme =
     Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window = Pipeline.Fixed 6 }
   in
-  let result = Pipeline.run ~validate:true scheme kernel in
+  let result = Pipeline.Job.run (Pipeline.Job.make ~validate:true scheme kernel) in
   Alcotest.(check bool) "traces captured" true (result.Pipeline.traces <> []);
   let diags = Validate.check_result ~kernel result in
   Alcotest.(check int) "clean schedule validates" 0 (List.length (errors diags));

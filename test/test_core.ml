@@ -237,8 +237,9 @@ let window_movement_estimate_reuse () =
   Alcotest.(check bool) "window of 2 moves no more data" true (m2 <= m1)
 
 let window_analytic_matches_sampled () =
-  (* The closed-form window model must agree with the sampled oracle on
-     every nest of the whole suite — the property that lets the analytic
+  (* The analytic sizer must pick the size the sampled oracle (compile the
+     nest sample under every candidate) picks, on every nest of the whole
+     suite under the default config — the property that lets the analytic
      path replace sampled compilation. *)
   List.iter
     (fun name ->
@@ -250,8 +251,8 @@ let window_analytic_matches_sampled () =
             let sampled_ctx = Pipeline.static_context scheme kernel in
             let analytic_ctx = Pipeline.static_context scheme kernel in
             let metas, g' = Pipeline.nest_stream sampled_ctx nest ~first_group:g in
-            let ws = Window.choose_size sampled_ctx metas ~max:8 in
-            let wa = Window.choose_size_analytic analytic_ctx metas ~max:8 in
+            let ws = Window_oracle.choose_size sampled_ctx metas ~max:8 in
+            let wa = Window.choose_size analytic_ctx metas ~max:8 in
             Alcotest.(check int)
               (Printf.sprintf "%s/%s analytic = sampled" name nest.Ndp_ir.Loop.nest_name)
               ws wa;
@@ -263,13 +264,12 @@ let window_analytic_matches_sampled () =
 
 let window_non_affine_short_circuit () =
   (* A nest whose every reference is indirect gives the static model
-     nothing to work with: both sizers fall back to w=1. *)
+     nothing to work with: the sizer falls back to w=1. *)
   let ctx, _ = fixture [ ("x", 3); ("y", 4); ("w", 5) ] in
   let stmt = Ndp_ir.Parser.statement "x[y[i]] = w[y[i]]" in
   let metas = List.init 16 (fun i -> meta_of ctx stmt i (i mod 36)) in
   Alcotest.(check bool) "all non-affine" true (Window.all_non_affine metas);
-  Alcotest.(check int) "sampled short-circuits" 1 (Window.choose_size ctx metas ~max:8);
-  Alcotest.(check int) "analytic short-circuits" 1 (Window.choose_size_analytic ctx metas ~max:8)
+  Alcotest.(check int) "short-circuits" 1 (Window.choose_size ctx metas ~max:8)
 
 let baseline_assignment () =
   let arrays = Ndp_ir.Array_decl.layout [ ("a", 4096, 8); ("b", 4096, 8) ] in

@@ -45,7 +45,7 @@ let engine_finish_time_monotone () =
 
 let group_hops_sum_to_total () =
   let k = Ndp_workloads.Suite.find "fft" in
-  let o = P.run (P.Partitioned P.partitioned_defaults) k in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
   let per_group = Array.fold_left ( + ) 0 o.P.group_hops in
   Alcotest.(check int) "per-statement hops sum to the run total"
     (Ndp_sim.Stats.hops o.P.stats) per_group
@@ -54,10 +54,12 @@ let adaptive_matches_its_fixed_choice () =
   (* Running with the window size the adaptive search chose must give the
      same result as the adaptive run when all nests chose the same size. *)
   let k = Ndp_workloads.Suite.find "water" in
-  let a = P.run (P.Partitioned P.partitioned_defaults) k in
+  let a = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
   match List.sort_uniq compare (List.map snd a.P.windows_chosen) with
   | [ w ] ->
-    let f = P.run (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed w }) k in
+    let f =
+      P.Job.run (P.Job.make (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed w }) k)
+    in
     Alcotest.(check int) "identical execution" a.P.exec_time f.P.exec_time
   | _ -> () (* nests disagreed; nothing to compare *)
 
@@ -65,23 +67,23 @@ let unsplit_guard_caps_tasks () =
   (* Cholesky's 2-3 operand statements should mostly run whole: the task
      count stays close to the instance count. *)
   let k = Ndp_workloads.Suite.find "cholesky" in
-  let o = P.run (P.Partitioned P.partitioned_defaults) k in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
   Alcotest.(check bool) "few extra tasks" true
     (float_of_int o.P.tasks_emitted < 1.6 *. float_of_int o.P.num_instances)
 
 let wide_statements_do_split () =
   let k = Ndp_workloads.Suite.find "barnes" in
-  let o = P.run (P.Partitioned P.partitioned_defaults) k in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
   Alcotest.(check bool) "splits happen" true (o.P.tasks_emitted > o.P.num_instances)
 
 let est_movement_reported () =
   let k = Ndp_workloads.Suite.find "water" in
-  let o = P.run (P.Partitioned P.partitioned_defaults) k in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
   Alcotest.(check bool) "estimate positive" true (o.P.est_movement_total > 0)
 
 let energy_breakdown_consistent () =
   let k = Ndp_workloads.Suite.find "fft" in
-  let o = P.run P.Default k in
+  let o = P.Job.run (P.Job.make P.Default k) in
   let b = o.P.energy in
   Alcotest.(check bool) "all components nonnegative" true
     (b.Ndp_sim.Energy.network >= 0.0 && b.Ndp_sim.Energy.l1 >= 0.0

@@ -99,7 +99,7 @@ let distance_respects_faults () =
 
 let run_with_metrics ?faults ?repair kernel =
   let obs = Sink.create ~metrics:true () in
-  let result = Pipeline.run ~obs ?faults ?repair fixed2 kernel in
+  let result = Pipeline.Job.run ~obs (Pipeline.Job.make ?faults ?repair fixed2 kernel) in
   (result, Metrics.to_alist obs.Sink.metrics)
 
 let kill_charges_retries () =
@@ -134,8 +134,10 @@ let fault_free_registry_has_no_fault_entries () =
 
 let empty_plan_identical_on_workload () =
   let kernel = Suite.find "fft" in
-  let plain = Pipeline.run partitioned kernel in
-  let faulted = Pipeline.run ~faults:(Plan.empty ~mesh) partitioned kernel in
+  let plain = Pipeline.Job.run (Pipeline.Job.make partitioned kernel) in
+  let faulted =
+    Pipeline.Job.run (Pipeline.Job.make ~faults:(Plan.empty ~mesh) partitioned kernel)
+  in
   Alcotest.(check int) "exec_time" plain.Pipeline.exec_time faulted.Pipeline.exec_time;
   Alcotest.(check (list (pair string int)))
     "stats"
@@ -155,8 +157,10 @@ let repair_beats_unrepaired () =
   let verdicts =
     List.map
       (fun kernel ->
-        let broken = Pipeline.run ~faults partitioned kernel in
-        let repaired = Pipeline.run ~faults ~repair:true partitioned kernel in
+        let broken = Pipeline.Job.run (Pipeline.Job.make ~faults partitioned kernel) in
+        let repaired =
+          Pipeline.Job.run (Pipeline.Job.make ~faults ~repair:true partitioned kernel)
+        in
         (kernel.Ndp_core.Kernel.name,
          repaired.Pipeline.exec_time < broken.Pipeline.exec_time))
       (Suite.all ())
@@ -171,7 +175,10 @@ let repaired_schedules_race_free () =
   List.iter
     (fun name ->
       let kernel = Suite.find name in
-      let result = Pipeline.run ~validate:true ~faults ~repair:true partitioned kernel in
+      let result =
+        Pipeline.Job.run
+          (Pipeline.Job.make ~validate:true ~faults ~repair:true partitioned kernel)
+      in
       let errors =
         List.filter Ndp_analysis.Diagnostic.is_error
           (Ndp_analysis.Validate.check_result ~kernel result)
@@ -187,7 +194,7 @@ let deterministic_across_pool_sizes () =
      any worker count because every random choice lives in the plan. *)
   let faults = parse_exn "kill=2,stall=9@0+200000,mc=0x2" in
   let fingerprint pool kernel =
-    let r = Pipeline.run ?pool ~faults ~repair:true partitioned kernel in
+    let r = Pipeline.Job.run ?pool (Pipeline.Job.make ~faults ~repair:true partitioned kernel) in
     ( Ndp_sim.Stats.to_alist r.Pipeline.stats,
       r.Pipeline.exec_time,
       r.Pipeline.node_finish,
@@ -214,7 +221,10 @@ let repaired_schedule_identical_across_pool_sizes () =
   let faults = parse_exn "kill=14>20,stall=9@0+200000" in
   let kernel = Suite.find "fft" in
   let tasks_of pool =
-    let r = Pipeline.run ?pool ~validate:true ~faults ~repair:true partitioned kernel in
+    let r =
+      Pipeline.Job.run ?pool
+        (Pipeline.Job.make ~validate:true ~faults ~repair:true partitioned kernel)
+    in
     List.map
       (function
         | Pipeline.Serialized { t_tasks; _ } -> t_tasks

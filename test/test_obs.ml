@@ -254,7 +254,7 @@ let ring_overflow () =
 
 let trace_chrome_well_formed () =
   let obs = Sink.create ~metrics:true ~trace:true () in
-  let r = P.run ~obs (P.Partitioned P.partitioned_defaults) (water ()) in
+  let r = P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   Alcotest.(check int) "nothing dropped" 0 (T.dropped obs.Sink.trace);
   let doc = Json.parse (T.to_chrome obs.Sink.trace) in
   let events =
@@ -290,7 +290,7 @@ let trace_chrome_well_formed () =
 
 let trace_jsonl_lines_parse () =
   let obs = Sink.create ~metrics:false ~trace:true () in
-  ignore (P.run ~obs P.Default (water ()));
+  ignore (P.Job.run ~obs (P.Job.make P.Default (water ())));
   let lines =
     String.split_on_char '\n' (T.to_jsonl obs.Sink.trace)
     |> List.filter (fun l -> l <> "")
@@ -305,7 +305,7 @@ let trace_jsonl_lines_parse () =
 
 let metrics_json_parses () =
   let obs = Sink.create ~metrics:true ~trace:false () in
-  ignore (P.run ~obs (P.Partitioned P.partitioned_defaults) (water ()));
+  ignore (P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())));
   match Json.parse (Ndp_obs.Render.Json.to_string (M.to_json obs.Sink.metrics)) with
   | Json.Obj kvs ->
     Alcotest.(check bool) "per-link family present" true
@@ -349,7 +349,7 @@ let ledger_reconciles_suite () =
       List.iter
         (fun (scheme_name, scheme) ->
           let obs = profiled_sink () in
-          ignore (P.run ~obs scheme k);
+          ignore (P.Job.run ~obs (P.Job.make scheme k));
           Alcotest.(check int)
             (Printf.sprintf "%s/%s ledger == link flits" name scheme_name)
             (link_flits_total obs.Sink.metrics)
@@ -359,7 +359,7 @@ let ledger_reconciles_suite () =
 
 let ledger_attributes_and_predicts () =
   let obs = profiled_sink () in
-  ignore (P.run ~obs (P.Partitioned P.partitioned_defaults) (water ()));
+  ignore (P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())));
   let ledger = obs.Sink.ledger in
   let rows = L.rows ledger in
   Alcotest.(check bool) "rows present" true (rows <> []);
@@ -379,7 +379,9 @@ let ledger_attributes_and_predicts () =
 
 let ledger_output_deterministic_across_jobs () =
   let render jobs =
-    let run obs pool = ignore (P.run ?pool ~obs (P.Partitioned P.partitioned_defaults) (water ())) in
+    let run obs pool =
+      ignore (P.Job.run ?pool ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())))
+    in
     let obs = profiled_sink () in
     (match jobs with
     | 1 -> run obs None
@@ -395,7 +397,7 @@ let ledger_output_deterministic_across_jobs () =
 let timeline_samples_run () =
   let interval = 500 in
   let obs = Sink.create ~metrics:true ~trace:false ~timeline_interval:interval () in
-  let r = P.run ~obs (P.Partitioned P.partitioned_defaults) (water ()) in
+  let r = P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   let series = TL.series obs.Sink.timeline in
   Alcotest.(check bool) "series registered" true (series <> []);
   let finish = Stats.finish_time r.P.stats in
@@ -458,9 +460,9 @@ let timeline_bounded () =
 (* {1 Observation must not perturb} *)
 
 let observed_run_identical () =
-  let bare = P.run (P.Partitioned P.partitioned_defaults) (water ()) in
+  let bare = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   let obs = Sink.create ~metrics:true ~trace:true () in
-  let seen = P.run ~obs (P.Partitioned P.partitioned_defaults) (water ()) in
+  let seen = P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   Alcotest.(check bool) "stats equal" true (Stats.equal bare.P.stats seen.P.stats);
   Alcotest.(check int) "exec_time equal" bare.P.exec_time seen.P.exec_time;
   Alcotest.(check (list (pair string int))) "windows equal" bare.P.windows_chosen
@@ -469,16 +471,20 @@ let observed_run_identical () =
   let full =
     Sink.create ~metrics:true ~trace:true ~ledger:true ~timeline_interval:1000 ()
   in
-  let profiled = P.run ~obs:full (P.Partitioned P.partitioned_defaults) (water ()) in
+  let profiled =
+    P.Job.run ~obs:full (P.Job.make (P.Partitioned P.partitioned_defaults) (water ()))
+  in
   Alcotest.(check bool) "stats equal under profiling" true
     (Stats.equal bare.P.stats profiled.P.stats);
   Alcotest.(check int) "exec_time equal under profiling" bare.P.exec_time profiled.P.exec_time
 
 let observed_run_identical_under_pool () =
-  let bare = P.run (P.Partitioned P.partitioned_defaults) (water ()) in
+  let bare = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   Pool.with_pool ~jobs:4 (fun pool ->
       let obs = Sink.create ~metrics:true ~trace:true () in
-      let seen = P.run ~pool ~obs (P.Partitioned P.partitioned_defaults) (water ()) in
+      let seen =
+        P.Job.run ~pool ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ()))
+      in
       Alcotest.(check bool) "stats equal under jobs=4" true (Stats.equal bare.P.stats seen.P.stats);
       Alcotest.(check int) "exec_time equal under jobs=4" bare.P.exec_time seen.P.exec_time)
 
@@ -633,7 +639,7 @@ let span_pipeline_phases () =
   let phases scheme kernel =
     let spans = Span.create ~clock:(fun () -> 0.0) () in
     let obs = { Sink.none with Sink.spans } in
-    ignore (P.run ~obs scheme kernel);
+    ignore (P.Job.run ~obs (P.Job.make scheme kernel));
     List.map fst (Span.summary spans)
   in
   Alcotest.(check (list string)) "partitioned phases"

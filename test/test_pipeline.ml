@@ -4,8 +4,8 @@ let water () = Ndp_workloads.Suite.find "water"
 let fft () = Ndp_workloads.Suite.find "fft"
 
 let deterministic () =
-  let a = P.run (P.Partitioned P.partitioned_defaults) (water ()) in
-  let b = P.run (P.Partitioned P.partitioned_defaults) (water ()) in
+  let a = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
+  let b = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   Alcotest.(check int) "same exec" a.P.exec_time b.P.exec_time;
   Alcotest.(check int) "same hops" (Ndp_sim.Stats.hops a.P.stats) (Ndp_sim.Stats.hops b.P.stats)
 
@@ -13,8 +13,8 @@ let partitioning_reduces_movement () =
   List.iter
     (fun name ->
       let k = Ndp_workloads.Suite.find name in
-      let d = P.run P.Default k in
-      let o = P.run (P.Partitioned P.partitioned_defaults) k in
+      let d = P.Job.run (P.Job.make P.Default k) in
+      let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
       Alcotest.(check bool)
         (name ^ ": less data movement")
         true
@@ -22,8 +22,8 @@ let partitioning_reduces_movement () =
     [ "water"; "fft"; "minimd"; "barnes" ]
 
 let partitioning_improves_l1 () =
-  let d = P.run P.Default (water ()) in
-  let o = P.run (P.Partitioned P.partitioned_defaults) (water ()) in
+  let d = P.Job.run (P.Job.make P.Default (water ())) in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   Alcotest.(check bool) "higher L1 hit rate" true
     (Ndp_sim.Stats.l1_hit_rate o.P.stats > Ndp_sim.Stats.l1_hit_rate d.P.stats)
 
@@ -31,18 +31,18 @@ let partitioning_wins_on_wide_statements () =
   List.iter
     (fun name ->
       let k = Ndp_workloads.Suite.find name in
-      let d = P.run P.Default k in
-      let o = P.run (P.Partitioned P.partitioned_defaults) k in
+      let d = P.Job.run (P.Job.make P.Default k) in
+      let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
       Alcotest.(check bool) (name ^ ": faster") true (o.P.exec_time < d.P.exec_time))
     [ "water"; "fft" ]
 
 let default_has_no_syncs () =
-  let d = P.run P.Default (water ()) in
+  let d = P.Job.run (P.Job.make P.Default (water ())) in
   Alcotest.(check int) "no syncs" 0 d.P.sync_arcs;
   Alcotest.(check int) "one task per instance" d.P.num_instances d.P.tasks_emitted
 
 let group_arrays_sized () =
-  let o = P.run (P.Partitioned P.partitioned_defaults) (fft ()) in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (fft ())) in
   Alcotest.(check int) "hops per instance" o.P.num_instances (Array.length o.P.group_hops);
   Alcotest.(check int) "parallelism per instance" o.P.num_instances (Array.length o.P.parallelism);
   Alcotest.(check bool) "windows chosen for both nests" true
@@ -55,42 +55,52 @@ let fixed_window_runs () =
   List.iter
     (fun w ->
       let o =
-        P.run (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed w }) (water ())
+        P.Job.run
+          (P.Job.make (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed w }) (water ()))
       in
       Alcotest.(check bool) (Printf.sprintf "w=%d sane" w) true (o.P.exec_time > 0))
     [ 1; 4; 8 ]
 
 let ideal_data_at_least_as_good () =
   let k = Ndp_workloads.Suite.find "radiosity" in
-  let o = P.run (P.Partitioned P.partitioned_defaults) k in
-  let ideal = P.run (P.Partitioned { P.partitioned_defaults with P.ideal_data = true }) k in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
+  let ideal =
+    P.Job.run (P.Job.make (P.Partitioned { P.partitioned_defaults with P.ideal_data = true }) k)
+  in
   (* Perfect analysis and location knowledge should not lose much. *)
   Alcotest.(check bool) "ideal within 10% of real" true
     (float_of_int ideal.P.exec_time <= 1.1 *. float_of_int o.P.exec_time)
 
 let ideal_network_faster () =
-  let o = P.run (P.Partitioned P.partitioned_defaults) (water ()) in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   let inet =
-    P.run ~tweaks:{ P.no_tweaks with P.distance_factor = 0.0 }
-      (P.Partitioned P.partitioned_defaults) (water ())
+    P.Job.run
+      (P.Job.make ~tweaks:{ P.no_tweaks with P.distance_factor = 0.0 }
+         (P.Partitioned P.partitioned_defaults) (water ()))
   in
   Alcotest.(check bool) "zero-latency network strictly faster" true
     (inet.P.exec_time < o.P.exec_time)
 
 let l1_boost_tweak () =
-  let d = P.run P.Default (water ()) in
-  let boosted = P.run ~tweaks:{ P.no_tweaks with P.l1_boost = 0.9 } P.Default (water ()) in
+  let d = P.Job.run (P.Job.make P.Default (water ())) in
+  let boosted =
+    P.Job.run (P.Job.make ~tweaks:{ P.no_tweaks with P.l1_boost = 0.9 } P.Default (water ()))
+  in
   Alcotest.(check bool) "boost raises hit rate" true
     (Ndp_sim.Stats.l1_hit_rate boosted.P.stats > Ndp_sim.Stats.l1_hit_rate d.P.stats)
 
 let cost_scale_tweak () =
-  let d = P.run P.Default (water ()) in
-  let scaled = P.run ~tweaks:{ P.no_tweaks with P.cost_scale = 4.0 } P.Default (water ()) in
+  let d = P.Job.run (P.Job.make P.Default (water ())) in
+  let scaled =
+    P.Job.run (P.Job.make ~tweaks:{ P.no_tweaks with P.cost_scale = 4.0 } P.Default (water ()))
+  in
   Alcotest.(check bool) "cheaper compute is faster" true (scaled.P.exec_time < d.P.exec_time)
 
 let extra_syncs_tweak () =
-  let d = P.run P.Default (water ()) in
-  let s = P.run ~tweaks:{ P.no_tweaks with P.extra_syncs = 3 } P.Default (water ()) in
+  let d = P.Job.run (P.Job.make P.Default (water ())) in
+  let s =
+    P.Job.run (P.Job.make ~tweaks:{ P.no_tweaks with P.extra_syncs = 3 } P.Default (water ()))
+  in
   Alcotest.(check bool) "syncs slow default down" true (s.P.exec_time > d.P.exec_time)
 
 let memory_modes_run () =
@@ -99,7 +109,7 @@ let memory_modes_run () =
       List.iter
         (fun cluster ->
           let config = Ndp_sim.Config.with_modes Ndp_sim.Config.default cluster mem in
-          let o = P.run ~config (P.Partitioned P.partitioned_defaults) (fft ()) in
+          let o = P.Job.run (P.Job.make ~config (P.Partitioned P.partitioned_defaults) (fft ())) in
           Alcotest.(check bool) "positive exec" true (o.P.exec_time > 0))
         Ndp_noc.Cluster.all)
     Ndp_sim.Config.all_memory_modes
@@ -109,8 +119,8 @@ let scrambled_pages_hurt_compiler () =
   let config =
     { Ndp_sim.Config.default with Ndp_sim.Config.page_policy = Ndp_mem.Page_alloc.Scrambled }
   in
-  let colored = P.run (P.Partitioned P.partitioned_defaults) k in
-  let scrambled = P.run ~config (P.Partitioned P.partitioned_defaults) k in
+  let colored = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) k) in
+  let scrambled = P.Job.run (P.Job.make ~config (P.Partitioned P.partitioned_defaults) k) in
   (* Without the page-coloring OS support the compiler mispredicts homes
      and the schedule moves more data. *)
   Alcotest.(check bool) "coloring moves less data" true
@@ -125,12 +135,12 @@ let profile_accesses () =
     accesses
 
 let predictor_measured () =
-  let o = P.run (P.Partitioned P.partitioned_defaults) (water ()) in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   Alcotest.(check bool) "accuracy in (0,1]" true
     (o.P.predictor_accuracy > 0.0 && o.P.predictor_accuracy <= 1.0)
 
 let offload_mix_nonempty () =
-  let o = P.run (P.Partitioned P.partitioned_defaults) (water ()) in
+  let o = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
   Alcotest.(check bool) "some ops offloaded" true
     (Ndp_sim.Task.mix_total o.P.offload_mix > 0)
 
@@ -139,7 +149,7 @@ let offload_mix_nonempty () =
 let capture_replay_identical () =
   let fixed2 = P.Partitioned { P.partitioned_defaults with P.window = P.Fixed 2 } in
   let k = water () in
-  let r = P.run ~capture:true fixed2 k in
+  let r = P.Job.run (P.Job.make ~capture:true fixed2 k) in
   Alcotest.(check bool) "captured" true (r.P.emitted <> []);
   let rp = P.replay k r.P.emitted in
   Alcotest.(check int) "same exec" r.P.exec_time rp.P.rp_exec_time;
@@ -152,7 +162,7 @@ let capture_replay_identical () =
 
 let replay_cost_model_shifts () =
   let k = water () in
-  let r = P.run ~capture:true (P.Partitioned P.partitioned_defaults) k in
+  let r = P.Job.run (P.Job.make ~capture:true (P.Partitioned P.partitioned_defaults) k) in
   let d = Ndp_sim.Config.default in
   let dear = { d with Ndp_sim.Config.op_cycles = 4 * d.Ndp_sim.Config.op_cycles } in
   let rp = P.replay ~config:dear k r.P.emitted in
@@ -160,9 +170,9 @@ let replay_cost_model_shifts () =
 
 let batch_jobs () =
   [
-    P.batch_job P.Default (water ());
-    P.batch_job (P.Partitioned P.partitioned_defaults) (water ());
-    P.batch_job (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed 2 }) (fft ());
+    P.Job.make P.Default (water ());
+    P.Job.make (P.Partitioned P.partitioned_defaults) (water ());
+    P.Job.make (P.Partitioned { P.partitioned_defaults with P.window = P.Fixed 2 }) (fft ());
   ]
 
 let check_same_result label (a : P.result) (b : P.result) =
@@ -177,11 +187,7 @@ let check_same_result label (a : P.result) (b : P.result) =
 (* A batch must equal the corresponding solo runs, serially and at any
    pool size — each job is an independent simulation. *)
 let batch_matches_solo_and_parallel () =
-  let solo =
-    List.map
-      (fun (j : P.batch_job) -> P.Job.run j)
-      (batch_jobs ())
-  in
+  let solo = List.map (fun j -> P.Job.run j) (batch_jobs ()) in
   let serial = P.run_batch (batch_jobs ()) in
   let pooled =
     Ndp_prelude.Pool.with_pool ~jobs:4 (fun pool -> P.run_batch ~pool (batch_jobs ()))

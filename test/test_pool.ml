@@ -74,7 +74,7 @@ let suite_determinism () =
   let schemes = [ P.Default; P.Partitioned P.partitioned_defaults ] in
   let cells = List.concat_map (fun k -> List.map (fun s -> (k, s)) schemes) kernels in
   Pool.with_pool ~jobs:4 (fun pool ->
-      let run_cell (k, s) = P.run ~pool s k in
+      let run_cell (k, s) = P.Job.run ~pool (P.Job.make s k) in
       let par = Pool.parallel_map pool run_cell cells in
       let ser = Pool.run_serially (fun () -> List.map run_cell cells) in
       List.iter2
@@ -98,53 +98,44 @@ let suite_determinism () =
             (label "windows") s.P.windows_chosen p.P.windows_chosen)
         par ser)
 
-(* The sliced window-size preprocessing must agree with the
-   reanalyze-per-candidate oracle it replaced. *)
+(* The one window sizer against the compile-every-candidate oracle, on
+   every nest of the suite under all nine cluster x memory modes (the
+   default config is quadrant/flat, one of them), serially and on a
+   3-domain pool. Each sizer gets a fresh context, as the pipeline gives
+   each job one. *)
 let choose_size_matches_oracle () =
-  let module W = Ndp_core.Window in
-  List.iter
-    (fun name ->
-      let kernel = Ndp_workloads.Suite.find name in
-      let config = Ndp_sim.Config.default in
-      let machine = Ndp_sim.Machine.create config in
-      let insp = Ndp_core.Kernel.inspector kernel in
-      Ndp_ir.Inspector.run insp;
-      let address_of = Ndp_core.Kernel.address_of kernel in
-      let ctx =
-        Ndp_core.Context.create ~machine
-          ~compiler_resolve:(Ndp_ir.Inspector.compiler_resolver insp ~address_of)
-          ~runtime_resolve:(Ndp_ir.Inspector.runtime_resolver insp ~address_of)
-          ~arrays:kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.arrays
-          ~options:(Ndp_core.Context.default_options config) ()
-      in
-      let mesh_size = Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine) in
+  let modes =
+    List.concat_map
+      (fun cluster -> List.map (fun memory -> (cluster, memory)) Ndp_sim.Config.all_memory_modes)
+      Ndp_noc.Cluster.all
+  in
+  let scheme = P.Partitioned P.partitioned_defaults in
+  Pool.with_pool ~jobs:3 (fun pool ->
       List.iter
-        (fun nest ->
-          let body_len = List.length nest.Ndp_ir.Loop.body in
-          let metas =
-            List.concat
-              (List.mapi
-                 (fun ii env ->
-                   List.mapi
-                     (fun si stmt ->
-                       {
-                         W.group = (ii * body_len) + si;
-                         default_node = ii mod mesh_size;
-                         inst = { Ndp_ir.Dependence.stmt_idx = si; stmt; env };
-                       })
-                     nest.Ndp_ir.Loop.body)
-                 (Ndp_ir.Loop.iterations nest))
-          in
-          let oracle = W.choose_size_reanalyze ctx metas ~max:8 in
-          let sliced = W.choose_size ctx metas ~max:8 in
-          Alcotest.(check int) (name ^ ": sliced matches oracle") oracle sliced;
-          Pool.with_pool ~jobs:3 (fun pool ->
-              Alcotest.(check int)
-                (name ^ ": pooled matches oracle")
-                oracle
-                (W.choose_size ~pool ctx metas ~max:8)))
-        kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests)
-    [ "water"; "cholesky" ]
+        (fun (cluster, memory) ->
+          let config = Ndp_sim.Config.with_modes Ndp_sim.Config.default cluster memory in
+          List.iter
+            (fun name ->
+              let kernel = Ndp_workloads.Suite.find name in
+              List.iter
+                (fun (nest : Ndp_ir.Loop.nest) ->
+                  let size_with sizer =
+                    let ctx = P.static_context ~config scheme kernel in
+                    sizer ctx (fst (P.nest_stream ctx nest ~first_group:0))
+                  in
+                  let oracle = size_with (Window_oracle.choose_size ~max:8) in
+                  let label what =
+                    Printf.sprintf "%s/%s %s/%s: %s" (Ndp_noc.Cluster.to_string cluster)
+                      (Ndp_sim.Config.memory_mode_to_string memory) name nest.Ndp_ir.Loop.nest_name
+                      what
+                  in
+                  Alcotest.(check int) (label "serial") oracle
+                    (size_with (Ndp_core.Window.choose_size ~max:8));
+                  Alcotest.(check int) (label "pooled") oracle
+                    (size_with (Ndp_core.Window.choose_size ~pool ~max:8)))
+                kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests)
+            Ndp_workloads.Suite.names)
+        modes)
 
 let tests =
   [

@@ -297,9 +297,11 @@ let empty_plan_is_identity () =
         Pipeline.Partitioned
           { Pipeline.partitioned_defaults with Pipeline.window = Pipeline.Fixed 2 }
       in
-      let plain = Pipeline.run scheme kernel in
+      let plain = Pipeline.Job.run (Pipeline.Job.make scheme kernel) in
       let mesh = Ndp_sim.Config.mesh Ndp_sim.Config.default in
-      let faulted = Pipeline.run ~faults:(Plan.empty ~mesh) ~repair:true scheme kernel in
+      let faulted =
+        Pipeline.Job.run (Pipeline.Job.make ~faults:(Plan.empty ~mesh) ~repair:true scheme kernel)
+      in
       if plain.Pipeline.exec_time <> faulted.Pipeline.exec_time then
         Error
           (Printf.sprintf "exec_time diverged: %d plain vs %d with empty plan"
@@ -324,7 +326,8 @@ let empty_plan_is_identity () =
    (8 words at 8-byte elements), so the reuse map never hits and both
    paths price every instance with the same margin rule. On this class
    [Window.movement_estimate] must equal the analytic total exactly, for
-   every window size. *)
+   every window size, and [Window.choose_size] must pick the oracle's
+   size. *)
 type analytic_case = { a_trip : int; a_stmts : int * int list (* inputs per stmt *) }
 
 let gen_analytic_case rng =
@@ -375,7 +378,16 @@ let analytic_equals_sampled_estimate () =
           else check_w (w + 1)
         end
       in
-      check_w 1)
+      let size_with sizer =
+        let ctx = Pipeline.static_context scheme kernel in
+        sizer ctx (fst (Pipeline.nest_stream ctx nest ~first_group:0))
+      in
+      let chosen = size_with (Ndp_core.Window.choose_size ~max:4) in
+      let oracle = size_with (Window_oracle.choose_size ~max:4) in
+      Result.bind (check_w 1) (fun () ->
+          if chosen <> oracle then
+            Error (Printf.sprintf "choose_size picked %d, oracle %d" chosen oracle)
+          else Ok ()))
 
 (* -------------------------------------------------------------------- *)
 (* Static cost table vs. the measured ledger, whole suite.               *)
@@ -399,7 +411,7 @@ let analyze_reconciles_suite () =
         (fun scheme ->
           let table = Ndp_analysis.Cost.table ~scheme kernel in
           let obs = Ndp_obs.Sink.create ~metrics:false ~trace:false ~ledger:true () in
-          let _ = Pipeline.run ~obs scheme kernel in
+          let _ = Pipeline.Job.run ~obs (Pipeline.Job.make scheme kernel) in
           let measured = Ndp_obs.Ledger.total_flit_hops obs.Ndp_obs.Sink.ledger in
           let ratio = divergence ~static:table.Ndp_analysis.Cost.total_flit_hops ~measured in
           if ratio > threshold then
@@ -408,8 +420,7 @@ let analyze_reconciles_suite () =
               threshold)
         [
           Pipeline.Default;
-          Pipeline.Partitioned
-            { Pipeline.partitioned_defaults with Pipeline.window = Pipeline.Analytic };
+          Pipeline.Partitioned Pipeline.partitioned_defaults;
         ])
     Ndp_workloads.Suite.names
 
@@ -643,15 +654,16 @@ let capacity_zero_is_identity () =
           ()
       in
       let run fuse =
-        Pipeline.run
-          (Pipeline.Partitioned
-             {
-               Pipeline.partitioned_defaults with
-               Pipeline.window = Pipeline.Fixed 4;
-               fuse;
-               fuse_capacity = (if fuse then Some 0 else None);
-             })
-          kernel
+        Pipeline.Job.run
+          (Pipeline.Job.make
+             (Pipeline.Partitioned
+                {
+                  Pipeline.partitioned_defaults with
+                  Pipeline.window = Pipeline.Fixed 4;
+                  fuse;
+                  fuse_capacity = (if fuse then Some 0 else None);
+                })
+             kernel)
       in
       let plain = run false and fused = run true in
       if plain.Pipeline.exec_time <> fused.Pipeline.exec_time then

@@ -96,7 +96,6 @@ let key_covers_scheme () =
       Pipeline.Partitioned Pipeline.partitioned_defaults;
       Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window = Pipeline.Fixed 2 };
       Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window = Pipeline.Fixed 4 };
-      Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window = Pipeline.Analytic };
       (* A job differing only in --fuse (or its capacity bound) must miss
          the schedule cache: fused schedules store different task graphs. *)
       Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.fuse = true };
@@ -352,7 +351,32 @@ let errors_reported_in_band () =
       Alcotest.(check bool) "error reply not ok" false r.Server.ok;
       Alcotest.(check bool) "error reply uncached" false r.Server.cached;
       let is_sub = Astring.String.is_infix ~affix:"error" r.Server.body in
-      Alcotest.(check bool) "body carries an error document" true is_sub)
+      Alcotest.(check bool) "body carries an error document" true is_sub;
+      (* A non-positive fixed window is rejected, not clamped to w=1 under
+         a key of its own. *)
+      List.iter
+        (fun window ->
+          let spec = { (Protocol.default_spec ~app:"fft") with Protocol.window } in
+          let r = Server.handle server (Protocol.Run { spec; metrics = false }) in
+          Alcotest.(check bool) ("window " ^ window ^ " rejected") false r.Server.ok;
+          Alcotest.(check bool)
+            ("window " ^ window ^ " error names the size")
+            true
+            (Astring.String.is_infix ~affix:"window size must be positive" r.Server.body))
+        [ "0"; "-3" ])
+
+(* "analytic" is an older spelling of the adaptive sizer: both specs must
+   resolve to one job and so share one cache entry. *)
+let analytic_spelling_shares_key () =
+  let digest window =
+    match
+      Ndp_serve.Service.job_of_spec { (Protocol.default_spec ~app:"fft") with Protocol.window }
+    with
+    | Ok job -> Key.job_digest job
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check string) "analytic = adaptive" (digest "adaptive") (digest "analytic");
+  Alcotest.(check string) "empty = adaptive" (digest "adaptive") (digest "")
 
 (* -------------------------------------------------------------------- *)
 (* Telemetry: request tracing, per-op latency, exposition, access log.   *)
@@ -545,6 +569,8 @@ let tests =
           cached_replies_byte_identical;
         Alcotest.test_case "sweep reuses the captured schedule" `Quick sweep_reuses_schedule;
         Alcotest.test_case "errors reported in band" `Quick errors_reported_in_band;
+        Alcotest.test_case "analytic spelling shares the adaptive key" `Quick
+          analytic_spelling_shares_key;
         Alcotest.test_case "replies are traced" `Quick replies_are_traced;
         Alcotest.test_case "metrics-text exposition" `Quick metrics_text_exposition;
         Alcotest.test_case "cache-stats latency section" `Quick cache_stats_latency_section;
