@@ -607,29 +607,15 @@ let list_act () =
       Printf.printf "%-10s %s\n" name k.Ndp_core.Kernel.description)
     Ndp_workloads.Suite.names
 
-let context_of kernel =
-  let config = Ndp_sim.Config.default in
-  let machine = Ndp_sim.Machine.create config in
-  let insp = Ndp_core.Kernel.inspector kernel in
-  Ndp_ir.Inspector.run insp;
-  let address_of = Ndp_core.Kernel.address_of kernel in
-  let ctx =
-    Ndp_core.Context.create ~machine
-      ~compiler_resolve:(Ndp_ir.Inspector.compiler_resolver insp ~address_of)
-      ~runtime_resolve:(Ndp_ir.Inspector.runtime_resolver insp ~address_of)
-      ~arrays:kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.arrays
-      ~options:(Ndp_core.Context.default_options config) ()
-  in
-  (machine, ctx)
-
 let codegen_act kernel =
   (* Render the subcomputation program of the first window of the first
      nest, Figure 8 style. *)
-  let machine, ctx = context_of kernel in
+  let ctx = Pipeline.static_context Pipeline.Default kernel in
   match kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests with
   | [] -> prerr_endline "kernel has no loop nests"
   | nest :: _ ->
     let envs = Ndp_ir.Loop.iterations nest in
+    let mesh_size = Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh ctx.Ndp_core.Context.machine) in
     let metas =
       List.concat
         (List.mapi
@@ -638,7 +624,7 @@ let codegen_act kernel =
                (fun si stmt ->
                  {
                    Ndp_core.Window.group = (ii * List.length nest.Ndp_ir.Loop.body) + si;
-                   default_node = ii mod Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine);
+                   default_node = ii mod mesh_size;
                    inst = { Ndp_ir.Dependence.stmt_idx = si; stmt; env };
                  })
                nest.Ndp_ir.Loop.body)
@@ -656,7 +642,7 @@ let codegen_act kernel =
     print_endline (Ndp_core.Codegen.emit (List.map fst compiled.Ndp_core.Window.tasks))
 
 let dot_act kernel =
-  let _, ctx = context_of kernel in
+  let ctx = Pipeline.static_context Pipeline.Default kernel in
   match kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests with
   | [] -> prerr_endline "kernel has no loop nests"
   | nest :: _ ->
@@ -821,52 +807,6 @@ let client_act op app socket cluster memory scheme window faults fault_seed repa
           env.Protocol.cached env.Protocol.key;
       print_endline body;
       if not env.Protocol.ok then exit 1)
-
-(* ------------------------------------------------------------------ *)
-(* bench diff: the perf-regression sentinel                            *)
-
-let bench_diff_act old_file new_file threshold format =
-  let slurp path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | s -> Ok s
-    | exception Sys_error msg -> Error msg
-  in
-  let report =
-    Result.bind (slurp old_file) @@ fun old_text ->
-    Result.bind (slurp new_file) @@ fun new_text ->
-    Ndp_obs.Bench_diff.compare_strings ~threshold ~old_text ~new_text ()
-  in
-  match report with
-  | Error msg ->
-    Printf.eprintf "ndp_run bench diff: %s\n" msg;
-    exit 2
-  | Ok r ->
-    print_endline
-      (Render.output format
-         ~human:(fun () -> Ndp_obs.Bench_diff.render r)
-         (Ndp_obs.Bench_diff.to_json r));
-    if Ndp_obs.Bench_diff.has_regressions r then exit 1
-
-let bench_old_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"OLD.json" ~doc:"Baseline benchmark snapshot (BENCH_micro.json shape).")
-
-let bench_new_arg =
-  Arg.(
-    required
-    & pos 1 (some string) None
-    & info [] ~docv:"NEW.json" ~doc:"Candidate benchmark snapshot to compare against OLD.")
-
-let bench_threshold_arg =
-  Arg.(
-    value
-    & opt float 10.0
-    & info [ "threshold" ] ~docv:"PCT"
-        ~doc:
-          "Regression threshold in percent: a benchmark whose per-iteration time grew by \
-           more than PCT fails the diff (nonzero exit).")
 
 (* ------------------------------------------------------------------ *)
 
@@ -1079,22 +1019,7 @@ let commands =
     };
   ]
 
-(* [bench] is a command group of its own: [bench diff] compares two
-   benchmark snapshots (the perf-regression sentinel check.sh runs). *)
-let bench_cmd =
-  let diff =
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:
-           "Compare two BENCH_micro.json snapshots per benchmark and exit nonzero when any \
-            grew beyond --threshold percent. The meta blocks (timestamp, commit, jobs, host) \
-            are shown in the header but never affect the deltas.")
-      Term.(
-        const bench_diff_act $ bench_old_arg $ bench_new_arg $ bench_threshold_arg $ Args.format)
-  in
-  Cmd.group (Cmd.info "bench" ~doc:"Benchmark snapshot tooling (perf-regression sentinel).") [ diff ]
-
 let () =
   let info = Cmd.info "ndp_run" ~doc:"Data-movement-aware computation partitioning playground." in
   let cmds = List.map (fun c -> Cmd.v (Cmd.info c.name ~doc:c.summary) c.term) commands in
-  exit (Cmd.eval (Cmd.group info (cmds @ [ bench_cmd ])))
+  exit (Cmd.eval (Cmd.group info cmds))

@@ -133,8 +133,10 @@ let analyzable_fraction metas =
   let ok, total = List.fold_left count (0, 0) metas in
   if total = 0 then 1.0 else float_of_int ok /. float_of_int total
 
-let make_context ?(options_override = None) ?(obs = Ndp_obs.Sink.none) ?faults ?repair ~config
-    ~tweaks scheme kernel =
+(* The machine a run of [kernel] simulates on: hot ranges placed per
+   memory mode, then the cost-model tweaks applied. Compilation and replay
+   both start here, so a replayed schedule sees the capture run's machine. *)
+let make_machine ?faults ~obs ~config ~tweaks kernel =
   let machine = Machine.create ~obs ?faults config in
   (match config.Config.memory_mode with
   | Config.Flat ->
@@ -146,6 +148,11 @@ let make_context ?(options_override = None) ?(obs = Ndp_obs.Sink.none) ?faults ?
   Machine.set_l1_boost machine tweaks.l1_boost;
   Ndp_sim.Network.set_distance_factor (Machine.network machine) tweaks.distance_factor;
   Machine.set_mc_overrides machine tweaks.mc_overrides;
+  machine
+
+let make_context ?(options_override = None) ?(obs = Ndp_obs.Sink.none) ?faults ?repair ~config
+    ~tweaks scheme kernel =
+  let machine = make_machine ?faults ~obs ~config ~tweaks kernel in
   let opts = match scheme with Partitioned o -> o | Default -> partitioned_defaults in
   let insp = Kernel.inspector kernel in
   if opts.use_inspector then Ndp_ir.Inspector.run insp;
@@ -612,17 +619,7 @@ type replayed = {
    since task operands carry resolved virtual addresses. *)
 let replay ?(config = Config.default) ?(tweaks = no_tweaks) ?(obs = Ndp_obs.Sink.none) kernel
     emitted =
-  let machine = Machine.create ~obs config in
-  (match config.Config.memory_mode with
-  | Config.Flat ->
-    Machine.set_hot_ranges machine (Kernel.hot_ranges kernel ~budget:config.Config.mcdram_capacity)
-  | Config.Hybrid ->
-    Machine.set_hot_ranges machine
-      (Kernel.hot_ranges kernel ~budget:(config.Config.mcdram_capacity / 2))
-  | Config.Cache_mode -> ());
-  Machine.set_l1_boost machine tweaks.l1_boost;
-  Ndp_sim.Network.set_distance_factor (Machine.network machine) tweaks.distance_factor;
-  Machine.set_mc_overrides machine tweaks.mc_overrides;
+  let machine = make_machine ~obs ~config ~tweaks kernel in
   let engine = Engine.create ~obs machine in
   let spans = obs.Ndp_obs.Sink.spans in
   let sp = Ndp_obs.Span.enter spans "replay" in

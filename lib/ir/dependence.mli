@@ -33,9 +33,9 @@ val analyze : resolver -> instance list -> dep list
     result is identical to {!analyze_naive}. *)
 
 val analyze_naive : resolver -> instance list -> dep list
-(** Reference implementation comparing all O(n{^ 2}) instance pairs. Kept
-    as the oracle for equivalence tests and the baseline for the
-    [bench/main.exe micro] dependence benchmarks; use {!analyze}. *)
+(** Reference implementation comparing all O(n{^ 2}) instance pairs: the
+    oracle of the equivalence tests. {!analyze} runs the same scan on
+    windows of at most 12 instances; use {!analyze}. *)
 
 val kind_to_string : kind -> string
 

@@ -752,57 +752,6 @@ let prometheus_deterministic () =
   Alcotest.(check string) "same registry, same exposition" (M.to_prometheus (build ()))
     (M.to_prometheus (build ()))
 
-(* {1 Bench diff} *)
-
-module BD = Ndp_obs.Bench_diff
-
-let bench_entry name ns = RJ.Obj [ ("name", RJ.Str name); ("ns", RJ.Float ns) ]
-
-let bench_diff_report () =
-  let old_doc =
-    RJ.Obj
-      [
-        ("meta", RJ.Obj [ ("commit", RJ.Str "abc123"); ("jobs", RJ.Int 4) ]);
-        ("tests", RJ.List [ bench_entry "a" 100.0; bench_entry "b" 200.0; bench_entry "gone" 5.0 ]);
-      ]
-  in
-  let new_doc =
-    RJ.Obj
-      [ ("tests", RJ.List [ bench_entry "a" 105.0; bench_entry "b" 260.0; bench_entry "fresh" 1.0 ]) ]
-  in
-  match BD.compare_docs ~threshold:10.0 ~old_doc ~new_doc () with
-  | Error m -> Alcotest.fail m
-  | Ok r ->
-    Alcotest.(check int) "two compared" 2 (List.length r.BD.r_deltas);
-    Alcotest.(check (list string)) "only b regressed" [ "b" ]
-      (List.map (fun (d : BD.delta) -> d.BD.d_name) (BD.regressions r));
-    Alcotest.(check bool) "has regressions" true (BD.has_regressions r);
-    Alcotest.(check (list string)) "only-old" [ "gone" ] r.BD.r_only_old;
-    Alcotest.(check (list string)) "only-new" [ "fresh" ] r.BD.r_only_new;
-    (* meta is surfaced but never gates *)
-    Alcotest.(check (list (pair string string))) "old meta carried"
-      [ ("commit", "abc123"); ("jobs", "4") ]
-      r.BD.r_old_meta;
-    Alcotest.(check (list (pair string string))) "missing meta tolerated" [] r.BD.r_new_meta;
-    let d_b = List.find (fun (d : BD.delta) -> d.BD.d_name = "b") r.BD.r_deltas in
-    Alcotest.(check (float 1e-9)) "pct math" 30.0 d_b.BD.d_pct;
-    (* a looser threshold accepts the same snapshots *)
-    (match BD.compare_docs ~threshold:35.0 ~old_doc ~new_doc () with
-    | Ok loose -> Alcotest.(check bool) "loose threshold passes" false (BD.has_regressions loose)
-    | Error m -> Alcotest.fail m);
-    (* the report renders and the human text flags the regression *)
-    Alcotest.(check bool) "render flags b" true
-      (Astring.String.is_infix ~affix:"REGRESSED" (BD.render r))
-
-let bench_diff_rejects_malformed () =
-  let good = RJ.Obj [ ("tests", RJ.List [ bench_entry "a" 1.0 ]) ] in
-  (match BD.compare_docs ~old_doc:(RJ.Obj []) ~new_doc:good () with
-  | Error m -> Alcotest.(check bool) "names the old side" true (Astring.String.is_infix ~affix:"old" m)
-  | Ok _ -> Alcotest.fail "missing tests array must be rejected");
-  match BD.compare_strings ~old_text:"{ not json" ~new_text:"{\"tests\": []}" () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unparseable snapshot must be rejected"
-
 let tests =
   [
     ( "obs",
@@ -837,7 +786,5 @@ let tests =
         Alcotest.test_case "span chrome containment" `Quick span_chrome_containment;
         Alcotest.test_case "prometheus exposition valid" `Quick prometheus_exposition_valid;
         Alcotest.test_case "prometheus deterministic" `Quick prometheus_deterministic;
-        Alcotest.test_case "bench diff report" `Quick bench_diff_report;
-        Alcotest.test_case "bench diff rejects malformed" `Quick bench_diff_rejects_malformed;
       ] );
   ]

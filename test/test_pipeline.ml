@@ -160,6 +160,26 @@ let capture_replay_identical () =
     (Ndp_sim.Stats.to_alist r.P.stats)
     (Ndp_sim.Stats.to_alist rp.P.rp_stats)
 
+(* Replay builds its machine the way compilation does — hot ranges per
+   memory mode, then the tweaks — so a partitioned capture replays
+   cycle-identically under every memory mode, tweaks included. *)
+let replay_identical_every_memory_mode () =
+  let k = water () in
+  let tweaks = { P.no_tweaks with P.l1_boost = 0.25; distance_factor = 0.5 } in
+  List.iter
+    (fun mode ->
+      let config = { Ndp_sim.Config.default with Ndp_sim.Config.memory_mode = mode } in
+      let label = Ndp_sim.Config.memory_mode_to_string mode in
+      let r =
+        P.Job.run
+          (P.Job.make ~config ~tweaks ~capture:true (P.Partitioned P.partitioned_defaults) k)
+      in
+      let rp = P.replay ~config ~tweaks k r.P.emitted in
+      Alcotest.(check int) (label ^ ": same exec") r.P.exec_time rp.P.rp_exec_time;
+      Alcotest.(check bool) (label ^ ": same stats") true
+        (Ndp_sim.Stats.equal r.P.stats rp.P.rp_stats))
+    [ Ndp_sim.Config.Flat; Ndp_sim.Config.Hybrid; Ndp_sim.Config.Cache_mode ]
+
 let replay_cost_model_shifts () =
   let k = water () in
   let r = P.Job.run (P.Job.make ~capture:true (P.Partitioned P.partitioned_defaults) k) in
@@ -240,6 +260,8 @@ let tests =
         Alcotest.test_case "predictor measured" `Quick predictor_measured;
         Alcotest.test_case "offload mix" `Quick offload_mix_nonempty;
         Alcotest.test_case "capture/replay identical" `Quick capture_replay_identical;
+        Alcotest.test_case "replay identical every memory mode" `Quick
+          replay_identical_every_memory_mode;
         Alcotest.test_case "replay cost model" `Quick replay_cost_model_shifts;
         Alcotest.test_case "batch matches solo" `Slow batch_matches_solo_and_parallel;
         Alcotest.test_case "batch sharded metrics" `Slow batch_sharded_metrics_deterministic;
