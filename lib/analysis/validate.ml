@@ -60,9 +60,8 @@ let happens_before trace =
     | Some a, Some b when a <> b -> edges := (a, b) :: !edges
     | _ -> ()
   in
-  Array.iteri
-    (fun i (t : Task.t) ->
-      ignore i;
+  Array.iter
+    (fun (t : Task.t) ->
       List.iter
         (function
           | Task.Result { producer; bytes = _ } -> arc producer t.Task.id
@@ -84,7 +83,7 @@ let happens_before trace =
   let reach = Ndp_graph.Transitive.closure ~n !edges in
   let ordered src dst =
     match (Hashtbl.find_opt dense src, Hashtbl.find_opt dense dst) with
-    | Some a, Some b -> a = b || reach.(a).(b)
+    | Some a, Some b -> a = b || Ndp_graph.Transitive.reachable reach a b
     | _ -> false
   in
   ordered
@@ -94,7 +93,12 @@ let check ~resolver trace =
   let instances = List.map (fun (m : Window.meta) -> m.Window.inst) trace.v_metas in
   let deps = Dep.analyze resolver instances in
   let ordered = happens_before trace in
-  let root_of g = List.assoc_opt g trace.v_roots in
+  let root_of =
+    (* First binding per group wins. *)
+    let tbl = Hashtbl.create 64 in
+    List.iter (fun (g, t) -> if not (Hashtbl.mem tbl g) then Hashtbl.replace tbl g t) trace.v_roots;
+    Hashtbl.find_opt tbl
+  in
   let node_of =
     let tbl = Hashtbl.create 64 in
     List.iter (fun (t : Task.t) -> Hashtbl.replace tbl t.Task.id t.Task.node) trace.v_tasks;

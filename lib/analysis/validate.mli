@@ -46,7 +46,9 @@ val of_pipeline_trace : kernel:string -> Ndp_core.Pipeline.schedule_trace -> tra
 val check : resolver:Ndp_ir.Dependence.resolver -> trace -> Diagnostic.t list
 (** Re-derive dependences over the trace's instances with [resolver] and
     report every one the schedule leaves unordered. Tests tamper with the
-    trace (dropping a sync arc or result operand) to prove detection. *)
+    trace (dropping a sync arc or result operand) to prove detection.
+    Cost: one bitset closure over the trace's n tasks, [O(n^2 * ceil (n / 63))]
+    word operations, then a constant-time lookup per dependence. *)
 
 val ground_truth_resolver : Ndp_core.Kernel.t -> Ndp_ir.Dependence.resolver
 (** Runtime resolver over a fresh, already-run inspector: resolves every

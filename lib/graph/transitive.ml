@@ -25,20 +25,46 @@ let topological_order ~n edges =
 
 let is_dag ~n edges = topological_order ~n edges <> None
 
+type reach = { n : int; words : int; bits : int array }
+
+(* Row [i] is words [i * words .. i * words + words - 1]; vertex [j] is bit
+   [j mod Sys.int_size] of word [j / Sys.int_size]. *)
+let word r i j = (i * r.words) + (j / Sys.int_size)
+let mask j = 1 lsl (j mod Sys.int_size)
+
+let check_vertex fn n v =
+  if v < 0 || v >= n then invalid_arg (Printf.sprintf "Transitive.%s: vertex %d not in [0, %d)" fn v n)
+
 let closure ~n edges =
-  let reach = Array.make_matrix n n false in
-  List.iter (fun (u, v) -> reach.(u).(v) <- true) edges;
-  (* Floyd-Warshall style closure; n is the number of subcomputations in a
-     window, which stays small, so the cubic cost is immaterial. *)
+  let words = (n + Sys.int_size - 1) / Sys.int_size in
+  let r = { n; words; bits = Array.make (n * words) 0 } in
+  let bits = r.bits in
+  List.iter
+    (fun (u, v) ->
+      check_vertex "closure" n u;
+      check_vertex "closure" n v;
+      let w = word r u v in
+      bits.(w) <- bits.(w) lor mask v)
+    edges;
+  (* Warshall: once every path through intermediates [0..k-1] is recorded,
+     any row that reaches [k] also reaches everything [k] reaches. One
+     word-wise OR moves Sys.int_size columns at a time. *)
   for k = 0 to n - 1 do
+    let row_k = k * words and col = k / Sys.int_size and m = mask k in
     for i = 0 to n - 1 do
-      if reach.(i).(k) then
-        for j = 0 to n - 1 do
-          if reach.(k).(j) then reach.(i).(j) <- true
+      let row_i = i * words in
+      if bits.(row_i + col) land m <> 0 then
+        for w = 0 to words - 1 do
+          bits.(row_i + w) <- bits.(row_i + w) lor bits.(row_k + w)
         done
     done
   done;
-  reach
+  r
+
+let reachable r i j =
+  check_vertex "reachable" r.n i;
+  check_vertex "reachable" r.n j;
+  r.bits.(word r i j) land mask j <> 0
 
 let reduction ~n edges =
   if not (is_dag ~n edges) then invalid_arg "Transitive.reduction: graph has a cycle";

@@ -93,11 +93,24 @@ let tree_rejects_cycle () =
     (Invalid_argument "Rooted_tree.of_edges: edge set contains a cycle")
     (fun () -> ignore (Rooted_tree.of_edges ~root:0 [ edge 0 1 1; edge 1 2 1; edge 2 0 1 ]))
 
+let all_pairs n = List.concat (List.init n (fun i -> List.init n (fun j -> (i, j))))
+
 let closure_reachability () =
   let r = Transitive.closure ~n:4 [ (0, 1); (1, 2) ] in
-  Alcotest.(check bool) "0 reaches 2" true r.(0).(2);
-  Alcotest.(check bool) "2 does not reach 0" false r.(2).(0);
-  Alcotest.(check bool) "3 isolated" false r.(0).(3)
+  Alcotest.(check bool) "0 reaches 2" true (Transitive.reachable r 0 2);
+  Alcotest.(check bool) "2 does not reach 0" false (Transitive.reachable r 2 0);
+  Alcotest.(check bool) "3 isolated" false (Transitive.reachable r 0 3);
+  Alcotest.(check bool) "no path of length 0" false (Transitive.reachable r 1 1)
+
+let closure_rejects_bad_vertex () =
+  (* Vertex 4 would otherwise land in row 0's unused high bits. *)
+  Alcotest.check_raises "edge outside [0, n)"
+    (Invalid_argument "Transitive.closure: vertex 4 not in [0, 4)")
+    (fun () -> ignore (Transitive.closure ~n:4 [ (0, 4) ]));
+  let r = Transitive.closure ~n:4 [] in
+  Alcotest.check_raises "query outside [0, n)"
+    (Invalid_argument "Transitive.reachable: vertex 4 not in [0, 4)")
+    (fun () -> ignore (Transitive.reachable r 0 4))
 
 let reduction_drops_redundant () =
   (* The paper's example: a chain 0->1->2 plus a direct 0->2 sync. *)
@@ -131,7 +144,45 @@ let qcheck_reduction_preserves_closure =
       done;
       let before = Transitive.closure ~n !arcs in
       let after = Transitive.closure ~n (Transitive.reduction ~n !arcs) in
-      before = after)
+      List.for_all
+        (fun (i, j) -> Transitive.reachable before i j = Transitive.reachable after i j)
+        (all_pairs n))
+
+(* Reference reachability: a DFS from each source over paths of length >= 1. *)
+let dfs_reach ~n edges =
+  let adj = Array.make n [] in
+  List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) edges;
+  Array.init n (fun s ->
+      let seen = Array.make n false in
+      let rec visit v =
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          List.iter visit adj.(v)
+        end
+      in
+      List.iter visit adj.(s);
+      seen)
+
+(* Sizes straddle the word boundaries of the bitset rows (Sys.int_size is 63
+   on 64-bit hosts) and include the empty graph. *)
+let qcheck_closure_matches_dfs =
+  QCheck.Test.make ~name:"closure agrees with per-source DFS on random digraphs" ~count:100
+    QCheck.(pair (oneofl [ 0; 1; 2; 62; 63; 64; 65; 126; 127; 200 ]) small_int)
+    (fun (n, seed) ->
+      let rng = Ndp_prelude.Rng.create seed in
+      (* Cycles and self loops allowed; density from empty to past the
+         giant-component threshold. *)
+      let m = if n = 0 then 0 else Ndp_prelude.Rng.int rng ((2 * n) + 1) in
+      let edges = List.init m (fun _ -> (Ndp_prelude.Rng.int rng n, Ndp_prelude.Rng.int rng n)) in
+      let edges =
+        if n > 0 && Ndp_prelude.Rng.bool rng then
+          let v = Ndp_prelude.Rng.int rng n in
+          (v, v) :: edges
+        else edges
+      in
+      let r = Transitive.closure ~n edges in
+      let oracle = dfs_reach ~n edges in
+      List.for_all (fun (i, j) -> Transitive.reachable r i j = oracle.(i).(j)) (all_pairs n))
 
 let tests =
   [
@@ -146,10 +197,12 @@ let tests =
         Alcotest.test_case "rooted tree postorder" `Quick tree_postorder;
         Alcotest.test_case "rooted tree rejects cycle" `Quick tree_rejects_cycle;
         Alcotest.test_case "closure reachability" `Quick closure_reachability;
+        Alcotest.test_case "closure rejects bad vertex" `Quick closure_rejects_bad_vertex;
         Alcotest.test_case "reduction drops redundant sync" `Quick reduction_drops_redundant;
         Alcotest.test_case "reduction keeps diamond" `Quick reduction_keeps_needed;
         Alcotest.test_case "reduction rejects cycle" `Quick reduction_rejects_cycle;
         QCheck_alcotest.to_alcotest qcheck_kruskal_minimal;
         QCheck_alcotest.to_alcotest qcheck_reduction_preserves_closure;
+        QCheck_alcotest.to_alcotest qcheck_closure_matches_dfs;
       ] );
   ]
