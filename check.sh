@@ -39,6 +39,14 @@ while getopts j: opt; do
   esac
 done
 
+# The obs, profile, analyze, telemetry and fusion phases assert on the
+# JSON and Prometheus output with inline python3; without it those
+# assertions cannot run, so the gate refuses to start rather than skip them.
+if ! command -v python3 >/dev/null 2>&1; then
+  echo "check.sh: python3 is required (the obs, profile, analyze, telemetry and fusion phases assert with it)" >&2
+  exit 2
+fi
+
 now() { date +%s; }
 t_start=$(now)
 
@@ -61,9 +69,7 @@ obs_gate() (
   set -e
   _trace=$(mktemp /tmp/ndp_trace.XXXXXX.json)
   dune exec bin/ndp_run.exe -- trace mg -o "$_trace" --selfcheck
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty traceEvents'" "$_trace"
-  fi
+  python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents'], 'empty traceEvents'" "$_trace"
   rm -f "$_trace"
   dune exec bin/ndp_run.exe -- stats fft --format json >/dev/null
 )
@@ -75,8 +81,7 @@ profile_gate() (
   set -e
   _prof=$(mktemp /tmp/ndp_profile.XXXXXX.json)
   dune exec bin/ndp_run.exe -- profile mg --format json >"$_prof"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -c "
+  python3 -c "
 import json, sys
 d = json.load(open(sys.argv[1]))
 r = d['reconciliation']
@@ -86,7 +91,6 @@ assert r['ledger_flit_hops'] > 0, 'empty ledger'
 assert d['ledger']['totals']['flit_hops'] == r['ledger_flit_hops'], 'totals mismatch'
 assert d['timeline']['series'], 'no timeline series'
 " "$_prof"
-  fi
   rm -f "$_prof"
 )
 
@@ -98,8 +102,7 @@ analyze_gate() (
   set -e
   _an=$(mktemp /tmp/ndp_analyze.XXXXXX.json)
   dune exec bin/ndp_run.exe -- analyze mg --format json >"$_an"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -c "
+  python3 -c "
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d['statements'], 'empty static cost table'
@@ -108,7 +111,6 @@ t = d['totals']
 assert t['static_flit_hops'] == sum(s['static_flit_hops'] for s in d['statements']), 'total != sum of rows'
 assert t['static_flit_hops'] > 0 and t['measured_flit_hops'] > 0, 'empty totals'
 " "$_an"
-  fi
   rm -f "$_an"
 )
 
@@ -156,8 +158,7 @@ fusion_gate() (
   set -e
   _fus=$(mktemp /tmp/ndp_fusion.XXXXXX.json)
   dune exec bin/ndp_run.exe -- analyze resnet_block --fusion --format json >"$_fus"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -c "
+  python3 -c "
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d['decisions'], 'no fusion decisions on resnet_block'
@@ -169,7 +170,6 @@ for dec in d['decisions']:
     assert dec['predicted_saved_flit_hops'] > 0, dec
     assert dec['measured_delta_flit_hops'] > 0, dec
 " "$_fus"
-  fi
   rm -f "$_fus"
 )
 
@@ -186,8 +186,7 @@ telemetry_gate() (
   _reqs=$(mktemp /tmp/ndp_reqs.XXXXXX.txt)
   dune exec bin/ndp_run.exe -- serve --demo-requests >"$_reqs"
   NDP_FAKE_CLOCK=1 dune exec bin/ndp_run.exe -- serve --stdio --access-log "$_log" <"$_reqs" >/dev/null
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$_reqs" "$_log" <<'PY'
+  python3 - "$_reqs" "$_log" <<'PY'
 import json, sys
 reqs = sum(1 for i, _ in enumerate(open(sys.argv[1])) if i % 2 == 1)  # frames: len\npayload\n
 lines = [json.loads(l) for l in open(sys.argv[2])]
@@ -197,7 +196,6 @@ for i, d in enumerate(lines):
     for k in ('op', 'key', 'ok', 'cached', 'ms', 'bytes_out', 'spans', 'phases'):
         assert k in d, (k, d)
 PY
-  fi
   _sock=$(mktemp -u /tmp/ndp_tele.XXXXXX.sock)
   _prom=$(mktemp /tmp/ndp_prom.XXXXXX.txt)
   : >"$_log"
@@ -218,8 +216,7 @@ PY
   "$_client" client metrics-text --socket "$_sock" >"$_prom"
   "$_client" client shutdown --socket "$_sock" >/dev/null
   wait "$_daemon"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$_prom" <<'PY'
+  python3 - "$_prom" <<'PY'
 import re, sys
 seen, families, last = set(), {}, {}
 for raw in open(sys.argv[1]):
@@ -250,7 +247,7 @@ assert families.get('serve_request_ms') == 'histogram', families
 assert any(n == 'serve_request_ms_bucket' and 'op="profile"' in l for n, l in seen), \
     'no per-op request histogram series'
 PY
-    python3 - "$_log" <<'PY'
+  python3 - "$_log" <<'PY'
 import json, sys
 cold = [d for d in map(json.loads, open(sys.argv[1])) if d['op'] == 'profile' and not d['cached']]
 assert cold, 'no cold traced profile request in the access log'
@@ -261,7 +258,6 @@ assert 0.95 <= ratio <= 1.0, \
     'phase spans (%.3f ms) do not reconcile with request ms (%.3f ms): ratio %.3f' \
     % (phase_ms, d['ms'], ratio)
 PY
-  fi
   rm -f "$_log" "$_reqs" "$_prom" "$_sock"
 )
 

@@ -400,68 +400,83 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
             | None -> Ndp_mem.Miss_predictor.note_access ctx.Context.predictor va)
         in
         let nest_tasks = ref [] in
-        (* One dependence analysis per nest, sliced per window: a pair
-           inside a chunk is exactly what analyzing the chunk alone finds
-           (the analysis is pairwise — see [Window.estimate_sliced]), and
-           [analyze] emits deps in ascending (src, dst) order, so each
-           chunk's slice is one pointer walk instead of a re-analysis that
-           re-resolves every reference in the window. *)
+        (* Only a dependence whose two ends share a window becomes a sync
+           arc or a Result operand, so each chunk is analyzed on its own
+           (the analysis is pairwise: a chunk's analysis is the nest's
+           sliced to the chunk, in the same order). Fusion is the
+           exception: its first-kill and only-live-reader rules need every
+           later access in view, so a fused nest is analyzed whole and the
+           in-chunk deps are cut from that list, one pointer walk in
+           ascending (src, dst) order. Fusion and fault repair do not
+           compose: repair may remap a chain member off its node,
+           stranding the L1-resident intermediate. *)
+        let chunks = Array.of_list (Window.chunk metas w) in
+        let insts_of = List.map (fun (m : Window.meta) -> m.Window.inst) in
         let sp_d = Ndp_obs.Span.enter spans "deps" in
         Ndp_obs.Span.attr_str spans sp_d "nest" nest.Loop.nest_name;
-        let deps_arr =
-          Array.of_list
-            (Dep.analyze ctx.Context.compiler_resolve
-               (List.map (fun (m : Window.meta) -> m.Window.inst) metas))
+        let nest_deps =
+          if opts.fuse && repair_plan = None then
+            Some (Array.of_list (Dep.analyze ctx.Context.compiler_resolve (insts_of metas)))
+          else None
         in
-        Ndp_obs.Span.attr_int spans sp_d "deps" (Array.length deps_arr);
+        let chunk_deps =
+          match nest_deps with
+          | Some deps_arr ->
+            let dp = ref 0 in
+            Array.init (Array.length chunks) (fun ci ->
+                let lo = ci * w in
+                let hi = lo + List.length chunks.(ci) in
+                while !dp < Array.length deps_arr && deps_arr.(!dp).Dep.src < lo do
+                  incr dp
+                done;
+                let sliced = ref [] in
+                while !dp < Array.length deps_arr && deps_arr.(!dp).Dep.src < hi do
+                  let d = deps_arr.(!dp) in
+                  if d.Dep.dst < hi then
+                    sliced :=
+                      { d with Dep.src = d.Dep.src - lo; Dep.dst = d.Dep.dst - lo } :: !sliced;
+                  incr dp
+                done;
+                List.rev !sliced)
+          | None ->
+            Array.map (fun ms -> Dep.analyze ctx.Context.compiler_resolve (insts_of ms)) chunks
+        in
+        Ndp_obs.Span.attr_int spans sp_d "deps"
+          (match nest_deps with
+          | Some deps_arr -> Array.length deps_arr
+          | None -> Array.fold_left (fun acc ds -> acc + List.length ds) 0 chunk_deps);
         Ndp_obs.Span.exit spans sp_d;
         (* The fusion plan is computed once per nest against the full
-           dependence analysis (the first-kill rule needs every later
-           sweep's re-write in view) and sliced per chunk below. Fusion
-           and fault repair do not compose: repair may remap a chain
-           member off its node, stranding the L1-resident intermediate. *)
+           dependence analysis and sliced per chunk below. *)
         let fusion_slots =
-          if opts.fuse && repair_plan = None then begin
-            let sp_f = Ndp_obs.Span.enter spans "fusion" in
-            Ndp_obs.Span.attr_str spans sp_f "nest" nest.Loop.nest_name;
-            let metas_arr = Array.of_list metas in
-            let insts = Array.map (fun (m : Window.meta) -> m.Window.inst) metas_arr in
-            let default_node =
-              Array.map (fun (m : Window.meta) -> m.Window.default_node) metas_arr
-            in
-            let capacity = Option.value opts.fuse_capacity ~default:config.Config.l1_size in
-            let slots, decs =
-              Fusion.plan ctx ~nest:nest.Loop.nest_name ~window:w ~capacity
-                ~shared:shared_arrays ~default_node insts deps_arr
-            in
-            fusion_decisions := !fusion_decisions @ decs;
-            Ndp_obs.Span.attr_int spans sp_f "decisions" (List.length decs);
-            Ndp_obs.Span.exit spans sp_f;
-            Some slots
-          end
-          else None
+          Option.map
+            (fun deps_arr ->
+              let sp_f = Ndp_obs.Span.enter spans "fusion" in
+              Ndp_obs.Span.attr_str spans sp_f "nest" nest.Loop.nest_name;
+              let insts = Array.of_list (insts_of metas) in
+              let default_node =
+                Array.of_list (List.map (fun (m : Window.meta) -> m.Window.default_node) metas)
+              in
+              let capacity = Option.value opts.fuse_capacity ~default:config.Config.l1_size in
+              let slots, decs =
+                Fusion.plan ctx ~nest:nest.Loop.nest_name ~window:w ~capacity
+                  ~shared:shared_arrays ~default_node insts deps_arr
+              in
+              fusion_decisions := !fusion_decisions @ decs;
+              Ndp_obs.Span.attr_int spans sp_f "decisions" (List.length decs);
+              Ndp_obs.Span.exit spans sp_f;
+              slots)
+            nest_deps
         in
         let sp_s = Ndp_obs.Span.enter spans "schedule" in
         Ndp_obs.Span.attr_str spans sp_s "nest" nest.Loop.nest_name;
-        let dp = ref 0 in
-        List.iteri
+        Array.iteri
           (fun ci window_metas ->
             let lo = ci * w in
-            let hi = lo + List.length window_metas in
-            while !dp < Array.length deps_arr && deps_arr.(!dp).Dep.src < lo do
-              incr dp
-            done;
-            let sliced = ref [] in
-            let p = ref !dp in
-            while !p < Array.length deps_arr && deps_arr.(!p).Dep.src < hi do
-              let d = deps_arr.(!p) in
-              if d.Dep.dst < hi then
-                sliced := { d with Dep.src = d.Dep.src - lo; Dep.dst = d.Dep.dst - lo } :: !sliced;
-              incr p
-            done;
-            dp := !p;
-            let fusion = Option.map (fun s -> Array.sub s lo (hi - lo)) fusion_slots in
-            let compiled = Window.compile ~deps:(List.rev !sliced) ?fusion ctx window_metas in
+            let fusion =
+              Option.map (fun s -> Array.sub s lo (List.length window_metas)) fusion_slots
+            in
+            let compiled = Window.compile ~deps:chunk_deps.(ci) ?fusion ctx window_metas in
             if validate then
               traces :=
                 Windowed
@@ -479,7 +494,7 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
             sync_arcs := !sync_arcs + compiled.Window.sync_count;
             tasks_emitted := !tasks_emitted + List.length compiled.Window.tasks;
             nest_tasks := compiled.Window.tasks :: !nest_tasks)
-          (Window.chunk metas w);
+          chunks;
         (* Emit the whole nest level-major: every node first runs all of
            its dependency-free subcomputations across the nest's windows,
            then the joins. This is the decoupling the paper's code

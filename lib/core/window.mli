@@ -52,9 +52,10 @@ val compile :
   compiled
 (** Compile one window. Clears and then populates the variable2node map.
     [deps], when given, must be the dependence analysis of exactly these
-    instances (indices local to the list) and skips the per-window
-    re-analysis — the window-size preprocessing derives one analysis per
-    nest sample and slices it per chunk. [fusion], when given, is the
+    instances (indices local to the list) and skips the analysis here —
+    the pipeline analyzes each chunk (or slices a fused nest's whole
+    analysis) inside its [deps] span, and the window-size preprocessing
+    slices one analysis of the nest sample per chunk. [fusion], when given, is the
     fusion plan sliced to this window (parallel to the meta list): a
     fused member executes whole on its chain's node, and its write-back
     becomes L1-local when the slot elides it. An absent array or all-

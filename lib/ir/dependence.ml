@@ -15,7 +15,7 @@ let accesses resolver inst =
 (* Two accesses conflict when they certainly touch the same element, or when
    either is unresolvable and the arrays match (a may-dependence). *)
 let conflict a b =
-  if a.ref_.Reference.array <> b.ref_.Reference.array then None
+  if not (String.equal a.ref_.Reference.array b.ref_.Reference.array) then None
   else
     match (a.addr, b.addr) with
     | Some x, Some y -> if x = y then Some false else None
@@ -49,72 +49,88 @@ let all_pairs resolved =
   done;
   List.rev !deps
 
+module Int_tbl = Hashtbl.Make (Int)
+
 (* A pair can only carry a dependence when some access pair shares an
    array AND the addresses match or a side is unresolvable. So bucket
-   resolved accesses by (array, address) and unresolvable ones by array:
-   instance j partners instance i when they share an (array, address)
-   bucket, or either holds an unresolvable reference to an array the
-   other touches. Affine streams then cost O(n * chain length) instead
-   of O(n^2). *)
+   resolved accesses by address and unresolvable ones by array: instance j
+   partners instance i when they share an address bucket, or either holds
+   an unresolvable reference to an array the other touches. Array names
+   are interned to dense ids once, so the per-array buckets are arrays and
+   the address table hashes a bare int. Keying on the address alone can
+   only add candidates (two arrays whose ranges overlap); [pair_deps]
+   re-checks the array, so the output is unchanged. Affine streams then
+   cost O(n * chain length) instead of O(n^2). *)
 let bucketed resolved =
   let n = Array.length resolved in
-  let by_addr : (string * int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let by_unresolved : (string, int list) Hashtbl.t = Hashtbl.create 16 in
-  let by_array : (string, int list) Hashtbl.t = Hashtbl.create 16 in
-  let push tbl key i =
-    match Hashtbl.find_opt tbl key with
-    | Some (j :: _ as l) -> if j <> i then Hashtbl.replace tbl key (i :: l)
-    | Some [] | None -> Hashtbl.replace tbl key [ i ]
+  let ids = Hashtbl.create 16 in
+  let id_of name =
+    match Hashtbl.find_opt ids name with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length ids in
+      Hashtbl.add ids name k;
+      k
   in
+  (* Instance i's accesses, flattened: positions [start.(i), start.(i+1)). *)
+  let start = Array.make (n + 1) 0 in
+  Array.iteri (fun i (_, rs) -> start.(i + 1) <- start.(i) + 1 + List.length rs) resolved;
+  let acc_id = Array.make start.(n) 0 in
+  let acc_addr = Array.make start.(n) None in
   Array.iteri
     (fun i (w, rs) ->
-      List.iter
-        (fun a ->
-          let name = a.ref_.Reference.array in
-          push by_array name i;
-          match a.addr with
-          | Some addr -> push by_addr (name, addr) i
-          | None -> push by_unresolved name i)
+      List.iteri
+        (fun k a ->
+          acc_id.(start.(i) + k) <- id_of a.ref_.Reference.array;
+          acc_addr.(start.(i) + k) <- a.addr)
         (w :: rs))
     resolved;
-  (* Bucket lists are descending (consed over increasing i). [mark.(j) = i]
-     stamps j as a partner of i exactly once; sorting the stamped partners
-     ascending reproduces the all-pairs j order, so the output — order and
-     duplicates included — is identical to [all_pairs]. *)
+  let arrays = Hashtbl.length ids in
+  let by_array = Array.make arrays [] in
+  let by_unresolved = Array.make arrays [] in
+  let by_addr = Int_tbl.create 64 in
+  (* Bucket lists are descending (consed over increasing i); an instance
+     enters each bucket once. *)
+  let cons i = function j :: _ as l when j = i -> l | l -> i :: l in
+  for i = 0 to n - 1 do
+    for k = start.(i) to start.(i + 1) - 1 do
+      let id = acc_id.(k) in
+      by_array.(id) <- cons i by_array.(id);
+      match acc_addr.(k) with
+      | Some addr ->
+        Int_tbl.replace by_addr addr
+          (cons i (Option.value (Int_tbl.find_opt by_addr addr) ~default:[]))
+      | None -> by_unresolved.(id) <- cons i by_unresolved.(id)
+    done
+  done;
+  (* [mark.(j) = i] stamps j as a partner of i exactly once; sorting the
+     stamped partners ascending reproduces the all-pairs j order, so the
+     output — order and duplicates included — is identical to
+     [all_pairs]. *)
   let mark = Array.make n (-1) in
   let deps = ref [] in
   let add src dst kind may = deps := { src; dst; kind; may } :: !deps in
   for i = 0 to n - 1 do
     let js = ref [] in
-    let stamp_bucket tbl key =
-      match Hashtbl.find_opt tbl key with
-      | None -> ()
-      | Some l ->
-        let rec stamp = function
-          | j :: rest when j > i ->
-            if mark.(j) <> i then begin
-              mark.(j) <- i;
-              js := j :: !js
-            end;
-            stamp rest
-          | _ -> ()
-        in
-        stamp l
+    let rec stamp = function
+      | j :: rest when j > i ->
+        if mark.(j) <> i then begin
+          mark.(j) <- i;
+          js := j :: !js
+        end;
+        stamp rest
+      | _ -> ()
     in
-    let wi, ri = resolved.(i) in
-    List.iter
-      (fun a ->
-        let name = a.ref_.Reference.array in
-        (match a.addr with
-        | Some addr -> stamp_bucket by_addr (name, addr)
-        | None ->
-          (* Unresolvable: may-conflicts with every access to the array. *)
-          stamp_bucket by_array name);
-        stamp_bucket by_unresolved name)
-      (wi :: ri);
-    List.iter
-      (fun j -> pair_deps add resolved.(i) resolved.(j) i j)
-      (List.sort compare !js)
+    for k = start.(i) to start.(i + 1) - 1 do
+      let id = acc_id.(k) in
+      (match acc_addr.(k) with
+      | Some addr -> Option.iter stamp (Int_tbl.find_opt by_addr addr)
+      | None ->
+        (* Unresolvable: may-conflicts with every access to the array. *)
+        stamp by_array.(id));
+      stamp by_unresolved.(id)
+    done;
+    List.iter (fun j -> pair_deps add resolved.(i) resolved.(j) i j) (List.sort Int.compare !js)
   done;
   List.rev !deps
 
@@ -123,8 +139,8 @@ let analyze_naive resolver instances = all_pairs (resolve_all resolver instances
 let analyze resolver instances =
   let resolved = resolve_all resolver instances in
   (* Compilation windows are a handful of instances; the all-pairs scan
-     beats paying three hashtable setups, and the bucketed path reproduces
-     its output exactly, so the dispatch is invisible. *)
+     beats building the buckets, and the bucketed path reproduces its
+     output exactly, so the dispatch is invisible. *)
   if Array.length resolved <= 12 then all_pairs resolved else bucketed resolved
 
 let kind_to_string = function Flow -> "flow" | Anti -> "anti" | Output -> "output"

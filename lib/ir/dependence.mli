@@ -26,11 +26,16 @@ type resolver = Reference.t -> Env.t -> int option
     element it touches; [None] when not compile-time analyzable. *)
 
 val analyze : resolver -> instance list -> dep list
-(** All pairwise dependences with [src < dst] in list order. Accesses are
-    pre-bucketed by (array, resolved address) — unresolvable ones by array
-    name — so only pairs that can actually conflict are compared; affine
-    streams cost O(n * dependence-chain length) instead of O(n{^ 2}). The
-    result is identical to {!analyze_naive}. *)
+(** All pairwise dependences with [src < dst] in list order, sorted by
+    ascending (src, dst). Lists of at most 12 instances (a compilation
+    window) are scanned all-pairs. Longer ones are pre-bucketed by
+    resolved address in an int-keyed table and, for unresolvable
+    references, by array (names interned to dense ids once per call), so
+    only pairs that can actually conflict are compared; affine streams
+    cost O(n * dependence-chain length) instead of O(n{^ 2}). The
+    analysis is pairwise, so analyzing a contiguous slice of the list
+    finds exactly the dependences with both ends in it. The result is
+    identical to {!analyze_naive}. *)
 
 val analyze_naive : resolver -> instance list -> dep list
 (** Reference implementation comparing all O(n{^ 2}) instance pairs: the

@@ -396,6 +396,10 @@ let serve_channels t ic oc =
   done
 
 let serve t ~socket_path =
+  (* A client that hangs up before its reply must end only its own
+     connection: with SIGPIPE ignored, the failed write surfaces as
+     [Sys_error] (EPIPE/ECONNRESET), which the session loop absorbs. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX socket_path);

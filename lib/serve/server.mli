@@ -77,7 +77,9 @@ val serve : t -> socket_path:string -> unit
 (** Bind a Unix-domain socket (unlinking any stale file), then accept and
     serve sessions one at a time until a [Shutdown] request; unlinks the
     socket on the way out. Parallelism comes from the pool within a
-    request, so replies for a given request order are deterministic. *)
+    request, so replies for a given request order are deterministic.
+    Ignores SIGPIPE for the process, so a client that closes before its
+    reply ends only that connection. *)
 
 val shutdown : t -> unit
 (** Tear down the embedded pool. *)

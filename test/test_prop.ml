@@ -7,7 +7,10 @@
    - parser round-trip: printing any precedence-respecting statement tree
      and reparsing it yields the same tree;
    - the bucketed [Dependence.analyze] equals the O(n^2) naive oracle on
-     random instance streams (including indirect may-dependences);
+     random instance streams (including indirect may-dependences and two
+     arrays whose address ranges overlap);
+   - analyzing each window chunk alone finds exactly the nest-wide
+     dependences whose ends share a chunk, in the same order;
    - every schedule the partitioned pipeline emits for a random in-bounds
      kernel passes the [Ndp_analysis.Validate] race detector;
    - linking [ndp_fault] but injecting an empty plan leaves a run
@@ -160,29 +163,48 @@ let parser_round_trip () =
 
 (* Random single-nest programs over three shared data arrays and one
    index array, with small strides and offsets so accesses overlap often
-   (the interesting case for the address-bucketed analyze). *)
+   (the interesting case for the address-bucketed analyze). The oracle
+   cases add two arrays whose address ranges overlap — e[k] and d[k + 16]
+   are one address — so a bucket keyed on the address alone holds
+   accesses to different arrays, which must still never conflict. *)
 type dep_case = { trip : int; body : Stmt.t list }
 
-let dep_arrays = Ndp_ir.Array_decl.layout [ ("a", 64, 8); ("b", 64, 8); ("c", 64, 8) ]
+let dep_arrays =
+  let abc = Ndp_ir.Array_decl.layout [ ("a", 64, 8); ("b", 64, 8); ("c", 64, 8) ] in
+  let base_va = (List.nth abc 2).Ndp_ir.Array_decl.base_va + 65536 in
+  abc
+  @ [
+      { Ndp_ir.Array_decl.name = "d"; length = 64; elem_size = 8; base_va };
+      { Ndp_ir.Array_decl.name = "e"; length = 64; elem_size = 8; base_va = base_va + (16 * 8) };
+    ]
 
-let gen_dep_ref rng =
-  let name = [| "a"; "b"; "c" |].(Rng.int rng 3) in
+let gen_dep_ref names rng =
+  let name = names.(Rng.int rng (Array.length names)) in
   let sub =
     let affine = Sub.affine [ ("i", 1 + Rng.int rng 2) ] (Rng.int rng 4) in
     if Rng.chance rng 0.25 then Sub.indirect "y" affine else affine
   in
   Ref.make name sub
 
-let gen_dep_stmt rng =
+let gen_dep_stmt names rng =
   let rhs =
-    let r1 = Expr.Ref (gen_dep_ref rng) in
-    if Rng.bool rng then r1 else Expr.Binop (Op.Add, r1, Expr.Ref (gen_dep_ref rng))
+    let r1 = Expr.Ref (gen_dep_ref names rng) in
+    if Rng.bool rng then r1 else Expr.Binop (Op.Add, r1, Expr.Ref (gen_dep_ref names rng))
   in
-  Stmt.make (gen_dep_ref rng) rhs
+  Stmt.make (gen_dep_ref names rng) rhs
 
 let gen_dep_case rng =
   let trip = 3 + Rng.int rng 5 in
-  let body = List.init (1 + Rng.int rng 3) (fun _ -> gen_dep_stmt rng) in
+  let body = List.init (1 + Rng.int rng 3) (fun _ -> gen_dep_stmt [| "a"; "b"; "c" |] rng) in
+  { trip; body }
+
+(* Longer streams (up to 36 instances, past the all-pairs cutoff) over all
+   five arrays. *)
+let gen_oracle_case rng =
+  let trip = 3 + Rng.int rng 10 in
+  let body =
+    List.init (1 + Rng.int rng 3) (fun _ -> gen_dep_stmt [| "a"; "b"; "c"; "d"; "e" |] rng)
+  in
   { trip; body }
 
 let shrink_dep_case { trip; body } =
@@ -219,7 +241,7 @@ let dep_to_tuple (d : Dep.dep) = (d.Dep.src, d.Dep.dst, d.Dep.kind, d.Dep.may)
 
 let analyze_equals_oracle () =
   forall ~count:80 ~name:"analyze = naive oracle"
-    { gen = gen_dep_case; shrink = shrink_dep_case; print = print_dep_case }
+    { gen = gen_oracle_case; shrink = shrink_dep_case; print = print_dep_case }
     (fun case ->
       let stream = dep_stream case in
       let fast = List.map dep_to_tuple (Dep.analyze dep_resolver stream) in
@@ -229,6 +251,39 @@ let analyze_equals_oracle () =
         Error
           (Printf.sprintf "bucketed analyze found %d deps, naive oracle %d (or different order)"
              (List.length fast) (List.length naive)))
+
+(* The pipeline analyzes each window chunk on its own: that must find
+   exactly the nest-wide dependences whose two ends share a chunk, in the
+   nest analysis's order. *)
+let chunk_analysis_equals_sliced () =
+  forall ~count:80 ~name:"per-chunk analyze = nest analyze sliced to chunks"
+    {
+      gen = (fun rng -> (gen_oracle_case rng, 1 + Rng.int rng 12));
+      shrink = (fun (case, w) -> List.map (fun c -> (c, w)) (shrink_dep_case case));
+      print = (fun (case, w) -> Printf.sprintf "w=%d %s" w (print_dep_case case));
+    }
+    (fun (case, w) ->
+      let stream = dep_stream case in
+      let sliced =
+        List.filter
+          (fun (d : Dep.dep) -> d.Dep.src / w = d.Dep.dst / w)
+          (Dep.analyze dep_resolver stream)
+      in
+      let chunked =
+        List.concat
+          (List.mapi
+             (fun ci chunk ->
+               List.map
+                 (fun (d : Dep.dep) ->
+                   { d with Dep.src = d.Dep.src + (ci * w); dst = d.Dep.dst + (ci * w) })
+                 (Dep.analyze dep_resolver chunk))
+             (Ndp_core.Window.chunk stream w))
+      in
+      if List.map dep_to_tuple chunked = List.map dep_to_tuple sliced then Ok ()
+      else
+        Error
+          (Printf.sprintf "chunks found %d deps, the sliced nest analysis %d (or different order)"
+             (List.length chunked) (List.length sliced)))
 
 (* -------------------------------------------------------------------- *)
 (* Random kernels vs. the schedule race detector.                        *)
@@ -240,7 +295,9 @@ let y_table = Array.init 64 (fun k -> k * 7 mod 64)
 
 let gen_kernel rng =
   let trip = 4 + Rng.int rng 5 in
-  let body = List.init (1 + Rng.int rng 3) (fun _ -> Stmt.to_string (gen_dep_stmt rng)) in
+  let body =
+    List.init (1 + Rng.int rng 3) (fun _ -> Stmt.to_string (gen_dep_stmt [| "a"; "b"; "c" |] rng))
+  in
   Spec.kernel
     ~name:(Printf.sprintf "prop-%d" trip)
     ~description:"randomized property-test kernel"
@@ -795,5 +852,7 @@ let tests =
           capacity_zero_is_identity;
         Alcotest.test_case "shrinker reaches a minimal counterexample" `Quick shrinker_minimizes;
         Alcotest.test_case "serve request wire round-trip" `Quick request_round_trip;
+        Alcotest.test_case "per-chunk analyze = sliced nest analyze" `Quick
+          chunk_analysis_equals_sliced;
       ] );
   ]

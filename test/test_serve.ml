@@ -550,6 +550,73 @@ let op_names_cover_requests () =
       | Error m -> Alcotest.fail m)
     (representative_requests ())
 
+(* -------------------------------------------------------------------- *)
+(* The socket daemon outlives a client that hangs up before its reply.   *)
+
+(* The reply to a closed socket fails with EPIPE; unless the daemon
+   ignores SIGPIPE, the signal kills it before the error can be handled.
+   A daemon process (the CLI's [serve], spawned rather than forked: the
+   test process may already hold live pool domains) gets a cold run, the
+   client hangs up at once, and a fresh connection must still be answered
+   by the same process. *)
+let daemon_survives_hangup () =
+  let socket_path = Filename.temp_file "ndp_serve" ".sock" in
+  Sys.remove socket_path;
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/ndp_run.exe" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process exe
+          [| exe; "serve"; "--socket"; socket_path; "--jobs"; "1" |]
+          null null null)
+  in
+  let status = ref None in
+  let reap () =
+    if !status = None then status := Some (snd (Unix.waitpid [] pid));
+    Option.get !status
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if !status = None then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (reap ());
+      try Sys.remove socket_path with Sys_error _ -> ())
+    (fun () ->
+      (* Retry until the daemon has bound and is listening. *)
+      let rec connect tries =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
+        | () -> fd
+        | exception Unix.Unix_error (err, _, _) ->
+          Unix.close fd;
+          if tries = 0 then Alcotest.failf "cannot connect: %s" (Unix.error_message err);
+          Unix.sleepf 0.05;
+          connect (tries - 1)
+      in
+      let oc = Unix.out_channel_of_descr (connect 200) in
+      Protocol.write_request oc ~id:1
+        (Protocol.Run { spec = Protocol.default_spec ~app:"fft"; metrics = false });
+      close_out oc;
+      let client =
+        match Ndp_serve.Client.connect socket_path with
+        | Ok c -> c
+        | Error m -> Alcotest.failf "daemon gone after the hang-up: %s" m
+      in
+      (match Ndp_serve.Client.rpc client Protocol.Ping with
+      | Ok (env, body) ->
+        Alcotest.(check bool) "ping ok" true env.Protocol.ok;
+        Alcotest.(check string) "pong" {|{"pong":true}|} body
+      | Error m | (exception Sys_error m) -> Alcotest.failf "ping after the hang-up failed: %s" m);
+      Alcotest.(check bool) "daemon still running" true
+        (fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0);
+      ignore (Ndp_serve.Client.rpc client Protocol.Shutdown);
+      Ndp_serve.Client.close client;
+      match reap () with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
+      | Unix.WSIGNALED n | Unix.WSTOPPED n -> Alcotest.failf "daemon killed by signal %d" n)
+
 let tests =
   [
     ( "serve",
@@ -576,5 +643,6 @@ let tests =
         Alcotest.test_case "cache-stats latency section" `Quick cache_stats_latency_section;
         Alcotest.test_case "access log JSONL" `Quick access_log_jsonl;
         Alcotest.test_case "op names cover requests" `Quick op_names_cover_requests;
+        Alcotest.test_case "daemon survives a client hang-up" `Quick daemon_survives_hangup;
       ] );
   ]
