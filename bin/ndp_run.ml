@@ -131,15 +131,6 @@ module Args = struct
       & opt string "trace.json"
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file; \"-\" writes to stdout.")
 
-  let selfcheck =
-    Arg.(
-      value
-      & flag
-      & info [ "selfcheck" ]
-          ~doc:
-            "Reconcile the trace against the aggregate statistics (task-event count, finish \
-             time, timestamp monotonicity) and exit nonzero on mismatch.")
-
   let interval =
     Arg.(
       value
@@ -382,58 +373,7 @@ let stats_act kernel cluster memory scheme window fuse format jobs =
 
 module Plan = Ndp_fault.Plan
 
-(* Invariants of a fault run, verified by re-execution:
-   1. determinism — an identical second run (fresh plan from the same
-      seed) produces identical stats and finish time;
-   2. an empty plan is byte-identical to running without one;
-   3. under --repair, nodes the plan avoids end the run with zero busy
-      cycles (every subcomputation was remapped off them);
-   4. a non-empty plan surfaces its fault.* instruments in the registry. *)
-let inject_selfcheck ~config ~spec ~seed ~repair pool scheme kernel plan
-    (r : Pipeline.result) reg =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let mesh = Ndp_sim.Config.mesh config in
-  let rerun =
-    let plan2 =
-      match Plan.parse ~mesh ~seed spec with Ok p -> p | Error m -> failwith m
-    in
-    Pipeline.Job.run ?pool (Pipeline.Job.make ~config ~faults:plan2 ~repair scheme kernel)
-  in
-  if not (Stats.equal r.Pipeline.stats rerun.Pipeline.stats) then
-    fail "re-run with the same seed changed the statistics";
-  if r.Pipeline.exec_time <> rerun.Pipeline.exec_time then
-    fail "re-run with the same seed changed the finish time (%d <> %d)" r.Pipeline.exec_time
-      rerun.Pipeline.exec_time;
-  if Plan.is_empty plan then begin
-    let bare = Pipeline.Job.run ?pool (Pipeline.Job.make ~config scheme kernel) in
-    if not (Stats.equal r.Pipeline.stats bare.Pipeline.stats) then
-      fail "an empty fault plan changed the statistics vs a plain run"
-  end
-  else begin
-    (match Metrics.find reg "fault.link_retries" with
-    | Some _ -> ()
-    | None -> fail "non-empty plan but fault.link_retries is not in the registry");
-    if repair then
-      List.iter
-        (fun node ->
-          if r.Pipeline.node_busy.(node) <> 0 then
-            fail "repair left %d busy cycles on avoided node %d" r.Pipeline.node_busy.(node)
-              node)
-        (Plan.avoided_nodes plan)
-  end;
-  match !failures with
-  | [] ->
-    let killed, degraded, stalled, mcs = Plan.counts plan in
-    Printf.printf
-      "inject selfcheck: ok (killed=%d degraded=%d stalled=%d mcs=%d remapped=%d)\n" killed
-      degraded stalled mcs r.Pipeline.remapped_tasks
-  | fs ->
-    List.iter (Printf.eprintf "inject selfcheck: %s\n") (List.rev fs);
-    exit 1
-
-let inject_act kernel cluster memory scheme window spec fault_seed repair format selfcheck jobs
-    =
+let inject_act kernel cluster memory scheme window spec fault_seed repair format jobs =
   with_jobs jobs @@ fun pool ->
   let config = config_of cluster memory in
   let mesh = Ndp_sim.Config.mesh config in
@@ -448,64 +388,27 @@ let inject_act kernel cluster memory scheme window spec fault_seed repair format
   let scheme = scheme_of scheme window in
   let job = Pipeline.Job.make ~config ~faults:plan ~repair scheme kernel in
   let o = Service.inject ?pool ~spec job in
-  print_endline (Render.output format ~human:o.Service.i_human o.Service.i_doc);
-  if selfcheck then
-    inject_selfcheck ~config ~spec ~seed ~repair pool scheme kernel plan o.Service.i_result
-      o.Service.i_reg
+  print_endline (Render.output format ~human:o.Service.i_human o.Service.i_doc)
 
 (* ------------------------------------------------------------------ *)
 (* trace: Chrome trace_event JSON                                      *)
 
-let trace_selfcheck tracer (r : Pipeline.result) =
-  let events = Trace.events tracer in
-  let tasks = List.filter (fun e -> e.Trace.kind = Trace.Task) events in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let stats_tasks = Stats.tasks r.Pipeline.stats in
-  (* A lossy trace cannot vouch for anything: dropped events mean the ring
-     overwrote history, so the check fails rather than passing silently. *)
-  if Trace.dropped tracer > 0 then
-    fail "%d events dropped (ring capacity %d exceeded): the trace is not faithful"
-      (Trace.dropped tracer) (Trace.length tracer);
-  if Trace.dropped tracer = 0 && List.length tasks <> stats_tasks then
-    fail "task events %d <> stats tasks %d" (List.length tasks) stats_tasks;
-  let max_end = List.fold_left (fun acc e -> max acc e.Trace.end_ts) 0 tasks in
-  let finish = Stats.finish_time r.Pipeline.stats in
-  if tasks <> [] && max_end <> finish then
-    fail "max task end %d <> finish time %d" max_end finish;
-  let sorted = Trace.sorted_events tracer in
-  let rec monotonic = function
-    | a :: (b :: _ as rest) -> a.Trace.start_ts <= b.Trace.start_ts && monotonic rest
-    | _ -> true
+let trace_act kernel cluster memory scheme window out format jobs =
+  let render =
+    match format with
+    | Render.Jsonl -> Trace.to_jsonl
+    | Render.Human | Render.Json -> fun t -> Trace.to_chrome t
+    | Render.Sexp ->
+      prerr_endline "ndp_run trace: --format sexp is not supported; use json or jsonl";
+      exit 2
   in
-  if not (monotonic sorted) then fail "rendered timestamps are not monotonic";
-  List.iter
-    (fun e ->
-      if e.Trace.end_ts < e.Trace.start_ts then
-        fail "event %s id %d ends before it starts" e.Trace.name e.Trace.id)
-    events;
-  match !failures with
-  | [] ->
-    Printf.printf "trace selfcheck: ok (%d events, %d tasks, %d dropped)\n"
-      (Trace.length tracer) (List.length tasks) (Trace.dropped tracer)
-  | fs ->
-    List.iter (Printf.eprintf "trace selfcheck: %s\n") (List.rev fs);
-    exit 1
-
-let trace_act kernel cluster memory scheme window out format selfcheck jobs =
   with_jobs jobs @@ fun pool ->
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:true () in
-  let r =
-    Pipeline.Job.run ?pool ~obs
-      (Pipeline.Job.make ~config:(config_of cluster memory) (scheme_of scheme window) kernel)
-  in
+  ignore
+    (Pipeline.Job.run ?pool ~obs
+       (Pipeline.Job.make ~config:(config_of cluster memory) (scheme_of scheme window) kernel));
   let tracer = obs.Ndp_obs.Sink.trace in
-  let payload =
-    match format with
-    | Render.Jsonl -> Trace.to_jsonl tracer
-    | Render.Sexp -> Render.json_to_sexp (Render.Json.Str "use --format json or jsonl")
-    | Render.Human | Render.Json -> Trace.to_chrome tracer
-  in
+  let payload = render tracer in
   (match out with
   | "-" -> print_string payload
   | file ->
@@ -513,8 +416,7 @@ let trace_act kernel cluster memory scheme window out format selfcheck jobs =
     output_string oc payload;
     close_out oc;
     Printf.printf "wrote %s (%d events, %d dropped)\n" file (Trace.length tracer)
-      (Trace.dropped tracer));
-  if selfcheck then trace_selfcheck tracer r
+      (Trace.dropped tracer))
 
 (* ------------------------------------------------------------------ *)
 (* profile: movement attribution ledger + counter timeline             *)
@@ -939,8 +841,7 @@ let commands =
       term =
         Term.(
           const inject_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.scheme
-          $ Args.window $ Args.faults $ Args.fault_seed $ Args.repair $ Args.format
-          $ Args.selfcheck $ Args.jobs);
+          $ Args.window $ Args.faults $ Args.fault_seed $ Args.repair $ Args.format $ Args.jobs);
     };
     {
       name = "trace";
@@ -948,7 +849,7 @@ let commands =
       term =
         Term.(
           const trace_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.scheme $ Args.window
-          $ Args.out_file $ Args.format $ Args.selfcheck $ Args.jobs);
+          $ Args.out_file $ Args.format $ Args.jobs);
     };
     {
       name = "profile";

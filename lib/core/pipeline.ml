@@ -588,34 +588,12 @@ end
 
 (* Each job builds its own machine, engine, context and inspector, and a
    [Kernel.t] is immutable, so jobs share no mutable state and each result
-   is byte-identical to the corresponding solo [Job.run]. Metrics follow the
-   [Sharded] discipline with a twist: every JOB (not domain) fills a
-   private registry — two jobs sharing a per-domain shard would also share
-   [Stats] counter handles and read each other's counts — and the private
-   registries are merged in input order and absorbed as one shard, so the
-   merged totals are identical at any pool size. *)
-let run_batch ?pool ?metrics jobs =
-  let with_reg =
-    match metrics with Some sh -> Ndp_obs.Metrics.Sharded.enabled sh | None -> false
-  in
-  let run_one (j : Job.t) =
-    let reg = if with_reg then Ndp_obs.Metrics.create () else Ndp_obs.Metrics.disabled in
-    let obs =
-      if with_reg then { Ndp_obs.Sink.none with Ndp_obs.Sink.metrics = reg }
-      else Ndp_obs.Sink.none
-    in
-    (Job.run ~obs j, reg)
-  in
-  let outcomes =
-    match pool with
-    | None -> List.map run_one jobs
-    | Some pool -> Ndp_prelude.Pool.parallel_map pool run_one jobs
-  in
-  (match metrics with
-  | Some sh when with_reg ->
-    Ndp_obs.Metrics.Sharded.add_shard sh (Ndp_obs.Metrics.merge (List.map snd outcomes))
-  | _ -> ());
-  List.map fst outcomes
+   is byte-identical to the corresponding solo [Job.run]. *)
+let run_batch ?pool jobs =
+  let run_one j = Job.run j in
+  match pool with
+  | None -> List.map run_one jobs
+  | Some pool -> Ndp_prelude.Pool.parallel_map pool run_one jobs
 
 type replayed = {
   rp_stats : Ndp_sim.Stats.t;

@@ -166,21 +166,13 @@ end
 
 (** {1 Batched and replayed simulation} *)
 
-val run_batch :
-  ?pool:Ndp_prelude.Pool.t ->
-  ?metrics:Ndp_obs.Metrics.Sharded.t ->
-  Job.t list ->
-  result list
+val run_batch : ?pool:Ndp_prelude.Pool.t -> Job.t list -> result list
 (** Run every job, concurrently when given a [pool], returning results in
     input order. Each job is an independent simulation — its own machine,
     engine, context and inspector — so a batch is deterministic at any
     pool size and each result is byte-identical to the corresponding solo
-    {!Job.run}. [metrics] applies the [Metrics.Sharded] discipline at job
-    granularity: every job fills its own private registry (jobs must not
-    share instrument handles — a shared [Stats] counter would bleed one
-    simulation's counts into another's result), and the registries are
-    merged in input order and absorbed as one shard, so [Sharded.merged]
-    afterwards yields totals identical at any pool size. *)
+    {!Job.run}. Jobs run unobserved; a caller that wants a job's metrics
+    runs it with {!Job.run} [~obs]. *)
 
 type replayed = {
   rp_stats : Ndp_sim.Stats.t;

@@ -15,7 +15,7 @@ let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Cache: size must be a power of two"
   else go 0 n
 
-let create ?(metrics = Ndp_obs.Metrics.disabled) ?(metric_name = "cache") ~size_bytes ~assoc
+let create ?(metrics = Ndp_obs.Metrics.none) ?(metric_name = "cache") ~size_bytes ~assoc
     ~line_bytes () =
   if assoc <= 0 then invalid_arg "Cache.create: assoc must be positive";
   let lines = size_bytes / line_bytes in

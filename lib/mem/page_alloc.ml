@@ -18,7 +18,7 @@ type t = {
   m_faults : Ndp_obs.Metrics.counter; (* mem.page_faults: first-touch allocations *)
 }
 
-let create ?(seed = 0x5eed) ~policy ?(metrics = Ndp_obs.Metrics.disabled) map =
+let create ?(seed = 0x5eed) ~policy ?(metrics = Ndp_obs.Metrics.none) map =
   let frames = Hashtbl.create 1024 in
   if Ndp_obs.Metrics.enabled metrics then
     Ndp_obs.Metrics.gauge_fn metrics "mem.pages_resident" (fun () ->

@@ -6,7 +6,7 @@ type t = {
   m_lookups : Ndp_obs.Metrics.vec; (* mem.home_lookups{bank} *)
 }
 
-let create ?(metrics = Ndp_obs.Metrics.disabled) mesh cluster map =
+let create ?(metrics = Ndp_obs.Metrics.none) mesh cluster map =
   let m_lookups =
     Ndp_obs.Metrics.vec metrics "mem.home_lookups" ~size:(Ndp_noc.Mesh.size mesh)
       ~label:(fun i -> Printf.sprintf "bank=%d" i)

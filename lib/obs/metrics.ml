@@ -23,7 +23,7 @@ type t = { on : bool; table : (string, instrument) Hashtbl.t }
 
 let create () = { on = true; table = Hashtbl.create 64 }
 
-let disabled = { on = false; table = Hashtbl.create 0 }
+let none = { on = false; table = Hashtbl.create 0 }
 
 let enabled t = t.on
 
@@ -163,30 +163,6 @@ let to_alist t =
 
 let find t name = List.assoc_opt name (to_alist t)
 
-let merge regs =
-  let out = create () in
-  List.iter
-    (fun reg ->
-      List.iter
-        (fun (name, sample) ->
-          match sample with
-          | Counter_v n -> add (counter out name) n
-          | Gauge_v v -> set_gauge (gauge out name) v
-          | Histogram_v { counts; bounds; sum; count } -> (
-            match Hashtbl.find_opt out.table name with
-            | Some (I_histogram h) when h.h_bounds = bounds ->
-              Array.iteri (fun i n -> h.h_counts.(i) <- h.h_counts.(i) + n) counts;
-              h.h_sum <- h.h_sum +. sum;
-              h.h_count <- h.h_count + count
-            | _ ->
-              let h = histogram ~buckets:bounds out name in
-              Array.blit counts 0 h.h_counts 0 (Array.length counts);
-              h.h_sum <- sum;
-              h.h_count <- count))
-        (to_alist reg))
-    regs;
-  out
-
 (* Quantile estimate from cumulative-style buckets: find the bucket the
    rank lands in and interpolate linearly between its bounds (the first
    bucket's lower bound is 0; the overflow bucket clamps to the largest
@@ -290,54 +266,3 @@ let to_prometheus t =
         line (family ^ "_count") labels (string_of_int count))
     (to_alist t);
   Buffer.contents buf
-
-module Sharded = struct
-  type registry = t
-
-  let fresh_registry = create
-
-  type nonrec t = {
-    s_on : bool;
-    lock : Mutex.t;
-    mutable shards : (int * registry) list; (* domain id -> shard *)
-  }
-
-  let create ?(enabled = true) () = { s_on = enabled; lock = Mutex.create (); shards = [] }
-
-  let enabled t = t.s_on
-
-  let local t =
-    if not t.s_on then disabled
-    else begin
-      let id = (Domain.self () :> int) in
-      Mutex.lock t.lock;
-      let reg =
-        match List.assoc_opt id t.shards with
-        | Some reg -> reg
-        | None ->
-          let reg = fresh_registry () in
-          t.shards <- (id, reg) :: t.shards;
-          reg
-      in
-      Mutex.unlock t.lock;
-      reg
-    end
-
-  (* Absorb a privately-filled registry (negative keys can never collide
-     with the domain ids [local] uses). Callers that give each unit of
-     work its own registry — rather than sharing a per-domain shard —
-     keep units from reading each other's instrument handles, and can
-     pre-merge in a deterministic order before absorbing. *)
-  let add_shard t reg =
-    if t.s_on then begin
-      Mutex.lock t.lock;
-      t.shards <- ((-1 - List.length t.shards), reg) :: t.shards;
-      Mutex.unlock t.lock
-    end
-
-  let merged t =
-    Mutex.lock t.lock;
-    let shards = List.map snd t.shards in
-    Mutex.unlock t.lock;
-    merge shards
-end

@@ -11,11 +11,9 @@
     simulation or compilation decisions — and {!to_alist} orders samples by
     name, so enabling metrics cannot perturb results and dumps are stable.
 
-    Parallel collection: a registry is not synchronized. Under
-    [Pool.parallel_map] each task must bump its own registry (or its own
-    {!Sharded} shard); {!merge} then combines them by name into totals that
-    are independent of task scheduling, because counter addition commutes
-    and output order is name-sorted. *)
+    One registry per domain: a registry is not synchronized, so code
+    running under [Pool.parallel_map] gives each task its own registry
+    and reads it back on that task. Nothing merges registries. *)
 
 type t
 (** A registry. *)
@@ -23,7 +21,7 @@ type t
 val create : unit -> t
 (** A fresh enabled registry. *)
 
-val disabled : t
+val none : t
 (** The shared inert registry: every instrument created from it is a no-op
     and {!to_alist} is empty. *)
 
@@ -66,10 +64,9 @@ val gauge : t -> string -> gauge
 val set_gauge : gauge -> float -> unit
 
 val gauge_fn : t -> string -> (unit -> float) -> unit
-(** A derived gauge: the closure is evaluated at {!to_alist} / {!merge}
-    time, never on the hot path. Used for values a structure already
-    tracks (cache hit counts, resident pages) so publishing them costs
-    nothing per event. *)
+(** A derived gauge: the closure is evaluated at {!to_alist} time, never
+    on the hot path. Used for values a structure already tracks (cache hit
+    counts, resident pages) so publishing them costs nothing per event. *)
 
 type histogram
 
@@ -79,7 +76,7 @@ val histogram : ?buckets:float array -> t -> string -> histogram
 
 val observe : histogram -> float -> unit
 
-(** {1 Reading and merging} *)
+(** {1 Reading} *)
 
 type sample =
   | Counter_v of int
@@ -93,12 +90,6 @@ val to_alist : t -> (string * sample) list
 
 val find : t -> string -> sample option
 (** Lookup one exploded sample by name (same names as {!to_alist}). *)
-
-val merge : t list -> t
-(** A fresh registry holding the name-wise sum (counters, histograms) or
-    last-writer value (gauges, in list order) of the inputs. Derived
-    gauges are evaluated and frozen. The result is independent of any
-    concurrent schedule that produced the inputs. *)
 
 val percentile : counts:int array -> bounds:float array -> float -> float
 (** [percentile ~counts ~bounds q] estimates the [q]-quantile
@@ -120,36 +111,3 @@ val to_prometheus : t -> string
     [_bucket{le=...}] series (ending at [le="+Inf"]) plus [_sum] and
     [_count]. Deterministic for a deterministic registry, with no
     duplicate series. *)
-
-(** {1 Per-domain sharding} *)
-
-(** Shards one logical registry across domains: each domain bumps a
-    private registry ({!Sharded.local}) with no synchronization on the hot
-    path, and {!Sharded.merged} combines the shards afterwards. Wrap the
-    parallel region's metrics in this when tasks run under
-    [Pool.parallel_map] so [--jobs N] stays deterministic. *)
-module Sharded : sig
-  type registry := t
-
-  type t
-
-  val create : ?enabled:bool -> unit -> t
-
-  val enabled : t -> bool
-
-  val local : t -> registry
-  (** This domain's shard, created on first use. Cheap after the first
-      call (one mutex-guarded lookup keyed by domain id); cache the result
-      across a task when bumping in a loop. *)
-
-  val add_shard : t -> registry -> unit
-  (** Absorb a privately-filled registry as an extra shard. For units of
-      work that must not share instrument handles even when scheduled on
-      the same domain (e.g. whole simulations in a batch): give each its
-      own registry, merge those in a deterministic order, and absorb the
-      result. No-op when the sharded registry is disabled. *)
-
-  val merged : t -> registry
-  (** {!merge} of every shard created so far. Call after the parallel
-      region has quiesced. *)
-end

@@ -8,32 +8,21 @@ type t = {
 
 let none =
   {
-    metrics = Metrics.disabled;
+    metrics = Metrics.none;
     trace = Trace.none;
     ledger = Ledger.none;
     timeline = Timeline.none;
     spans = Span.none;
   }
 
-let create ?(metrics = true) ?(trace = true) ?trace_capacity ?(ledger = false)
-    ?(timeline_interval = 0) ?timeline_capacity ?(spans = false) () =
+let create ?(metrics = true) ?(trace = true) ?(ledger = false) ?(timeline_interval = 0)
+    ?(spans = false) () =
   {
-    metrics = (if metrics then Metrics.create () else Metrics.disabled);
-    trace = (if trace then Trace.create ?capacity:trace_capacity () else Trace.none);
+    metrics = (if metrics then Metrics.create () else Metrics.none);
+    trace = (if trace then Trace.create () else Trace.none);
     ledger = (if ledger then Ledger.create () else Ledger.none);
     timeline =
-      (if timeline_interval > 0 then
-         Timeline.create ?capacity:timeline_capacity ~interval:timeline_interval ()
+      (if timeline_interval > 0 then Timeline.create ~interval:timeline_interval ()
        else Timeline.none);
     spans = (if spans then Span.create () else Span.none);
   }
-
-let metrics_enabled t = Metrics.enabled t.metrics
-
-let trace_enabled t = Trace.enabled t.trace
-
-let ledger_enabled t = Ledger.enabled t.ledger
-
-let timeline_enabled t = Timeline.enabled t.timeline
-
-let spans_enabled t = Span.enabled t.spans

@@ -19,10 +19,8 @@ val none : t
 val create :
   ?metrics:bool ->
   ?trace:bool ->
-  ?trace_capacity:int ->
   ?ledger:bool ->
   ?timeline_interval:int ->
-  ?timeline_capacity:int ->
   ?spans:bool ->
   unit ->
   t
@@ -32,13 +30,3 @@ val create :
     their exact pre-profiling behaviour. Callers that already hold a
     {!Span.t} (e.g. a per-request collector) substitute it with a record
     update: [{ sink with Sink.spans }]. *)
-
-val metrics_enabled : t -> bool
-
-val trace_enabled : t -> bool
-
-val ledger_enabled : t -> bool
-
-val timeline_enabled : t -> bool
-
-val spans_enabled : t -> bool

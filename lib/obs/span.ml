@@ -1,9 +1,8 @@
 (* Request-scoped nestable spans. A collector is a single-domain append
    log of (name, parent, depth, wall, cycles, attrs) records; nesting is
    derived from an explicit open-span stack, so parent links and depths
-   are structural, never guessed from timestamps. Parallel code records
-   into per-unit collectors and [merge]s them in deterministic (input)
-   order — the same discipline as [Metrics.Sharded] — so traced output is
+   are structural, never guessed from timestamps. A collector lives on
+   one domain and nothing merges collectors, so traced output is
    byte-identical at any [--jobs]. *)
 
 type attr = Int of int | Str of string
@@ -136,31 +135,6 @@ let with_span ?cycles t name f =
 let wall_ms n = if n.sp_stop < n.sp_start then 0.0 else (n.sp_stop -. n.sp_start) *. 1000.0
 
 let nodes t = Array.to_list (Array.sub t.nodes 0 t.count)
-
-(* Concatenate collectors in input order, rebasing ids and parent links.
-   Every unit of parallel work gets its own collector; merging in the
-   deterministic order the work was issued (Pool.parallel_map returns
-   input order) makes the merged log independent of domain count. *)
-let merge ts =
-  let out =
-    { on = true; clock = (fun () -> 0.0); epoch = 0.0; nodes = Array.make 16 dead; count = 0; stack = [] }
-  in
-  List.iter
-    (fun src ->
-      if src.on then begin
-        let base = out.count in
-        for i = 0 to src.count - 1 do
-          let n = src.nodes.(i) in
-          push out
-            {
-              n with
-              sp_id = base + n.sp_id;
-              sp_parent = (if n.sp_parent < 0 then -1 else base + n.sp_parent);
-            }
-        done
-      end)
-    ts;
-  out
 
 let attr_json = function Int i -> Render.Json.Int i | Str s -> Render.Json.Str s
 

@@ -6,10 +6,9 @@
     [enter]/[exit] on a disabled collector cost one branch and allocate
     nothing, the same discipline as disabled {!Metrics} handles.
 
-    A collector is single-domain: parallel code gives each unit of work
-    its own collector and {!merge}s them in deterministic (input) order,
-    mirroring [Metrics.Sharded], so traced output is byte-identical at
-    any [--jobs]. *)
+    A collector lives on one domain — the pipeline records spans only on
+    the calling domain — and nothing merges collectors, so traced output
+    is byte-identical at any [--jobs]. *)
 
 type attr = Int of int | Str of string
 
@@ -54,15 +53,10 @@ val attr_str : t -> span -> string -> string -> unit
 val with_span : ?cycles:int -> t -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] brackets [f ()] in a span, exception-safely. *)
 
-val merge : t list -> t
-(** Concatenate collectors in input order, rebasing span ids and parent
-    links past earlier collectors. Disabled collectors contribute
-    nothing. The result is a live collector with no open spans. *)
-
 val to_json : ?wall:bool -> t -> Render.Json.t
 (** The span log as [{"count": n, "spans": [...]}]. [wall:false] omits
-    the wall-clock ["ms"] field — the deterministic projection the merge
-    tests compare byte-for-byte. *)
+    the wall-clock ["ms"] field — the deterministic projection the
+    determinism tests compare byte-for-byte. *)
 
 val summary : t -> (string * (int * float * int)) list
 (** Per-name aggregate [(count, total wall ms, total cycles)],

@@ -101,47 +101,6 @@ let series t =
     (fun a b -> compare a.name b.name)
     (List.map (fun i -> { name = i.i_name; samples = decode i; dropped = i.dropped }) t.instruments)
 
-let merge ts =
-  let enabled_inputs = List.filter (fun t -> t.on) ts in
-  match enabled_inputs with
-  | [] -> none
-  | _ ->
-    let iv = List.fold_left (fun acc t -> max acc t.iv) 1 enabled_inputs in
-    let cap = List.fold_left (fun acc t -> max acc t.cap) 1 enabled_inputs in
-    let out = { on = true; iv; cap; next = iv; instruments = [] } in
-    let by_name = Hashtbl.create 16 in
-    List.iter
-      (fun t ->
-        List.iter
-          (fun s ->
-            let existing = Option.value (Hashtbl.find_opt by_name s.name) ~default:[] in
-            Hashtbl.replace by_name s.name (s :: existing))
-          (series t))
-      enabled_inputs;
-    let names = List.sort_uniq compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_name []) in
-    List.iter
-      (fun name ->
-        let inputs = Hashtbl.find by_name name in
-        let stamps =
-          List.sort_uniq compare (List.concat_map (fun s -> List.map fst s.samples) inputs)
-        in
-        (* Step semantics: an input contributes its most recent value at or
-           before the stamp, 0 before its first sample. *)
-        let value_at s ts =
-          List.fold_left (fun acc (t', v) -> if t' <= ts then v else acc) 0 s.samples
-        in
-        register out name (fun () -> 0);
-        let i = List.hd out.instruments in
-        List.iter
-          (fun ts ->
-            let v = List.fold_left (fun acc s -> acc + value_at s ts) 0 inputs in
-            push out i ~ts ~v)
-          stamps;
-        i.dropped <- List.fold_left (fun acc s -> acc + s.dropped) 0 inputs)
-      names;
-    out.instruments <- List.rev out.instruments;
-    out
-
 let to_json t =
   let open Render.Json in
   let one s =

@@ -5,9 +5,8 @@
     cycles, producing one compact series per instrument. Samples are
     delta-encoded (both timestamp and value), bounded by a per-instrument
     capacity (later boundary crossings are counted as dropped, mirroring
-    [Trace]'s ring discipline), and series from independent shards can be
-    {!merge}d into totals the same way [Metrics.Sharded] merges
-    registries.
+    [Trace]'s ring discipline). A timeline lives on the domain that ticks
+    it; nothing merges timelines.
 
     The driver calls {!tick} with a monotone "now" (the engine uses the
     running [finish_time] envelope); the timeline samples at most once per
@@ -48,12 +47,6 @@ type series = { name : string; samples : (int * int) list; dropped : int }
 
 val series : t -> series list
 (** All series, sorted by name. *)
-
-val merge : t list -> t
-(** Sum-merge by instrument name: the merged value at a timestamp is the
-    sum of each input's most recent sample at or before it (0 before an
-    input's first sample). The result is read-only in spirit — it has no
-    samplers — but ticks and registrations still work and append to it. *)
 
 val to_json : t -> Render.Json.t
 (** [{"interval": N, "series": [{"name", "dropped", "samples": [[ts,v],..]},..]}]. *)

@@ -88,7 +88,7 @@ let kind_to_string = function Task -> "task" | Message -> "message" | Sync -> "s
 let sorted_events t =
   (* Stable sort on the start cycle keeps emission order among equal
      timestamps and makes the rendered stream monotonic, which both
-     Perfetto and the trace selfcheck rely on. *)
+     Perfetto and the chrome-trace test rely on. *)
   List.stable_sort (fun a b -> compare a.start_ts b.start_ts) (events t)
 
 let chrome_event e =

@@ -45,10 +45,6 @@ val sync : t -> node:int -> ts:int -> producer:int -> consumer:int -> unit
 val events : t -> event list
 (** Surviving events, oldest first (emission order). *)
 
-val sorted_events : t -> event list
-(** Surviving events, stably sorted by start cycle — the order
-    {!to_chrome} and {!to_jsonl} render in. *)
-
 val length : t -> int
 (** Number of surviving events. *)
 

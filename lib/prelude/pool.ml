@@ -138,8 +138,6 @@ let parallel_map t f xs =
     end
   end
 
-let parallel_iter t f xs = ignore (parallel_map t f xs)
-
 let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

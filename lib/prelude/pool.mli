@@ -35,8 +35,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
     exception of the lowest-index failure is re-raised (with its
     backtrace). *)
 
-val parallel_iter : t -> ('a -> unit) -> 'a list -> unit
-
 val run_serially : (unit -> 'a) -> 'a
 (** [run_serially f] runs [f ()] with this domain marked as a pool
     worker, forcing any [parallel_map] it performs onto the serial

@@ -21,7 +21,7 @@ type 'a t = {
   mutable n_evictions : int;
 }
 
-let create ?(metrics = Metrics.disabled) ~name ~capacity () =
+let create ?(metrics = Metrics.none) ~name ~capacity () =
   let inst kind = Metrics.counter metrics (Printf.sprintf "serve.cache_%s{cache=%s}" kind name) in
   {
     name;

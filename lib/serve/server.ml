@@ -71,7 +71,7 @@ let plain_text s = reply_of ~ok:true ~cached:false ~key:"" s
 
 (* Body serialization is charged to its own "render" phase so that, on a
    cold traced request, the recorded phases account for (nearly) all of
-   the request wall time — the reconciliation check.sh enforces. *)
+   the request wall time (test_serve's "cold phases cover latency"). *)
 let rendered spans f = Ndp_obs.Span.with_span spans "render" f
 
 let error msg = reply_of ~ok:false ~cached:false ~key:"" (body (Json.Obj [ ("error", Json.Str msg) ]))

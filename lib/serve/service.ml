@@ -667,13 +667,7 @@ let analyze_fusion ?pool (job : Pipeline.Job.t) =
 (* ------------------------------------------------------------------ *)
 (* inject                                                              *)
 
-type inject_outcome = {
-  i_result : Pipeline.result;
-  i_plan : Plan.t;
-  i_reg : Metrics.t;
-  i_doc : Render.Json.t;
-  i_human : unit -> string;
-}
+type inject_outcome = { i_doc : Render.Json.t; i_human : unit -> string }
 
 let inject ?pool ?(spans = Ndp_obs.Span.none) ~spec (job : Pipeline.Job.t) =
   let config = job.Pipeline.Job.config in
@@ -715,4 +709,4 @@ let inject ?pool ?(spans = Ndp_obs.Span.none) ~spec (job : Pipeline.Job.t) =
          else [])
       @ if fault_rows = [] then [] else ("fault counters:" :: fault_rows))
   in
-  { i_result = r; i_plan = plan; i_reg = reg; i_doc = doc; i_human = human }
+  { i_doc = doc; i_human = human }

@@ -136,13 +136,7 @@ val analyze_fusion :
     reconciliation discipline as {!analyze}, aimed at the fusion pass's
     own savings predictions. *)
 
-type inject_outcome = {
-  i_result : Ndp_core.Pipeline.result;
-  i_plan : Ndp_fault.Plan.t;
-  i_reg : Ndp_obs.Metrics.t;
-  i_doc : Ndp_obs.Render.Json.t;
-  i_human : unit -> string;
-}
+type inject_outcome = { i_doc : Ndp_obs.Render.Json.t; i_human : unit -> string }
 
 val inject :
   ?pool:Ndp_prelude.Pool.t ->

@@ -95,7 +95,7 @@ let create ?(obs = Ndp_obs.Sink.none) ?faults machine =
     m_syncs = Metrics.vec reg "core.syncs" ~size:n ~label:node_label;
     m_stall_cycles =
       (* Registered only under a plan, keeping fault-free dumps unchanged. *)
-      Metrics.counter (match faults with Some _ -> reg | None -> Metrics.disabled) "fault.stall_cycles";
+      Metrics.counter (match faults with Some _ -> reg | None -> Metrics.none) "fault.stall_cycles";
   }
 
 let machine t = t.machine

@@ -97,7 +97,7 @@ let create ?(obs = Ndp_obs.Sink.none) ?faults (config : Config.t) =
     m_mc_requests = Metrics.vec reg "mem.mc_requests" ~size:n ~label:node_label;
     m_mc_penalty =
       (* Registered only under a plan, keeping fault-free dumps unchanged. *)
-      Metrics.counter (match faults with Some _ -> reg | None -> Metrics.disabled) "fault.mc_penalty_cycles";
+      Metrics.counter (match faults with Some _ -> reg | None -> Metrics.none) "fault.mc_penalty_cycles";
     ledger = obs.Ndp_obs.Sink.ledger;
   }
 

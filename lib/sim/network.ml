@@ -54,7 +54,7 @@ let create ?(obs = Ndp_obs.Sink.none) ?faults (config : Config.t) =
   (* fault.* instruments live in the registry only when a plan is present,
      so fault-free metric dumps are byte-identical to pre-fault output. *)
   let fault_registry =
-    match faults with Some _ -> registry | None -> Metrics.disabled
+    match faults with Some _ -> registry | None -> Metrics.none
   in
   (match faults with
   | None -> ()

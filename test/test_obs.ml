@@ -1,7 +1,6 @@
-(* Observability subsystem: registry semantics, sharded-merge determinism
-   under the pool, trace ring behaviour, Chrome-JSON well-formedness, and
-   the no-perturbation guarantee (observed runs byte-identical to
-   unobserved ones). *)
+(* Observability subsystem: registry semantics, trace ring behaviour,
+   Chrome-JSON well-formedness, and the no-perturbation guarantee
+   (observed runs byte-identical to unobserved ones). *)
 
 module M = Ndp_obs.Metrics
 module T = Ndp_obs.Trace
@@ -183,61 +182,16 @@ let registry_same_name_same_handle () =
   Alcotest.(check int) "shared storage" 7 (M.counter_value a)
 
 let disabled_inert () =
-  Alcotest.(check bool) "disabled flag" false (M.enabled M.disabled);
-  let c = M.counter M.disabled "dead.count" in
-  let v = M.vec M.disabled "dead.vec" ~size:4 ~label:string_of_int in
-  let h = M.histogram M.disabled "dead.hist" in
+  Alcotest.(check bool) "disabled flag" false (M.enabled M.none);
+  let c = M.counter M.none "dead.count" in
+  let v = M.vec M.none "dead.vec" ~size:4 ~label:string_of_int in
+  let h = M.histogram M.none "dead.hist" in
   M.add c 10;
   M.vadd v 1 10;
   M.observe h 10.0;
-  M.set_gauge (M.gauge M.disabled "dead.gauge") 1.0;
+  M.set_gauge (M.gauge M.none "dead.gauge") 1.0;
   Alcotest.(check int) "dead counter stays zero" 0 (M.counter_value c);
-  Alcotest.(check (list string)) "nothing registered" [] (List.map fst (M.to_alist M.disabled))
-
-let merge_counters_commute () =
-  let build bumps =
-    let reg = M.create () in
-    List.iter
-      (fun (name, v) -> M.add (M.counter reg name) v)
-      bumps;
-    reg
-  in
-  let a = build [ ("x", 1); ("y", 2) ] in
-  let b = build [ ("y", 40); ("z", 5) ] in
-  let c = build [ ("x", 100) ] in
-  let totals regs =
-    List.filter_map
-      (fun (name, s) -> match s with M.Counter_v v -> Some (name, v) | _ -> None)
-      (M.to_alist (M.merge regs))
-  in
-  let expected = [ ("x", 101); ("y", 42); ("z", 5) ] in
-  Alcotest.(check (list (pair string int))) "abc" expected (totals [ a; b; c ]);
-  Alcotest.(check (list (pair string int))) "cba" expected (totals [ c; b; a ])
-
-let sharded_pool_deterministic () =
-  let items = List.init 100 (fun i -> i + 1) in
-  let collect jobs =
-    let sh = M.Sharded.create () in
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.parallel_iter pool
-          (fun i ->
-            let reg = M.Sharded.local sh in
-            M.add (M.counter reg "sum") i;
-            M.vadd (M.vec reg "mod" ~size:8 ~label:(fun s -> Printf.sprintf "r=%d" s)) (i mod 8) 1)
-          items);
-    List.filter_map
-      (fun (name, s) -> match s with M.Counter_v v -> Some (name, v) | _ -> None)
-      (M.to_alist (M.Sharded.merged sh))
-  in
-  let serial = collect 1 in
-  Alcotest.(check (list (pair string int))) "serial total"
-    (List.init 8 (fun r ->
-         (* items 1..100 mod 8: residues 1..4 appear 13 times, the rest 12 *)
-         (Printf.sprintf "mod{r=%d}" r), if r >= 1 && r <= 4 then 13 else 12)
-    @ [ ("sum", 5050) ])
-    (List.sort compare serial);
-  Alcotest.(check (list (pair string int))) "4 jobs == serial" serial (collect 4);
-  Alcotest.(check (list (pair string int))) "7 jobs == serial" serial (collect 7)
+  Alcotest.(check (list string)) "nothing registered" [] (List.map fst (M.to_alist M.none))
 
 (* {1 Tracer} *)
 
@@ -253,40 +207,48 @@ let ring_overflow () =
     (List.map (fun (e : T.event) -> e.T.id) (T.events t))
 
 let trace_chrome_well_formed () =
-  let obs = Sink.create ~metrics:true ~trace:true () in
-  let r = P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
-  Alcotest.(check int) "nothing dropped" 0 (T.dropped obs.Sink.trace);
-  let doc = Json.parse (T.to_chrome obs.Sink.trace) in
-  let events =
-    match Json.member "traceEvents" doc with
-    | Some (Json.Arr es) -> es
-    | _ -> Alcotest.fail "traceEvents array missing"
-  in
-  Alcotest.(check bool) "events present" true (events <> []);
-  let last_ts = ref (-1.0) in
-  let tasks = ref 0 in
-  let max_task_end = ref 0.0 in
   List.iter
-    (fun e ->
-      let ts = Json.num (Json.member "ts" e) in
-      Alcotest.(check bool) "ts monotone" true (ts >= !last_ts);
-      last_ts := ts;
-      match Json.str (Json.member "ph" e) with
-      | "X" ->
-        let dur = Json.num (Json.member "dur" e) in
-        Alcotest.(check bool) "dur non-negative" true (dur >= 0.0);
-        if Json.str (Json.member "cat" e) = "task" then begin
-          incr tasks;
-          if ts +. dur > !max_task_end then max_task_end := ts +. dur
-        end
-      | "i" -> Alcotest.(check string) "sync cat" "sync" (Json.str (Json.member "cat" e))
-      | ph -> Alcotest.fail ("unexpected phase " ^ ph))
-    events;
-  (* The trace must reconcile with the aggregate stats: one complete event
-     per executed task, ending at the simulated finish time. *)
-  Alcotest.(check int) "task events == Stats.tasks" (Stats.tasks r.P.stats) !tasks;
-  Alcotest.(check int) "last task ends at finish_time" (Stats.finish_time r.P.stats)
-    (int_of_float !max_task_end)
+    (fun app ->
+      let obs = Sink.create ~metrics:true ~trace:true () in
+      let r =
+        P.Job.run ~obs
+          (P.Job.make (P.Partitioned P.partitioned_defaults) (Ndp_workloads.Suite.find app))
+      in
+      let check_int what = Alcotest.(check int) (app ^ ": " ^ what) in
+      let check_bool what = Alcotest.(check bool) (app ^ ": " ^ what) true in
+      check_int "nothing dropped" 0 (T.dropped obs.Sink.trace);
+      let doc = Json.parse (T.to_chrome obs.Sink.trace) in
+      let events =
+        match Json.member "traceEvents" doc with
+        | Some (Json.Arr es) -> es
+        | _ -> Alcotest.fail "traceEvents array missing"
+      in
+      check_bool "events present" (events <> []);
+      let last_ts = ref (-1.0) in
+      let tasks = ref 0 in
+      let max_task_end = ref 0.0 in
+      List.iter
+        (fun e ->
+          let ts = Json.num (Json.member "ts" e) in
+          check_bool "ts monotone" (ts >= !last_ts);
+          last_ts := ts;
+          match Json.str (Json.member "ph" e) with
+          | "X" ->
+            let dur = Json.num (Json.member "dur" e) in
+            check_bool "dur non-negative" (dur >= 0.0);
+            if Json.str (Json.member "cat" e) = "task" then begin
+              incr tasks;
+              if ts +. dur > !max_task_end then max_task_end := ts +. dur
+            end
+          | "i" -> Alcotest.(check string) "sync cat" "sync" (Json.str (Json.member "cat" e))
+          | ph -> Alcotest.fail ("unexpected phase " ^ ph))
+        events;
+      (* The trace must reconcile with the aggregate stats: one complete
+         event per executed task, ending at the simulated finish time. *)
+      check_int "task events == Stats.tasks" (Stats.tasks r.P.stats) !tasks;
+      check_int "last task ends at finish_time" (Stats.finish_time r.P.stats)
+        (int_of_float !max_task_end))
+    [ "water"; "mg" ]
 
 let trace_jsonl_lines_parse () =
   let obs = Sink.create ~metrics:false ~trace:true () in
@@ -423,27 +385,6 @@ let timeline_samples_run () =
   let hops_series = List.find (fun (s : TL.series) -> s.TL.name = "noc.flit_hops") series in
   let _, last_v = List.nth hops_series.TL.samples (List.length hops_series.TL.samples - 1) in
   Alcotest.(check int) "final sample == stats hops" (Stats.hops r.P.stats) last_v
-
-let timeline_merge_sums () =
-  let mk samples =
-    let t = TL.create ~interval:10 () in
-    let v = ref 0 in
-    TL.register t "c" (fun () -> !v);
-    List.iter
-      (fun (ts, value) ->
-        v := value;
-        TL.tick t ~now:ts)
-      samples;
-    t
-  in
-  let a = mk [ (10, 1); (20, 2) ] in
-  let b = mk [ (10, 5); (30, 9) ] in
-  let merged = TL.merge [ a; b ] in
-  match TL.series merged with
-  | [ s ] ->
-    Alcotest.(check (list (pair int int))) "step-summed union"
-      [ (10, 6); (20, 7); (30, 11) ] s.TL.samples
-  | ss -> Alcotest.fail (Printf.sprintf "expected 1 merged series, got %d" (List.length ss))
 
 let timeline_bounded () =
   let t = TL.create ~capacity:3 ~interval:10 () in
@@ -583,9 +524,8 @@ let span_exception_safe () =
   Alcotest.(check int) "span closed by exception path" 0 (Span.depth t);
   Alcotest.(check int) "span still recorded" 1 (Span.count t)
 
-(* Byte-identical span logs at any --jobs, two ways: the pipeline's own
-   phase spans (collector stays on the calling domain), and explicit
-   per-unit collectors merged in input order under [parallel_map]. *)
+(* Byte-identical span logs at any --jobs: the pipeline's phase spans stay
+   on the calling domain's collector whatever the pool size. *)
 let span_deterministic_across_jobs () =
   List.iter
     (fun app ->
@@ -601,39 +541,8 @@ let span_deterministic_across_jobs () =
       in
       let p1 = pipeline 1 in
       Alcotest.(check string) (app ^ " pipeline spans 4 jobs == serial") p1 (pipeline 4);
-      Alcotest.(check string) (app ^ " pipeline spans 7 jobs == serial") p1 (pipeline 7);
-      let merged jobs =
-        Pool.with_pool ~jobs (fun pool ->
-            let parts =
-              Pool.parallel_map pool
-                (fun i ->
-                  let t = Span.create ~clock:(fun () -> 0.0) () in
-                  Span.with_span t (Printf.sprintf "unit-%d" i) (fun () ->
-                      Span.with_span ~cycles:i t "inner" (fun () -> ()));
-                  t)
-                [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-            in
-            RJ.to_string (Span.to_json ~wall:false (Span.merge parts)))
-      in
-      let m1 = merged 1 in
-      Alcotest.(check string) (app ^ " merged spans 4 jobs == serial") m1 (merged 4);
-      Alcotest.(check string) (app ^ " merged spans 7 jobs == serial") m1 (merged 7))
+      Alcotest.(check string) (app ^ " pipeline spans 7 jobs == serial") p1 (pipeline 7))
     [ "water"; "fft" ]
-
-let span_merge_rebases_ids () =
-  let make names =
-    let t = Span.create ~clock:(fun () -> 0.0) () in
-    List.iter (fun n -> Span.with_span t n (fun () -> ())) names;
-    t
-  in
-  let a = make [ "a1"; "a2" ] in
-  let b = make [ "b1" ] in
-  let m = Span.merge [ a; Span.none; b ] in
-  Alcotest.(check int) "merged count" 3 (Span.count m);
-  Alcotest.(check (list (pair string int)))
-    "ids rebased in input order"
-    [ ("a1", 0); ("a2", 1); ("b1", 2) ]
-    (List.map (fun (n, i, _, _) -> (n, i)) (span_fields m))
 
 let span_pipeline_phases () =
   let phases scheme kernel =
@@ -759,8 +668,6 @@ let tests =
         Alcotest.test_case "registry instruments" `Quick registry_instruments;
         Alcotest.test_case "same name same handle" `Quick registry_same_name_same_handle;
         Alcotest.test_case "disabled handles inert" `Quick disabled_inert;
-        Alcotest.test_case "merge counters commute" `Quick merge_counters_commute;
-        Alcotest.test_case "sharded pool deterministic" `Quick sharded_pool_deterministic;
         Alcotest.test_case "ring overflow" `Quick ring_overflow;
         Alcotest.test_case "chrome trace well-formed" `Quick trace_chrome_well_formed;
         Alcotest.test_case "jsonl lines parse" `Quick trace_jsonl_lines_parse;
@@ -771,7 +678,6 @@ let tests =
         Alcotest.test_case "ledger deterministic across jobs" `Quick
           ledger_output_deterministic_across_jobs;
         Alcotest.test_case "timeline samples a run" `Quick timeline_samples_run;
-        Alcotest.test_case "timeline merge sums" `Quick timeline_merge_sums;
         Alcotest.test_case "timeline bounded" `Quick timeline_bounded;
         Alcotest.test_case "observed run identical" `Quick observed_run_identical;
         Alcotest.test_case "observed run identical under pool" `Quick observed_run_identical_under_pool;
@@ -781,7 +687,6 @@ let tests =
         Alcotest.test_case "span disabled inert" `Quick span_disabled_inert;
         Alcotest.test_case "span exception safe" `Quick span_exception_safe;
         Alcotest.test_case "span deterministic across jobs" `Slow span_deterministic_across_jobs;
-        Alcotest.test_case "span merge rebases ids" `Quick span_merge_rebases_ids;
         Alcotest.test_case "span pipeline phases" `Quick span_pipeline_phases;
         Alcotest.test_case "span chrome containment" `Quick span_chrome_containment;
         Alcotest.test_case "prometheus exposition valid" `Quick prometheus_exposition_valid;

@@ -215,29 +215,6 @@ let batch_matches_solo_and_parallel () =
   List.iter2 (check_same_result "serial") solo serial;
   List.iter2 (check_same_result "pooled") solo pooled
 
-(* The Metrics.Sharded discipline: counter totals merged across shards are
-   the same whether the batch ran on one domain or several. *)
-let batch_sharded_metrics_deterministic () =
-  let counter_samples sh =
-    List.filter_map
-      (fun (name, s) ->
-        match s with Ndp_obs.Metrics.Counter_v v -> Some (name, v) | _ -> None)
-      (Ndp_obs.Metrics.to_alist (Ndp_obs.Metrics.Sharded.merged sh))
-  in
-  let sh_serial = Ndp_obs.Metrics.Sharded.create () in
-  ignore (P.run_batch ~metrics:sh_serial (batch_jobs ()));
-  let sh_pooled = Ndp_obs.Metrics.Sharded.create () in
-  ignore
-    (Ndp_prelude.Pool.with_pool ~jobs:4 (fun pool ->
-         P.run_batch ~pool ~metrics:sh_pooled (batch_jobs ())));
-  let a = counter_samples sh_serial and b = counter_samples sh_pooled in
-  Alcotest.(check int) "same sample count" (List.length a) (List.length b);
-  List.iter2
-    (fun (na, va) (nb, vb) ->
-      Alcotest.(check string) "same counter" na nb;
-      Alcotest.(check int) na va vb)
-    a b
-
 let tests =
   [
     ( "pipeline",
@@ -264,6 +241,5 @@ let tests =
           replay_identical_every_memory_mode;
         Alcotest.test_case "replay cost model" `Quick replay_cost_model_shifts;
         Alcotest.test_case "batch matches solo" `Slow batch_matches_solo_and_parallel;
-        Alcotest.test_case "batch sharded metrics" `Slow batch_sharded_metrics_deterministic;
       ] );
   ]

@@ -432,6 +432,28 @@ let replies_are_traced () =
       | Some (Metrics.Histogram_v h) -> Alcotest.(check int) "aggregate counts all" 4 h.count
       | _ -> Alcotest.fail "no aggregate latency histogram")
 
+(* Under the wall clock, the phase spans of a cold profile account for
+   nearly all of the request latency: what runs outside a named phase
+   (key digest, cache lookup, framing) stays under 5%. *)
+let cold_phases_cover_latency () =
+  let server = Server.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown server)
+    (fun () ->
+      let r =
+        Server.handle server
+          (Protocol.Profile { spec = Protocol.default_spec ~app:"fft"; interval = 1000; top = 10 })
+      in
+      Alcotest.(check bool) "cold" false r.Server.cached;
+      let phase_ms =
+        List.fold_left
+          (fun acc (name, (_, ms, _)) -> if name = "request" then acc else acc +. ms)
+          0.0 (Span.summary r.Server.spans)
+      in
+      if phase_ms < 0.95 *. r.Server.ms || phase_ms > r.Server.ms then
+        Alcotest.failf "phase spans %.3f ms vs request %.3f ms (ratio %.3f)" phase_ms r.Server.ms
+          (phase_ms /. r.Server.ms))
+
 let metrics_text_exposition () =
   let server = Server.create ~clock:(test_clock ()) () in
   Fun.protect
@@ -558,7 +580,9 @@ let op_names_cover_requests () =
    A daemon process (the CLI's [serve], spawned rather than forked: the
    test process may already hold live pool domains) gets a cold run, the
    client hangs up at once, and a fresh connection must still be answered
-   by the same process. *)
+   by the same process. That connection then sends one profile request
+   twice: the repeat is a result-cache hit whose body is byte-identical to
+   the cold reply's. *)
 let daemon_survives_hangup () =
   let socket_path = Filename.temp_file "ndp_serve" ".sock" in
   Sys.remove socket_path;
@@ -610,6 +634,22 @@ let daemon_survives_hangup () =
       | Error m | (exception Sys_error m) -> Alcotest.failf "ping after the hang-up failed: %s" m);
       Alcotest.(check bool) "daemon still running" true
         (fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0);
+      let profile () =
+        match
+          Ndp_serve.Client.rpc client
+            (Protocol.Profile
+               { spec = Protocol.default_spec ~app:"fft"; interval = 1000; top = 10 })
+        with
+        | Ok (env, body) ->
+          Alcotest.(check bool) "profile ok" true env.Protocol.ok;
+          (env.Protocol.cached, body)
+        | Error m | (exception Sys_error m) -> Alcotest.failf "profile over the socket failed: %s" m
+      in
+      let cold_cached, cold = profile () in
+      let warm_cached, warm = profile () in
+      Alcotest.(check bool) "first profile is cold" false cold_cached;
+      Alcotest.(check bool) "repeat profile is cached" true warm_cached;
+      Alcotest.(check string) "cached body byte-identical" cold warm;
       ignore (Ndp_serve.Client.rpc client Protocol.Shutdown);
       Ndp_serve.Client.close client;
       match reap () with
@@ -639,6 +679,7 @@ let tests =
         Alcotest.test_case "analytic spelling shares the adaptive key" `Quick
           analytic_spelling_shares_key;
         Alcotest.test_case "replies are traced" `Quick replies_are_traced;
+        Alcotest.test_case "cold phases cover latency" `Quick cold_phases_cover_latency;
         Alcotest.test_case "metrics-text exposition" `Quick metrics_text_exposition;
         Alcotest.test_case "cache-stats latency section" `Quick cache_stats_latency_section;
         Alcotest.test_case "access log JSONL" `Quick access_log_jsonl;
