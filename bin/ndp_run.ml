@@ -518,21 +518,19 @@ let codegen_act kernel =
   | nest :: _ ->
     let envs = Ndp_ir.Loop.iterations nest in
     let mesh_size = Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh ctx.Ndp_core.Context.machine) in
-    let metas =
+    let triples =
       List.concat
         (List.mapi
            (fun ii env ->
              List.mapi
                (fun si stmt ->
-                 {
-                   Ndp_core.Window.group = (ii * List.length nest.Ndp_ir.Loop.body) + si;
-                   default_node = ii mod mesh_size;
-                   inst = { Ndp_ir.Dependence.stmt_idx = si; stmt; env };
-                 })
+                 ( (ii * List.length nest.Ndp_ir.Loop.body) + si,
+                   ii mod mesh_size,
+                   { Ndp_ir.Dependence.stmt_idx = si; stmt; env } ))
                nest.Ndp_ir.Loop.body)
            envs)
     in
-    let window = List.filteri (fun i _ -> i < 4) metas in
+    let window = Ndp_core.Staged.make ctx (List.filteri (fun i _ -> i < 4) triples) in
     let compiled = Ndp_core.Window.compile ctx window in
     List.iter
       (fun (m : Ndp_core.Window.meta) ->
@@ -541,7 +539,7 @@ let codegen_act kernel =
           (Format.asprintf "%a" Ndp_ir.Env.pp m.Ndp_core.Window.inst.Ndp_ir.Dependence.env))
       window;
     print_newline ();
-    print_endline (Ndp_core.Codegen.emit (List.map fst compiled.Ndp_core.Window.tasks))
+    print_endline (Ndp_core.Codegen.emit (List.map fst (Lazy.force compiled.Ndp_core.Window.tasks)))
 
 let dot_act kernel =
   let ctx = Pipeline.static_context Pipeline.Default kernel in
@@ -549,21 +547,16 @@ let dot_act kernel =
   | [] -> prerr_endline "kernel has no loop nests"
   | nest :: _ ->
     let env = List.hd (Ndp_ir.Loop.iterations nest) in
-    let stmt = List.hd nest.Ndp_ir.Loop.body in
-    let split = Ndp_core.Splitter.split ctx ~store_node:0 stmt env in
-    print_endline (Ndp_core.Graphviz.statement_mst split);
     let metas =
-      List.mapi
-        (fun si stmt ->
-          {
-            Ndp_core.Window.group = si;
-            default_node = 0;
-            inst = { Ndp_ir.Dependence.stmt_idx = si; stmt; env };
-          })
-        nest.Ndp_ir.Loop.body
+      Ndp_core.Staged.make ctx
+        (List.mapi
+           (fun si stmt -> (si, 0, { Ndp_ir.Dependence.stmt_idx = si; stmt; env }))
+           nest.Ndp_ir.Loop.body)
     in
+    let split = Ndp_core.Splitter.split ctx ~store_node:0 (List.hd metas) in
+    print_endline (Ndp_core.Graphviz.statement_mst split);
     let compiled = Ndp_core.Window.compile ctx metas in
-    print_endline (Ndp_core.Graphviz.task_graph compiled.Ndp_core.Window.tasks)
+    print_endline (Ndp_core.Graphviz.task_graph (Lazy.force compiled.Ndp_core.Window.tasks))
 
 let check_act kernel cluster memory window fuse format jobs =
   let config = config_of cluster memory in

@@ -48,6 +48,11 @@ if [ -n "$failures" ]; then
   exit 1
 fi
 
+# Library + CLI size, counted the same way every time: the tracked .ml and
+# .mli files under lib/ and bin/.
+lines=$(git ls-files -z -- 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bin/*.mli' | xargs -0 cat | wc -l)
+echo "lines lib+bin: $lines"
+
 total=$(($(now) - t_start))
 # Wall-clock budget: warn (without failing) when the full gate overruns,
 # so a perf regression surfaces in every run, not only when someone

@@ -105,8 +105,7 @@ let nest_movement ~scheme config ctx (nest : Loop.nest) metas =
     List.iter
       (fun (m : Window.meta) ->
         let est =
-          Splitter.default_movement ctx ~store_node:m.Window.default_node m.Window.inst.Dep.stmt
-            m.Window.inst.Dep.env
+          Splitter.default_movement ctx ~store_node:m.Window.default_node m
         in
         let si = m.Window.inst.Dep.stmt_idx in
         links.(si) <- links.(si) + est)
@@ -207,8 +206,7 @@ let lint_kernel ?(config = Config.default) (kernel : Kernel.t) =
           List.iter
             (fun (m : Window.meta) ->
               let est =
-                Splitter.default_movement ctx ~store_node:m.Window.default_node
-                  m.Window.inst.Dep.stmt m.Window.inst.Dep.env
+                Splitter.default_movement ctx ~store_node:m.Window.default_node m
               in
               links.(m.Window.inst.Dep.stmt_idx) <- links.(m.Window.inst.Dep.stmt_idx) + est)
             sample;

@@ -19,7 +19,7 @@ let of_compiled ~kernel ~nest metas (compiled : Window.compiled) =
     v_kernel = kernel;
     v_nest = nest;
     v_metas = metas;
-    v_tasks = List.map fst compiled.Window.tasks;
+    v_tasks = List.map fst (Lazy.force compiled.Window.tasks);
     v_sync_arcs = compiled.Window.sync_arcs;
     v_roots = compiled.Window.roots;
     v_serialized = false;

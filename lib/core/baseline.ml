@@ -10,22 +10,16 @@ let home (ctx : Context.t) va = Ndp_sim.Machine.home_node ctx.machine ~va
    node, so the per-(iteration, candidate) walk only lives in this
    comment. *)
 
-let assign_iterations (ctx : Context.t) nest iterations =
+let assign_iterations (ctx : Context.t) nest (s : Staged.stream) =
   let mesh = Context.mesh ctx in
   let num_nodes = Mesh.size mesh in
-  let iters = Array.of_list iterations in
   (* Chunk one sweep of the iteration space and repeat the assignment for
      the remaining sweeps: each core owns the same iterations of every
      sweep, as an OpenMP-style static schedule would. *)
   let period = max 1 (Ndp_ir.Loop.base_trip_count nest) in
-  let iters = Array.sub iters 0 (min period (Array.length iters)) in
-  let trips = Array.length iters in
-  let stmt_refs =
-    Array.of_list
-      (List.map
-         (fun stmt -> Ndp_ir.Stmt.output stmt :: Ndp_ir.Stmt.inputs stmt)
-         nest.Ndp_ir.Loop.body)
-  in
+  let iterations = Array.length s.Staged.envs in
+  let trips = min period iterations in
+  let stride = s.Staged.stride and addrs = s.Staged.stream_addrs in
   let assign ~usable ~distance =
     (* The chunk count tracks the usable-node count so the greedy
        matching below always finds a free node; should a plan ever avoid
@@ -57,15 +51,13 @@ let assign_iterations (ctx : Context.t) nest iterations =
       let lo, hi = bounds k in
       let h = hist.(k) in
       for i = lo to hi - 1 do
-        let env = iters.(i) in
-        Array.iter
-          (List.iter (fun r ->
-               match ctx.Context.runtime_resolve r env with
-               | None -> ()
-               | Some va ->
-                 let bank = home ctx va in
-                 h.(bank) <- h.(bank) + 1))
-          stmt_refs
+        for j = i * stride to ((i + 1) * stride) - 1 do
+          let va = addrs.(j) in
+          if va <> Staged.none then begin
+            let bank = home ctx va in
+            h.(bank) <- h.(bank) + 1
+          end
+        done
       done;
       let extra = usable_count - k - 1 in
       if extra > 0 then
@@ -121,32 +113,26 @@ let assign_iterations (ctx : Context.t) nest iterations =
   | None -> ()
   | Some _ ->
     let plain = assign ~usable:(fun _ -> true) ~distance:(Mesh.distance mesh) in
-    let sweeps = List.length iterations / max 1 trips in
+    let sweeps = iterations / max 1 trips in
     Array.iteri
       (fun i node ->
         if node <> plain.(i) then
           ctx.Context.remapped_tasks <- ctx.Context.remapped_tasks + sweeps)
       assignment);
-  Array.init (List.length iterations) (fun i -> assignment.(i mod trips))
+  Array.init iterations (fun i -> assignment.(i mod trips))
 
-let compile_instance (ctx : Context.t) ~group ~node (inst : Ndp_ir.Dependence.instance) =
-  let stmt = inst.Ndp_ir.Dependence.stmt in
-  let env = inst.Ndp_ir.Dependence.env in
-  let operand r =
-    Option.map
-      (fun va -> Task.Load { va; bytes = Context.bytes_of ctx r })
-      (ctx.runtime_resolve r env)
-  in
-  let operands = List.filter_map operand (Ndp_ir.Stmt.inputs stmt) in
-  let store =
-    Option.map
-      (fun va -> (va, Context.bytes_of ctx (Ndp_ir.Stmt.output stmt)))
-      (ctx.runtime_resolve (Ndp_ir.Stmt.output stmt) env)
-  in
+let compile_instance (ctx : Context.t) ~group ~node (m : Staged.meta) =
+  let shape = m.Staged.shape in
+  let operands = ref [] in
+  for k = Array.length shape.Staged.refs - 1 downto 1 do
+    let va = Staged.runtime_va m k in
+    if va <> Staged.none then
+      operands := Task.Load { va; bytes = shape.Staged.bytes.(k) } :: !operands
+  done;
+  let va = Staged.runtime_va m 0 in
   Task.make
     ~id:(Context.fresh_task_id ctx)
-    ~group ~node
-    ~ops:(Ndp_ir.Expr.ops stmt.Ndp_ir.Stmt.rhs)
-    ~operands ?store
+    ~group ~node ~ops:shape.Staged.ops_list ~operands:!operands
+    ?store:(if va = Staged.none then None else Some (va, shape.Staged.bytes.(0)))
     ~label:("g" ^ string_of_int group ^ ":default")
     ()

@@ -32,8 +32,3 @@ let emit tasks =
       (String.concat "\n" (List.concat_map task_lines entries))
   in
   String.concat "\n" (List.map render nodes)
-
-let emit_statement ctx ~store_node stmt env =
-  let split = Splitter.split ctx ~store_node stmt env in
-  let sched = Schedule.schedule ctx ~group:0 split stmt env in
-  emit sched.Schedule.tasks

@@ -4,7 +4,3 @@
 
 val emit : Ndp_sim.Task.t list -> string
 (** Group the tasks by node and print each node's program. *)
-
-val emit_statement :
-  Context.t -> store_node:int -> Ndp_ir.Stmt.t -> Ndp_ir.Env.t -> string
-(** Convenience: split + schedule one statement instance and render it. *)

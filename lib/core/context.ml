@@ -19,12 +19,13 @@ type t = {
   machine : Ndp_sim.Machine.t;
   config : Ndp_sim.Config.t;
   predictor : Ndp_mem.Miss_predictor.t;
-  compiler_resolve : Ndp_ir.Dependence.resolver;
   runtime_resolve : Ndp_ir.Dependence.resolver;
+  indirect_known : bool;
   arrays : Ndp_ir.Array_decl.t list;
   decls : Ndp_ir.Array_decl.t array; (* [arrays] staged for scanning *)
   scratch_guf : Ndp_graph.Union_find.t; (* splitter scratch, mesh-sized *)
   mutable scratch_mst : Ndp_graph.Union_find.t; (* splitter scratch, grown on demand *)
+  scratch_ints : int array array; (* splitter stacks, one per slot, grown on demand *)
   loads : int array;
   mutable loads_total : int; (* running sum of [loads], for [balanced] *)
   var2node : (int, int * int) Hashtbl.t; (* line -> node, statement stamp *)
@@ -37,7 +38,9 @@ type t = {
   options : options;
 }
 
-let create ~machine ~compiler_resolve ~runtime_resolve ~arrays ?repair ~options () =
+let scratch_slots = 4
+
+let create ~machine ~runtime_resolve ~indirect_known ~arrays ?repair ~options () =
   let config = Ndp_sim.Machine.config machine in
   let map = Ndp_sim.Config.addr_map config in
   {
@@ -46,12 +49,13 @@ let create ~machine ~compiler_resolve ~runtime_resolve ~arrays ?repair ~options 
     predictor =
       Ndp_mem.Miss_predictor.create
         ~capacity_blocks:config.Ndp_sim.Config.predictor_capacity_blocks map;
-    compiler_resolve;
     runtime_resolve;
+    indirect_known;
     arrays;
     decls = Array.of_list arrays;
     scratch_guf = Ndp_graph.Union_find.create (Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine));
     scratch_mst = Ndp_graph.Union_find.create 16;
+    scratch_ints = Array.make scratch_slots [||];
     loads = Array.make (Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine)) 0;
     loads_total = 0;
     var2node = Hashtbl.create 256;
@@ -112,6 +116,12 @@ let scratch_mst t ~at_least =
   else Ndp_graph.Union_find.reset t.scratch_mst;
   t.scratch_mst
 
+let scratch_ints t ~slot ~at_least =
+  let a = t.scratch_ints.(slot) in
+  if Array.length a < at_least then
+    t.scratch_ints.(slot) <- Array.make (max at_least (2 * Array.length a)) 0;
+  t.scratch_ints.(slot)
+
 let mesh t = Ndp_sim.Machine.mesh t.machine
 
 let clear_reuse t =
@@ -163,6 +173,7 @@ let fork_for_estimate t =
     t with
     scratch_guf = Ndp_graph.Union_find.create (Ndp_graph.Union_find.capacity t.scratch_guf);
     scratch_mst = Ndp_graph.Union_find.create 16;
+    scratch_ints = Array.make scratch_slots [||];
     loads = Array.copy t.loads;
     var2node = Hashtbl.copy t.var2node;
     var2node_fifo = Queue.copy t.var2node_fifo;

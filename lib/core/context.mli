@@ -20,12 +20,15 @@ type t = {
   machine : Ndp_sim.Machine.t;
   config : Ndp_sim.Config.t;
   predictor : Ndp_mem.Miss_predictor.t;
-  compiler_resolve : Ndp_ir.Dependence.resolver;
-  runtime_resolve : Ndp_ir.Dependence.resolver;
+  runtime_resolve : Ndp_ir.Dependence.resolver; (** ground truth *)
+  indirect_known : bool;
+      (** the inspector has run, or ideal data analysis: the compiler sees
+          the runtime address of indirect references too *)
   arrays : Ndp_ir.Array_decl.t list;
   decls : Ndp_ir.Array_decl.t array; (** [arrays] staged for scanning *)
   scratch_guf : Ndp_graph.Union_find.t; (** splitter scratch, mesh-sized *)
   mutable scratch_mst : Ndp_graph.Union_find.t; (** splitter scratch, grown on demand *)
+  scratch_ints : int array array; (** splitter stacks, see {!scratch_ints} *)
   loads : int array; (** accumulated op cost per node, for balancing *)
   mutable loads_total : int; (** running sum of [loads] *)
   var2node : (int, int * int) Hashtbl.t;
@@ -43,8 +46,8 @@ type t = {
 
 val create :
   machine:Ndp_sim.Machine.t ->
-  compiler_resolve:Ndp_ir.Dependence.resolver ->
   runtime_resolve:Ndp_ir.Dependence.resolver ->
+  indirect_known:bool ->
   arrays:Ndp_ir.Array_decl.t list ->
   ?repair:Ndp_fault.Plan.t ->
   options:options ->
@@ -69,6 +72,11 @@ val scratch_guf : t -> Ndp_graph.Union_find.t
 val scratch_mst : t -> at_least:int -> Ndp_graph.Union_find.t
 (** Per-MST union-find scratch with at least [at_least] elements, reset to
     all singletons. Valid until the next [scratch_mst] call. *)
+
+val scratch_ints : t -> slot:int -> at_least:int -> int array
+(** Int scratch [slot] (0 to 3), at least [at_least] cells, contents
+    unspecified: the splitter's stacks and the scheduler's level counts.
+    Forked contexts get their own. *)
 
 val mesh : t -> Ndp_noc.Mesh.t
 

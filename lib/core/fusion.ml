@@ -1,7 +1,5 @@
 module Dep = Ndp_ir.Dependence
-module Stmt = Ndp_ir.Stmt
 module Reference = Ndp_ir.Reference
-module Subscript = Ndp_ir.Subscript
 module Config = Ndp_sim.Config
 
 type slot = { f_node : int; f_elide : bool }
@@ -15,8 +13,9 @@ type decision = {
   d_pred_saved_flit_hops : int;
 }
 
-let plan (ctx : Context.t) ~nest ~window ~capacity ~shared ~default_node insts deps =
-  let n = Array.length insts in
+let plan (ctx : Context.t) ~nest ~window ~capacity ~shared ~default_node (metas : Staged.meta array)
+    deps =
+  let n = Array.length metas in
   let slots = Array.make (max 1 n) None in
   if capacity <= 0 || n = 0 || window <= 0 then (slots, [])
   else begin
@@ -40,11 +39,9 @@ let plan (ctx : Context.t) ~nest ~window ~capacity ~shared ~default_node insts d
           | Dep.Anti -> ())
       deps;
     let affine =
-      Array.init n (fun i ->
-          let stmt = insts.(i).Dep.stmt in
-          List.for_all Reference.analyzable (Stmt.output stmt :: Stmt.inputs stmt))
+      Array.init n (fun i -> Array.for_all Fun.id metas.(i).Staged.shape.Staged.affine)
     in
-    let out_array i = (Stmt.output insts.(i).Dep.stmt).Reference.array in
+    let out_array i = metas.(i).Staged.shape.Staged.refs.(0).Reference.array in
     (* Candidate link i -> j: j is i's only live reader and the pair can
        share a node and a window chunk. *)
     let succ = Array.make n (-1) in
@@ -72,19 +69,18 @@ let plan (ctx : Context.t) ~nest ~window ~capacity ~shared ~default_node insts d
     Array.fill preds 0 n 0;
     Array.iter (fun j -> if j >= 0 then preds.(j) <- preds.(j) + 1) succ;
     let lines_of i =
-      let inst = insts.(i) in
+      let m = metas.(i) in
       List.filter_map
-        (fun r ->
-          match ctx.Context.compiler_resolve r inst.Dep.env with
-          | Some va -> Some (va / line_bytes)
-          | None -> None)
-        (Stmt.output inst.Dep.stmt :: Stmt.inputs inst.Dep.stmt)
+        (fun k ->
+          let va = Staged.compiler_va ctx m k in
+          if va = Staged.none then None else Some (va / line_bytes))
+        (List.init (Array.length m.Staged.shape.Staged.refs) Fun.id)
     in
     let line_flits = Config.flits_of_bytes ctx.Context.config line_bytes in
     let home_of i =
-      match ctx.Context.compiler_resolve (Stmt.output insts.(i).Dep.stmt) insts.(i).Dep.env with
-      | Some va -> Some (Ndp_sim.Machine.compiler_home_node ctx.Context.machine ~va)
-      | None -> None
+      let va = Staged.compiler_va ctx metas.(i) 0 in
+      if va = Staged.none then None
+      else Some (Ndp_sim.Machine.compiler_home_node ctx.Context.machine ~va)
     in
     let decisions = Hashtbl.create 16 in
     let record chain =
@@ -110,14 +106,12 @@ let plan (ctx : Context.t) ~nest ~window ~capacity ~shared ~default_node insts d
         let ectx = Context.fork_for_estimate ctx in
         List.fold_left
           (fun acc i ->
-            let inst = insts.(i) in
-            let stmt = inst.Dep.stmt in
             let normal = match home_of i with Some h -> h | None -> node in
-            let fused_cost = Splitter.default_movement ectx ~store_node:node stmt inst.Dep.env in
+            let fused_cost = Splitter.default_movement ectx ~store_node:node metas.(i) in
             let unfused_cost =
               min
-                (Splitter.split ectx ~store_node:normal stmt inst.Dep.env).Splitter.est_movement
-                (Splitter.default_movement ectx ~store_node:normal stmt inst.Dep.env)
+                (Splitter.split ectx ~store_node:normal metas.(i)).Splitter.est_movement
+                (Splitter.default_movement ectx ~store_node:normal metas.(i))
             in
             acc + max 0 (fused_cost - unfused_cost))
           0 chain
@@ -125,7 +119,7 @@ let plan (ctx : Context.t) ~nest ~window ~capacity ~shared ~default_node insts d
       if saved_links > penalty then begin
         List.iter (fun i -> slots.(i) <- Some { f_node = node; f_elide = true }) chain;
         slots.(tail) <- Some { f_node = node; f_elide = false };
-        let stmts = List.map (fun i -> insts.(i).Dep.stmt_idx) chain in
+        let stmts = List.map (fun i -> metas.(i).Staged.inst.Dep.stmt_idx) chain in
         let arrays = List.sort_uniq compare (List.map out_array elided) in
         let cur =
           match Hashtbl.find_opt decisions stmts with

@@ -52,7 +52,7 @@ val plan :
   capacity:int ->
   shared:(string, unit) Hashtbl.t ->
   default_node:int array ->
-  Ndp_ir.Dependence.instance array ->
+  Staged.meta array ->
   Ndp_ir.Dependence.dep array ->
   slot option array * decision list
 (** Plan fusion over one nest's full instance stream. [window] is the

@@ -40,7 +40,7 @@ let statement_mst (split : Splitter.t) =
       Buffer.add_string b "  edge [dir=none];\n";
       List.iter
         (fun node ->
-          let items = Option.value (List.assoc_opt node split.Splitter.items_at) ~default:[] in
+          let items = Option.value (List.assoc_opt node (Splitter.items_at split)) ~default:[] in
           let labels =
             String.concat "\\n"
               (List.map
@@ -50,7 +50,8 @@ let statement_mst (split : Splitter.t) =
           let shape = if node = split.Splitter.store_node then "doublecircle" else "circle" in
           Buffer.add_string b
             (Printf.sprintf "  n%d [shape=%s,label=\"node %d\\n%s\"];\n" node shape node labels))
-        split.Splitter.nodes;
+        (List.sort_uniq compare
+           (split.Splitter.store_node :: List.map fst (Splitter.items_at split)));
       List.iter
         (fun (e : Ndp_graph.Kruskal.edge) ->
           Buffer.add_string b

@@ -10,6 +10,7 @@
 
 type t = {
   ref_ : Ndp_ir.Reference.t;
+  index : int; (** the reference's index in its staged shape *)
   node : int; (** compile-time location on the mesh *)
   in_l1 : bool; (** found in the variable2node map *)
   predicted_hit : bool option; (** [Some] when the predictor was consulted *)
@@ -17,10 +18,11 @@ type t = {
   bytes : int;
 }
 
-val locate :
-  Context.t -> store_node:int -> Ndp_ir.Reference.t -> Ndp_ir.Env.t -> t
-(** References the compiler cannot resolve are pinned to [store_node],
-    matching default execution for that operand. *)
+val locate : Context.t -> store_node:int -> Staged.meta -> int -> t
+(** Locate reference [k] of a staged instance (0 = output, [k + 1] =
+    input [k]) from its staged compiler-view address. References the
+    compiler cannot resolve are pinned to [store_node], matching default
+    execution for that operand. *)
 
 val line_of : Context.t -> int -> int
 (** Cache-line number of a virtual address. *)

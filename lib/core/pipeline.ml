@@ -98,37 +98,37 @@ let scheme_name = function
     in
     if o.fuse then base ^ "+fuse" else base
 
-(* Enumerate the statement-instance stream of a nest, in execution order.
-   Built through one pre-sized array rather than nested [List.mapi] +
-   [List.concat]: nests reach hundreds of thousands of instances and the
-   intermediate per-iteration lists dominated allocation here. *)
+(* Enumerate the statement-instance stream of a nest, in execution order,
+   staged: every (instance, reference) is resolved once here
+   ([Staged.stream]) and the kernel reads the flat address array. Built
+   through one pre-sized array: nests reach hundreds of thousands of
+   instances. *)
 let instance_stream (ctx : Context.t) nest ~first_group =
-  let iterations = Loop.iterations nest in
-  let assignment = Baseline.assign_iterations ctx nest iterations in
-  let envs = Array.of_list iterations in
-  let body = Array.of_list nest.Loop.body in
-  let stmts_per_iter = Array.length body in
-  let n = Array.length envs * stmts_per_iter in
+  let s = Staged.stream ctx nest in
+  let assignment = Baseline.assign_iterations ctx nest s in
+  let stmts_per_iter = Array.length s.Staged.body in
+  let n = Array.length s.Staged.envs * stmts_per_iter in
   let metas =
     Array.to_list
       (Array.init n (fun i ->
            let iter_idx = i / stmts_per_iter in
            let stmt_idx = i mod stmts_per_iter in
+           let shape = s.Staged.body.(stmt_idx) in
            {
              Window.group = first_group + i;
              default_node = assignment.(iter_idx);
-             inst = { Dep.stmt_idx; stmt = body.(stmt_idx); env = envs.(iter_idx) };
+             inst = { Dep.stmt_idx; stmt = shape.Staged.stmt; env = s.Staged.envs.(iter_idx) };
+             shape;
+             addrs = s.Staged.stream_addrs;
+             at = (iter_idx * s.Staged.stride) + s.Staged.offsets.(stmt_idx);
            }))
   in
   (metas, first_group + n)
 
 let analyzable_fraction metas =
   let count (ok, total) (m : Window.meta) =
-    let refs =
-      Ndp_ir.Stmt.output m.Window.inst.Dep.stmt :: Ndp_ir.Stmt.inputs m.Window.inst.Dep.stmt
-    in
-    let ok' = List.length (List.filter Ndp_ir.Reference.analyzable refs) in
-    (ok + ok', total + List.length refs)
+    let affine = m.Window.shape.Staged.affine in
+    (Array.fold_left (fun n a -> if a then n + 1 else n) ok affine, total + Array.length affine)
   in
   let ok, total = List.fold_left count (0, 0) metas in
   if total = 0 then 1.0 else float_of_int ok /. float_of_int total
@@ -158,10 +158,6 @@ let make_context ?(options_override = None) ?(obs = Ndp_obs.Sink.none) ?faults ?
   if opts.use_inspector then Ndp_ir.Inspector.run insp;
   let address_of = Kernel.address_of kernel in
   let runtime_resolve = Ndp_ir.Inspector.runtime_resolver insp ~address_of in
-  let compiler_resolve =
-    if opts.ideal_data then runtime_resolve
-    else Ndp_ir.Inspector.compiler_resolver insp ~address_of
-  in
   let ctx_options =
     match options_override with
     | Some o -> o
@@ -175,7 +171,8 @@ let make_context ?(options_override = None) ?(obs = Ndp_obs.Sink.none) ?faults ?
         ideal_location = opts.ideal_data;
       }
   in
-  Context.create ~machine ~compiler_resolve ~runtime_resolve
+  Context.create ~machine ~runtime_resolve
+    ~indirect_known:(opts.ideal_data || Ndp_ir.Inspector.has_run insp)
     ~arrays:kernel.Kernel.program.Loop.arrays ?repair ~options:ctx_options ()
 
 let apply_tweaks tweaks (task : Task.t) =
@@ -336,13 +333,11 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
         List.iter
           (fun (m : Window.meta) ->
             let task =
-              Baseline.compile_instance ctx ~group:m.Window.group ~node:m.Window.default_node
-                m.Window.inst
+              Baseline.compile_instance ctx ~group:m.Window.group ~node:m.Window.default_node m
             in
             if ledger_on then
               record_predicted m.Window.group
-                (Splitter.default_movement ctx ~store_node:m.Window.default_node
-                   m.Window.inst.Dep.stmt m.Window.inst.Dep.env);
+                (Splitter.default_movement ctx ~store_node:m.Window.default_node m);
             incr tasks_emitted;
             if validate then nest_tasks := task :: !nest_tasks;
             if capture then emitted := [ task ] :: !emitted;
@@ -411,12 +406,11 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
            compose: repair may remap a chain member off its node,
            stranding the L1-resident intermediate. *)
         let chunks = Array.of_list (Window.chunk metas w) in
-        let insts_of = List.map (fun (m : Window.meta) -> m.Window.inst) in
         let sp_d = Ndp_obs.Span.enter spans "deps" in
         Ndp_obs.Span.attr_str spans sp_d "nest" nest.Loop.nest_name;
         let nest_deps =
           if opts.fuse && repair_plan = None then
-            Some (Array.of_list (Dep.analyze ctx.Context.compiler_resolve (insts_of metas)))
+            Some (Array.of_list (Staged.deps ctx metas))
           else None
         in
         let chunk_deps =
@@ -439,7 +433,7 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
                 done;
                 List.rev !sliced)
           | None ->
-            Array.map (fun ms -> Dep.analyze ctx.Context.compiler_resolve (insts_of ms)) chunks
+            Array.map (Staged.deps ctx) chunks
         in
         Ndp_obs.Span.attr_int spans sp_d "deps"
           (match nest_deps with
@@ -453,14 +447,13 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
             (fun deps_arr ->
               let sp_f = Ndp_obs.Span.enter spans "fusion" in
               Ndp_obs.Span.attr_str spans sp_f "nest" nest.Loop.nest_name;
-              let insts = Array.of_list (insts_of metas) in
               let default_node =
                 Array.of_list (List.map (fun (m : Window.meta) -> m.Window.default_node) metas)
               in
               let capacity = Option.value opts.fuse_capacity ~default:config.Config.l1_size in
               let slots, decs =
                 Fusion.plan ctx ~nest:nest.Loop.nest_name ~window:w ~capacity
-                  ~shared:shared_arrays ~default_node insts deps_arr
+                  ~shared:shared_arrays ~default_node (Array.of_list metas) deps_arr
               in
               fusion_decisions := !fusion_decisions @ decs;
               Ndp_obs.Span.attr_int spans sp_f "decisions" (List.length decs);
@@ -482,7 +475,7 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
                 Windowed
                   { t_nest = nest.Loop.nest_name; t_metas = window_metas; t_compiled = compiled }
                 :: !traces;
-            List.iter push_prediction compiled.Window.predictions;
+            List.iter push_prediction (Lazy.force compiled.Window.predictions);
             List.iter
               (fun (r : Window.stmt_report) ->
                 parallelism.(r.Window.r_group) <- float_of_int r.Window.parallelism;
@@ -490,10 +483,11 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
                 record_predicted r.Window.r_group r.Window.est_movement;
                 est_movement_total := !est_movement_total + r.Window.est_movement;
                 offload := Task.mix_add !offload r.Window.offload_mix)
-              compiled.Window.reports;
+              (Lazy.force compiled.Window.reports);
             sync_arcs := !sync_arcs + compiled.Window.sync_count;
-            tasks_emitted := !tasks_emitted + List.length compiled.Window.tasks;
-            nest_tasks := compiled.Window.tasks :: !nest_tasks)
+            let tasks = Lazy.force compiled.Window.tasks in
+            tasks_emitted := !tasks_emitted + List.length tasks;
+            nest_tasks := tasks :: !nest_tasks)
           chunks;
         (* Emit the whole nest level-major: every node first runs all of
            its dependency-free subcomputations across the nest's windows,
@@ -642,16 +636,11 @@ let profile_page_accesses ?(config = Config.default) kernel =
         let metas, g' = instance_stream ctx nest ~first_group:g in
         List.iter
           (fun (m : Window.meta) ->
-            let refs =
-              Ndp_ir.Stmt.output m.Window.inst.Dep.stmt
-              :: Ndp_ir.Stmt.inputs m.Window.inst.Dep.stmt
-            in
-            List.iter
-              (fun r ->
-                match ctx.Context.runtime_resolve r m.Window.inst.Dep.env with
-                | Some va -> acc := (Data_mapping.page_of ctx va, m.Window.default_node) :: !acc
-                | None -> ())
-              refs)
+            for k = 0 to Array.length m.Window.shape.Staged.refs - 1 do
+              let va = Staged.runtime_va m k in
+              if va <> Staged.none then
+                acc := (Data_mapping.page_of ctx va, m.Window.default_node) :: !acc
+            done)
           metas;
         g')
       0 kernel.Kernel.program.Loop.nests

@@ -1,5 +1,5 @@
 module Task = Ndp_sim.Task
-module Tree = Ndp_graph.Rooted_tree
+module Kruskal = Ndp_graph.Kruskal
 
 type t = {
   tasks : Task.t list;
@@ -13,24 +13,16 @@ type t = {
 (* What a child subtree hands to its parent: either a finished task whose
    result travels up, or a single data item the parent loads itself. *)
 type upward =
-  | From_task of { task : int; bytes : int }
+  | From_task of { task : int; bytes : int; level : int }
   | Deferred of Location.t
 
-let take k list =
-  let rec go k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (k - 1) (x :: acc) rest
-  in
-  go k [] list
-
-let load_operand (ctx : Context.t) env (loc : Location.t) =
+let load_operand (m : Staged.meta) (loc : Location.t) =
   let va =
     match loc.Location.va with
-    | Some va -> Some va
-    | None -> ctx.runtime_resolve loc.Location.ref_ env
+    | Some va -> va
+    | None -> Staged.runtime_va m loc.Location.index
   in
-  Option.map (fun va -> Task.Load { va; bytes = loc.Location.bytes }) va
+  if va = Staged.none then None else Some (Task.Load { va; bytes = loc.Location.bytes })
 
 (* Pick the node that executes a combine: the MST parent node first (the
    minimum-movement choice), then its children, skipping overloaded nodes
@@ -85,48 +77,45 @@ let choose_exec_node (ctx : Context.t) ~pinned ~preferred ~alternatives ~ops_cos
         (List.hd priced) priced
   end
 
-let schedule (ctx : Context.t) ~group (split : Splitter.t) stmt env =
-  let all_ops = Ndp_ir.Expr.ops stmt.Ndp_ir.Stmt.rhs in
-  let ops_pool = ref all_ops in
+(* The tree is walked from the store node over the edge list itself:
+   [children v ~parent] are v's other edge ends, ascending. A union-find
+   pass first rejects an edge set with a cycle, so the walk terminates,
+   and the walk's vertex count rejects a forest. *)
+let not_a_tree () = invalid_arg "Schedule.schedule: edge set is not a tree"
+
+let children edges v ~parent =
+  let rec insert x = function
+    | y :: rest when y < x -> y :: insert x rest
+    | l -> x :: l
+  in
+  List.fold_left
+    (fun acc (e : Kruskal.edge) ->
+      if e.Kruskal.u = v && e.Kruskal.v <> parent then insert e.Kruskal.v acc
+      else if e.Kruskal.v = v && e.Kruskal.u <> parent then insert e.Kruskal.u acc
+      else acc)
+    [] edges
+
+let schedule (ctx : Context.t) ~group (split : Splitter.t) =
+  let m = split.Splitter.meta in
+  let shape = m.Staged.shape in
+  let n_ops = Array.length shape.Staged.ops in
+  let drawn = ref 0 in
+  (* Operators are drawn left to right off the staged array: the next [k],
+     or fewer when the statement runs out. *)
   let draw k =
-    let taken, rest = take k !ops_pool in
-    ops_pool := rest;
-    taken
+    let lo = !drawn in
+    drawn := min n_ops (lo + k);
+    List.init (!drawn - lo) (fun j -> shape.Staged.ops.(lo + j))
   in
-  let items_of node =
-    Option.value (List.assoc_opt node split.Splitter.items_at) ~default:[]
-  in
+  let store_node = split.Splitter.store_node in
   let tasks = ref [] in
   let join_arcs = ref [] in
   let placements = ref [] in
   let offload = ref Task.zero_mix in
-  (* Task ids drawn during this call are contiguous from [id_base], so the
-     per-task level table is a growable array instead of a hashtable. *)
-  let id_base = ctx.Context.next_task in
-  let levels = ref (Array.make 16 0) in
-  let set_level id l =
-    let i = id - id_base in
-    let a = !levels in
-    let a =
-      if i < Array.length a then a
-      else begin
-        let n = ref (Array.length a * 2) in
-        while i >= !n do
-          n := !n * 2
-        done;
-        let grown = Array.make !n 0 in
-        Array.blit a 0 grown 0 (Array.length a);
-        levels := grown;
-        grown
-      end
-    in
-    a.(i) <- l
-  in
-  let level_of id =
-    let i = id - id_base in
-    let a = !levels in
-    if i >= 0 && i < Array.length a then a.(i) else 0
-  in
+  (* Tasks per dependency level, for the antichain width. *)
+  let levels = List.length split.Splitter.edges + 3 in
+  let by_level = Context.scratch_ints ctx ~slot:3 ~at_least:levels in
+  Array.fill by_level 0 levels 0;
   let note_placement exec (loc : Location.t) =
     match loc.Location.va with
     | Some va -> placements := (Location.line_of ctx va, exec) :: !placements
@@ -137,141 +126,129 @@ let schedule (ctx : Context.t) ~group (split : Splitter.t) stmt env =
     let task = Task.make ~id ~group ~node ~ops ~operands ?store ~label () in
     tasks := task :: !tasks;
     Context.add_load ctx ~node ~cost:(max 1 bcost);
-    if node <> split.Splitter.store_node then offload := Task.mix_add !offload task.Task.mix;
-    set_level id level;
+    if node <> store_node then offload := Task.mix_add !offload task.Task.mix;
+    by_level.(level) <- by_level.(level) + 1;
     task
   in
-  (* Degenerate case: the whole statement's data sits on one node. *)
-  let single_node_schedule node =
-    let locs = items_of node in
-    let operands = List.filter_map (load_operand ctx env) locs in
-    let final_ops = draw (List.length all_ops) in
-    let bcost =
-      expected_occupancy ctx ~node ~ops_cost:(Task.cost_of_ops final_ops) ~items:locs
-    in
-    let task =
-      emit ~node ~ops:final_ops ~operands ~store:split.Splitter.store
-        ~label:("g" ^ string_of_int group ^ ":final")
-        ~level:1 ~bcost
-    in
-    List.iter (note_placement node) locs;
-    {
-      tasks = List.rev !tasks;
-      root_task = task.Task.id;
-      join_arcs = [];
-      parallelism = 1;
-      offload_mix = !offload;
-      placements = !placements;
-    }
-  in
-  if split.Splitter.edges = [] then single_node_schedule split.Splitter.store_node
-  else begin
-    let tree = Tree.of_edges ~root:split.Splitter.store_node split.Splitter.edges in
-    let rec visit vertex =
-      let children = Tree.children tree vertex in
-      let child_results = List.map visit children in
-      let locs = items_of vertex in
-      let is_root = vertex = split.Splitter.store_node in
-      let local_loads = List.filter_map (load_operand ctx env) locs in
-      let deferred_loads =
-        List.filter_map
-          (function Deferred loc -> load_operand ctx env loc | From_task _ -> None)
-          child_results
+  let final_label = "g" ^ string_of_int group ^ ":final" in
+  let root_task =
+    if split.Splitter.edges = [] then begin
+      (* Degenerate case: the whole statement's data sits on one node. *)
+      let locs =
+        if split.Splitter.whole then List.concat_map snd (Splitter.items_at split)
+        else
+          Array.fold_right
+            (fun (l : Location.t) acc -> if l.Location.node = store_node then l :: acc else acc)
+            split.Splitter.locs []
       in
-      let deferred_locs =
-        List.filter_map
-          (function Deferred loc -> Some loc | From_task _ -> None)
-          child_results
+      let operands = List.filter_map (load_operand m) locs in
+      let ops = draw n_ops in
+      let bcost =
+        expected_occupancy ctx ~node:store_node ~ops_cost:(Task.cost_of_ops ops) ~items:locs
       in
-      let result_ops =
-        List.filter_map
-          (function
-            | From_task { task; bytes } -> Some (Task.Result { producer = task; bytes })
-            | Deferred _ -> None)
-          child_results
+      let task =
+        emit ~node:store_node ~ops ~operands ~store:split.Splitter.store
+          ~label:final_label ~level:1 ~bcost
       in
-      let inputs = List.length local_loads + List.length deferred_loads + List.length result_ops in
-      if (not is_root) && inputs = 1 && result_ops = [] then begin
-        (* A lone data item: no computation here; the parent fetches it
-           directly (the leaf-node case of the MST walk). *)
-        match locs @ deferred_locs with
-        | [ loc ] -> Deferred loc
-        | _ -> assert false
-      end
-      else begin
-        let ops = if is_root then draw (List.length !ops_pool) else draw (max 0 (inputs - 1)) in
-        let alternatives =
-          (* "Skips this node and moves to the next one" (4.5): the result
-             travels toward the parent anyway, so every node on the mesh
-             route to the parent can host the combine without adding a
-             single link of movement; the children are equally free. *)
-          match Tree.parent tree vertex with
-          | None -> List.sort_uniq compare children
-          | Some parent ->
-            (* The shared per-mesh route table; same node sequence
-               [xy_route] yields, with no per-visit route allocation. *)
-            let nodes = Ndp_noc.Mesh.route_nodes (Context.mesh ctx) ~src:vertex ~dst:parent in
-            List.sort_uniq compare (Array.fold_right (fun n acc -> n :: acc) nodes children)
-        in
-        let exec, bcost =
-          choose_exec_node ctx ~pinned:is_root ~preferred:vertex ~alternatives
-            ~ops_cost:(Task.cost_of_ops ops) ~items:(locs @ deferred_locs)
-        in
-        let level =
-          let producer_level = function
-            | Task.Result { producer; bytes = _ } -> level_of producer
-            | Task.Load _ -> 0
-          in
-          1 + List.fold_left (fun acc op -> max acc (producer_level op)) 0 result_ops
-        in
-        let operands = local_loads @ deferred_loads @ result_ops in
-        let store = if is_root then split.Splitter.store else None in
-        let label =
-          if is_root then "g" ^ string_of_int group ^ ":final"
-          else "g" ^ string_of_int group ^ ":sub@" ^ string_of_int exec
-        in
-        let task = emit ~node:exec ~ops ~operands ~store ~label ~level ~bcost in
-        List.iter (note_placement exec) (locs @ deferred_locs);
-        if List.length result_ops >= 2 then
-          List.iter
-            (function
-              | Task.Result { producer; bytes = _ } -> join_arcs := (producer, task.Task.id) :: !join_arcs
-              | Task.Load _ -> ())
-            result_ops;
-        (* A forwarded partial result is a single scalar, not a line. *)
-        From_task { task = task.Task.id; bytes = Context.bytes_of ctx stmt.Ndp_ir.Stmt.lhs }
-      end
-    in
-    (match visit split.Splitter.store_node with
-    | From_task _ -> ()
-    | Deferred _ -> assert false);
-    let tasks = List.rev !tasks in
-    let root_task =
-      match List.rev tasks with
-      | last :: _ -> last.Task.id
-      | [] -> assert false
-    in
-    let parallelism =
-      let max_level =
-        List.fold_left (fun acc (t : Task.t) -> max acc (level_of t.Task.id)) 1 tasks
-      in
-      let counts = Array.make (max_level + 1) 0 in
+      List.iter (note_placement store_node) locs;
+      task.Task.id
+    end
+    else begin
+      let uf = Context.scratch_guf ctx in
       List.iter
-        (fun (t : Task.t) ->
-          let l = level_of t.Task.id in
-          counts.(l) <- counts.(l) + 1)
-        tasks;
-      Array.fold_left max 1 counts
-    in
-    {
-      tasks;
-      root_task;
-      join_arcs = List.rev !join_arcs;
-      parallelism;
-      offload_mix = !offload;
-      placements = !placements;
-    }
-  end
+        (fun (e : Kruskal.edge) ->
+          if not (Ndp_graph.Union_find.union uf e.Kruskal.u e.Kruskal.v) then not_a_tree ())
+        split.Splitter.edges;
+      let visited = ref 0 in
+      let rec visit vertex ~parent =
+        incr visited;
+        let children = children split.Splitter.edges vertex ~parent in
+        let child_results = List.map (fun c -> visit c ~parent:vertex) children in
+        let is_root = vertex = store_node in
+        (* Local items in location order, then the items children defer. *)
+        let items =
+          Array.fold_right
+            (fun (l : Location.t) acc -> if l.Location.node = vertex then l :: acc else acc)
+            split.Splitter.locs
+            (List.filter_map (function Deferred l -> Some l | From_task _ -> None) child_results)
+        in
+        let loads = List.filter_map (load_operand m) items in
+        let result_ops, level =
+          List.fold_right
+            (fun r ((ops, level) as acc) ->
+              match r with
+              | From_task { task; bytes; level = l } ->
+                (Task.Result { producer = task; bytes } :: ops, max level (l + 1))
+              | Deferred _ -> acc)
+            child_results ([], 1)
+        in
+        if (not is_root) && List.length loads = 1 && result_ops = [] then begin
+          (* A lone data item: no computation here; the parent fetches it
+             directly (the leaf-node case of the MST walk). *)
+          match items with
+          | [ loc ] -> Deferred loc
+          | _ -> assert false
+        end
+        else begin
+          let inputs = List.length loads + List.length result_ops in
+          let ops = if is_root then draw n_ops else draw (max 0 (inputs - 1)) in
+          let alternatives =
+            (* "Skips this node and moves to the next one" (4.5): the result
+               travels toward the parent anyway, so every node on the mesh
+               route to the parent can host the combine without adding a
+               single link of movement; the children are equally free. *)
+            if is_root then List.sort_uniq compare children
+            else
+              (* The shared per-mesh route table; same node sequence
+                 [xy_route] yields, with no per-visit route allocation. *)
+              let nodes = Ndp_noc.Mesh.route_nodes (Context.mesh ctx) ~src:vertex ~dst:parent in
+              List.sort_uniq compare (Array.fold_right (fun n acc -> n :: acc) nodes children)
+          in
+          let exec, bcost =
+            choose_exec_node ctx ~pinned:is_root ~preferred:vertex ~alternatives
+              ~ops_cost:(Task.cost_of_ops ops) ~items
+          in
+          let store = if is_root then split.Splitter.store else None in
+          let label =
+            if is_root then final_label else "g" ^ string_of_int group ^ ":sub@" ^ string_of_int exec
+          in
+          let task =
+            emit ~node:exec ~ops ~operands:(loads @ result_ops) ~store ~label ~level ~bcost
+          in
+          List.iter (note_placement exec) items;
+          (match result_ops with
+          | _ :: _ :: _ ->
+            List.iter
+              (function
+                | Task.Result { producer; bytes = _ } ->
+                  join_arcs := (producer, task.Task.id) :: !join_arcs
+                | Task.Load _ -> ())
+              result_ops
+          | _ -> ());
+          (* A forwarded partial result is a single scalar, not a line. *)
+          From_task { task = task.Task.id; bytes = shape.Staged.bytes.(0); level }
+        end
+      in
+      match visit store_node ~parent:(-1) with
+      | From_task { task; _ } ->
+        if !visited <> List.length split.Splitter.edges + 1 then not_a_tree ();
+        task
+      | Deferred _ -> assert false
+    end
+  in
+  {
+    tasks = List.rev !tasks;
+    root_task;
+    join_arcs = List.rev !join_arcs;
+    parallelism =
+      (let widest = ref 1 in
+       for l = 0 to levels - 1 do
+         widest := max !widest by_level.(l)
+       done;
+       !widest);
+    offload_mix = !offload;
+    placements = !placements;
+  }
 
 (* Remap the schedule off the repair plan's avoided nodes. The balance
    veto already steers most combines to healthy hosts; this sweep catches

@@ -18,8 +18,10 @@ type t = {
   placements : (int * int) list; (** (VA line, node) L1 placements *)
 }
 
-val schedule :
-  Context.t -> group:int -> Splitter.t -> Ndp_ir.Stmt.t -> Ndp_ir.Env.t -> t
+val schedule : Context.t -> group:int -> Splitter.t -> t
+(** Schedule a split instance, walking the MST straight off its edge list
+    and drawing operators from the staged shape. Raises [Invalid_argument]
+    when the edges are not a tree containing the store node. *)
 
 val repair : Context.t -> t -> t
 (** When the context carries a repair plan, remap every task placed on an

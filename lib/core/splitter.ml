@@ -1,30 +1,23 @@
 module Kruskal = Ndp_graph.Kruskal
-module Mesh = Ndp_noc.Mesh
+module Union_find = Ndp_graph.Union_find
+module Nested_set = Ndp_ir.Nested_set
 
 type t = {
+  meta : Staged.meta;
+  locs : Location.t array;
   edges : Kruskal.edge list;
-  items_at : (int * Location.t list) list;
   store_node : int;
   store : (int * int) option;
-  nodes : int list;
   est_movement : int;
-  predictions : (int * bool) list;
+  whole : bool;
 }
 
-(* A component is the "single node" of the level-based optimization: either
-   one located reference or an already-processed inner set, identified by
-   the physical nodes its data occupies. *)
-type component = { members : int list }
-
-let min_pair ctx a b =
-  let best (bu, bv, bw) u v =
-    let w = Context.distance ctx u v in
-    if w < bw then (u, v, w) else (bu, bv, bw)
-  in
-  List.fold_left
-    (fun acc u -> List.fold_left (fun acc v -> best acc u v) acc b.members)
-    (-1, -1, max_int)
-    a.members
+(* Scratch slots of the context the splitter works in. A nested-set level
+   is a run of components on the component stack; a component is a run
+   of member nodes on the member stack (a located reference is one node,
+   a finished inner set is its member set), so the level's components are
+   [comp.(c)] to the next component's start, or the member top. *)
+let slot_members, slot_comps, slot_cands = (0, 1, 2)
 
 (* Kruskal over components: the candidate edge between two components is
    the concrete minimum-distance pair of member nodes ([Context.distance],
@@ -33,177 +26,227 @@ let min_pair ctx a b =
    physical nodes: Algorithm 1 pools the per-level MST edges into one
    MSTedges set, so an edge whose endpoints are already physically
    connected (by a sibling level's tree) would create a cycle and is
-   skipped — the existing path is reused. *)
-let mst_over_generic ctx ~guf ~uf components =
-  let n = List.length components in
-  let arr = Array.of_list components in
+   skipped — the existing path is reused. [pair i j] is the
+   minimum-distance pair of components [i < j] as [(u, v, w)]. *)
+let mst_over_generic ~guf ~n ~pair ~pick =
+  let uf = Union_find.create n in
   let candidates = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let u, v, w = min_pair ctx arr.(i) arr.(j) in
+      let u, v, w = pair i j in
       candidates := (w, i, j, u, v) :: !candidates
     done
   done;
-  let sorted = List.sort compare !candidates in
-  let pick acc (w, i, j, u, v) =
-    if Ndp_graph.Union_find.union uf i j then
+  List.iter
+    (fun (w, i, j, u, v) ->
       (* A zero-weight merge means the components share a physical node:
          no link is traversed, so no tree edge is recorded. *)
-      if w = 0 || not (Ndp_graph.Union_find.union guf u v) then acc
-      else { Kruskal.u; v; weight = w } :: acc
-    else acc
-  in
-  List.fold_left pick [] sorted
+      if Union_find.union uf i j && w <> 0 && Union_find.union guf u v then pick u v w)
+    (List.sort compare !candidates)
 
-(* Allocation-free fast path of [mst_over_generic]: each candidate edge is
-   packed into a single int with the fields in the significance order the
-   tuple sort compared them — (weight, i, j, u, v), 6 bits per id field —
-   so sorting the packed array is the identical total order and the
-   Kruskal walk below visits candidates exactly as the list version did.
-   Component counts and node ids stay under 64 on any mesh this simulator
-   builds; the weight has the remaining 38 bits, far above any fault-plan
-   route cost. The generic path remains for anything larger. *)
+(* Each candidate edge of the packed path is one int with the fields in
+   the significance order the generic path's tuple sort compares them —
+   (weight, i, j, u, v), 6 bits per id field — so sorting the packed
+   candidates is the identical total order and the walk visits them
+   exactly as [mst_over_generic] would. Component counts and node ids
+   stay under 64 on the 6x6 mesh; the weight has the remaining 38 bits,
+   far above any fault-plan route cost. The generic path remains for
+   anything larger. *)
 let field_mask = 0x3f
 
-let mst_over ctx ~guf components =
-  let n = List.length components in
-  if n <= 1 then []
-  else if n > field_mask || Ndp_graph.Union_find.capacity guf > field_mask + 1 then
-    mst_over_generic ctx ~guf ~uf:(Ndp_graph.Union_find.create n) components
-  else begin
-    let arr = Array.of_list components in
-    let cands = Array.make (n * (n - 1) / 2) 0 in
-    let k = ref 0 in
-    let overflow = ref false in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let bu = ref (-1) and bv = ref (-1) and bw = ref max_int in
-        List.iter
-          (fun u ->
-            List.iter
-              (fun v ->
-                let w = Context.distance ctx u v in
-                if w < !bw then begin
-                  bu := u;
-                  bv := v;
-                  bw := w
-                end)
-              arr.(j).members)
-          arr.(i).members;
-        if !bw lsr 38 <> 0 then overflow := true;
-        cands.(!k) <- (((((!bw lsl 6) lor i) lsl 6) lor j) lsl 12) lor (!bu lsl 6) lor !bv;
-        incr k
-      done
+(* Sort [a.(lo .. hi - 1)] ascending in place; the runs sorted here are a
+   statement's few members or candidate edges. *)
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
     done;
-    if !overflow then mst_over_generic ctx ~guf ~uf:(Ndp_graph.Union_find.create n) components
+    a.(!j + 1) <- x
+  done
+
+let split (ctx : Context.t) ~store_node (m : Staged.meta) =
+  let shape = m.Staged.shape in
+  let n_in = Array.length shape.Staged.refs - 1 in
+  let width = shape.Staged.width in
+  let mem = Context.scratch_ints ctx ~slot:slot_members ~at_least:(n_in + 1) in
+  let comp = Context.scratch_ints ctx ~slot:slot_comps ~at_least:(width + 1) in
+  let cand = Context.scratch_ints ctx ~slot:slot_cands ~at_least:((width * width / 2) + 1) in
+  let mtop = ref 0 and ctop = ref 0 in
+  let locs = ref [||] in
+  let next = ref 0 in
+  let edges = ref [] and est = ref 0 in
+  let pick u v w =
+    edges := { Kruskal.u; v; weight = w } :: !edges;
+    est := !est + w
+  in
+  let mesh_size = Ndp_noc.Mesh.size (Context.mesh ctx) in
+  let guf = Context.scratch_guf ctx in
+  let bu = ref 0 and bv = ref 0 and bw = ref 0 in
+  let comp_end c = if c + 1 < !ctop then comp.(c + 1) else !mtop in
+  (* Close the component whose members start at [start]: a one-node
+     component already present at this level is dropped (Algorithm 1,
+     line 12), and an empty one (a reference-free group) never forms. *)
+  let close ~cbase start =
+    let len = !mtop - start in
+    let dup = ref (len = 0) in
+    if len = 1 then
+      for c = cbase to !ctop - 1 do
+        let e = if c + 1 < !ctop then comp.(c + 1) else start in
+        if e - comp.(c) = 1 && mem.(comp.(c)) = mem.(start) then dup := true
+      done;
+    if !dup then mtop := start
     else begin
-      Array.sort (fun (a : int) b -> compare a b) cands;
-      let uf = Context.scratch_mst ctx ~at_least:n in
-      let edges = ref [] in
-      Array.iter
-        (fun packed ->
+      comp.(!ctop) <- start;
+      incr ctop
+    end
+  in
+  let push_node ~cbase node =
+    mem.(!mtop) <- node;
+    incr mtop;
+    close ~cbase (!mtop - 1)
+  in
+  (* Kruskal over the level's components, indexed in reverse push order
+     (the order the component list of Algorithm 1 is built in). *)
+  let mst ~cbase =
+    let n = !ctop - cbase in
+    let ci i = !ctop - 1 - i in
+    let closest i j =
+      let a = ci i and b = ci j in
+      bu := -1;
+      bv := -1;
+      bw := max_int;
+      for x = comp.(a) to comp_end a - 1 do
+        for y = comp.(b) to comp_end b - 1 do
+          let w = Context.distance ctx mem.(x) mem.(y) in
+          if w < !bw then begin
+            bu := mem.(x);
+            bv := mem.(y);
+            bw := w
+          end
+        done
+      done
+    in
+    let pair i j =
+      closest i j;
+      (!bu, !bv, !bw)
+    in
+    if n <= 1 then ()
+    else if n > field_mask || mesh_size > field_mask + 1 then mst_over_generic ~guf ~n ~pair ~pick
+    else begin
+      let k = ref 0 and overflow = ref false in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          closest i j;
+          let u = !bu and v = !bv and w = !bw in
+          if w lsr 38 <> 0 then overflow := true;
+          cand.(!k) <- (((((w lsl 6) lor i) lsl 6) lor j) lsl 12) lor (u lsl 6) lor v;
+          incr k
+        done
+      done;
+      if !overflow then mst_over_generic ~guf ~n ~pair ~pick
+      else begin
+        insertion_sort cand 0 !k;
+        let uf = Context.scratch_mst ctx ~at_least:n in
+        for a = 0 to !k - 1 do
+          let packed = cand.(a) in
           let v = packed land field_mask in
           let u = (packed lsr 6) land field_mask in
           let j = (packed lsr 12) land field_mask in
           let i = (packed lsr 18) land field_mask in
           let w = packed lsr 24 in
-          if Ndp_graph.Union_find.union uf i j then
-            if not (w = 0 || not (Ndp_graph.Union_find.union guf u v)) then
-              edges := { Kruskal.u; v; weight = w } :: !edges)
-        cands;
-      !edges
+          if Union_find.union uf i j && w <> 0 && Union_find.union guf u v then pick u v w
+        done
+      end
     end
-  end
-
-let flat_refs stmt = Ndp_ir.Stmt.inputs stmt
-
-let split (ctx : Context.t) ~store_node stmt env =
-  let mesh = Context.mesh ctx in
-  let items : (int, Location.t list) Hashtbl.t = Hashtbl.create 8 in
-  let predictions = ref [] in
-  let locate_item r =
-    let loc = Location.locate ctx ~store_node r env in
-    (match (loc.Location.predicted_hit, loc.Location.va) with
-    | Some p, Some va -> predictions := (va, p) :: !predictions
-    | _ -> ());
-    let cur = Option.value (Hashtbl.find_opt items loc.Location.node) ~default:[] in
-    Hashtbl.replace items loc.Location.node (loc :: cur);
-    loc
   in
-  let edges = ref [] in
-  let guf =
-    if Mesh.size mesh = Ndp_graph.Union_find.capacity ctx.Context.scratch_guf then
-      Context.scratch_guf ctx
-    else Ndp_graph.Union_find.create (Mesh.size mesh)
+  (* Process one nested-set level: place every item, recurse into
+     sub-sets, connect the level's components with an MST, then leave the
+     level's member set, sorted and deduplicated, on the member stack from
+     the level's base. *)
+  let rec level ~extra (set : Nested_set.t) =
+    let cbase = !ctop and mbase = !mtop in
+    List.iter
+      (function
+        | Nested_set.Ref _ ->
+          let loc = Location.locate ctx ~store_node m (!next + 1) in
+          if !next = 0 then locs := Array.make n_in loc;
+          !locs.(!next) <- loc;
+          incr next;
+          push_node ~cbase loc.Location.node
+        | Nested_set.Const _ -> ()
+        | Nested_set.Sub s ->
+          let start = !mtop in
+          level ~extra:(-1) s;
+          close ~cbase start)
+      set.Nested_set.items;
+    if extra >= 0 then push_node ~cbase extra;
+    mst ~cbase;
+    insertion_sort mem mbase !mtop;
+    let top = ref mbase in
+    for a = mbase to !mtop - 1 do
+      if !top = mbase || mem.(!top - 1) <> mem.(a) then begin
+        mem.(!top) <- mem.(a);
+        incr top
+      end
+    done;
+    mtop := !top;
+    ctop := cbase
   in
-  (* Process one nested-set level: place every item, recurse into sub-sets,
-     then connect the level's components with an MST. Returns the member
-     node set of the completed level. *)
-  let rec process_level ?(extra = []) (set : Ndp_ir.Nested_set.t) =
-    let component_of_item = function
-      | Ndp_ir.Nested_set.Ref r ->
-        let loc = locate_item r in
-        Some { members = [ loc.Location.node ] }
-      | Ndp_ir.Nested_set.Const _ -> None
-      | Ndp_ir.Nested_set.Sub s -> Some { members = process_level s }
-    in
-    let components =
-      List.filter_map component_of_item set.Ndp_ir.Nested_set.items
-      @ List.map (fun n -> { members = [ n ] }) extra
-    in
-    (* Deduplicate identical singleton vertices (Algorithm 1, line 12). *)
-    let components =
-      List.fold_left
-        (fun acc c ->
-          match c.members with
-          | [ n ] when List.exists (fun c' -> c'.members = [ n ]) acc -> acc
-          | _ -> c :: acc)
-        [] components
-    in
-    edges := mst_over ctx ~guf components @ !edges;
-    List.sort_uniq compare (List.concat_map (fun c -> c.members) components)
-  in
-  let set =
-    if ctx.options.Context.level_based then Ndp_ir.Nested_set.of_expr stmt.Ndp_ir.Stmt.rhs
-    else
-      (* Ablation: ignore priority levels, flattening all references. *)
-      {
-        Ndp_ir.Nested_set.items =
-          List.map (fun r -> Ndp_ir.Nested_set.Ref r) (flat_refs stmt);
-        level_ops = Ndp_ir.Expr.ops stmt.Ndp_ir.Stmt.rhs;
-        reassociable = true;
-      }
-  in
-  let nodes = process_level ~extra:[ store_node ] set in
-  let store =
-    Option.map
-      (fun va -> (va, Context.bytes_of ctx stmt.Ndp_ir.Stmt.lhs))
-      (ctx.runtime_resolve stmt.Ndp_ir.Stmt.lhs env)
-  in
-  let edges = !edges in
+  level ~extra:store_node
+    (if ctx.options.Context.level_based then shape.Staged.nested else shape.Staged.flat);
+  let store_va = Staged.runtime_va m 0 in
   {
-    edges;
-    items_at = Hashtbl.fold (fun node locs acc -> (node, List.rev locs) :: acc) items [];
+    meta = m;
+    locs = !locs;
+    edges = !edges;
     store_node;
-    store;
-    nodes;
-    est_movement = Kruskal.total_weight edges;
-    predictions = List.rev !predictions;
+    store = (if store_va = Staged.none then None else Some (store_va, shape.Staged.bytes.(0)));
+    est_movement = !est;
+    whole = false;
   }
 
-let unsplit t =
-  let all_items = List.concat_map snd t.items_at in
-  {
-    t with
-    edges = [];
-    items_at = [ (t.store_node, all_items) ];
-    nodes = [ t.store_node ];
-  }
+let unsplit t = { t with edges = []; whole = true }
 
-let default_movement (ctx : Context.t) ~store_node stmt env =
-  let movement_of r =
-    match ctx.runtime_resolve r env with
-    | None -> 0
-    | Some va -> Context.distance ctx store_node (Ndp_sim.Machine.home_node ctx.machine ~va)
+(* The located items grouped per node in the order the splitter has
+   always listed them: the fold order of an int-keyed [Hashtbl] filled in
+   location order (buckets descending, first insertion first within a
+   bucket). It is the operand order of a statement executed whole. *)
+let grouped t =
+  let locs = Array.to_list t.locs in
+  let nodes =
+    List.rev
+      (List.fold_left
+         (fun acc (l : Location.t) -> if List.mem l.node acc then acc else l.node :: acc)
+         [] locs)
   in
-  List.fold_left (fun acc r -> acc + movement_of r) 0 (Ndp_ir.Stmt.inputs stmt)
+  let buckets = ref 16 in
+  while List.length nodes > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let bucket n = Hashtbl.hash (n : int) land (!buckets - 1) in
+  List.map
+    (fun node -> (node, List.filter (fun (l : Location.t) -> l.node = node) locs))
+    (List.stable_sort (fun a b -> compare (bucket b) (bucket a)) nodes)
+
+let items_at t =
+  if t.whole then [ (t.store_node, List.concat_map snd (grouped t)) ] else grouped t
+
+let predictions t =
+  Array.fold_right
+    (fun (l : Location.t) acc ->
+      match (l.Location.predicted_hit, l.Location.va) with
+      | Some p, Some va -> (va, p) :: acc
+      | _ -> acc)
+    t.locs []
+
+let default_movement (ctx : Context.t) ~store_node (m : Staged.meta) =
+  let acc = ref 0 in
+  for k = 1 to Array.length m.Staged.shape.Staged.refs - 1 do
+    let va = Staged.runtime_va m k in
+    if va <> Staged.none then
+      acc := !acc + Context.distance ctx store_node (Ndp_sim.Machine.home_node ctx.machine ~va)
+  done;
+  !acc

@@ -1,7 +1,14 @@
 module Task = Ndp_sim.Task
 module Dep = Ndp_ir.Dependence
 
-type meta = { group : int; default_node : int; inst : Dep.instance }
+type meta = Staged.meta = {
+  group : int;
+  default_node : int;
+  inst : Dep.instance;
+  shape : Staged.shape;
+  addrs : int array;
+  at : int;
+}
 
 type stmt_report = {
   r_group : int;
@@ -14,10 +21,11 @@ type stmt_report = {
 }
 
 type compiled = {
-  tasks : (Task.t * int) list;
-  reports : stmt_report list;
+  tasks : (Task.t * int) list Lazy.t;
+  reports : stmt_report list Lazy.t;
+  est_movement : int;
   sync_count : int;
-  predictions : (int * bool) list;
+  predictions : (int * bool) list Lazy.t;
   roots : (int * int) list;
   sync_arcs : (int * int) list;
 }
@@ -57,19 +65,18 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
      indexed by [id - id_base] instead of a hashtable — this function is
      the compiler's hot path. *)
   let id_base = ctx.Context.next_task in
+  let est_total = ref 0 in
   let per_stmt =
     List.mapi
       (fun i meta ->
-        let stmt = meta.inst.Dep.stmt in
-        let env = meta.inst.Dep.env in
         let fslot =
           match fusion with Some f when i < Array.length f -> f.(i) | Some _ | None -> None
         in
         let store_node =
           match fslot with Some s -> s.Fusion.f_node | None -> store_node_of ctx meta
         in
-        let split = Splitter.split ctx ~store_node stmt env in
-        let default_est = Splitter.default_movement ctx ~store_node stmt env in
+        let split = Splitter.split ctx ~store_node meta in
+        let default_est = Splitter.default_movement ctx ~store_node meta in
         (* Splitting must satisfy the minimum-data-movement requirement:
            when the MST saves nothing over fetching every operand to the
            store node (tiny network footprints — the paper's Cholesky/LU
@@ -88,11 +95,12 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
             if split.Splitter.est_movement * margin_den < default_est * margin_num then split
             else { (Splitter.unsplit split) with Splitter.est_movement = default_est }
         in
+        est_total := !est_total + split.Splitter.est_movement;
         (* Repair before anything reads task placements: the cross-node
            arc filter and the variable2node propagation below must see the
            post-remap nodes or sync arcs would be elided against stale
            placements. *)
-        let sched = Schedule.repair ctx (Schedule.schedule ctx ~group:meta.group split stmt env) in
+        let sched = Schedule.repair ctx (Schedule.schedule ctx ~group:meta.group split) in
         let sched =
           match fslot with
           | Some { Fusion.f_elide = true; _ } ->
@@ -129,7 +137,7 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
   let deps =
     match deps with
     | Some d -> d
-    | None -> Dep.analyze ctx.compiler_resolve (List.map (fun m -> m.inst) metas)
+    | None -> Staged.deps ctx metas
   in
   let arr = Array.of_list per_stmt in
   let inter_arcs =
@@ -153,103 +161,117 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
         s.Schedule.tasks)
     per_stmt;
   let cross_node (p, c) = node_of_task.(p - id_base) <> node_of_task.(c - id_base) in
-  (* Dropping a same-node arc is only sound if the node really does run the
-     producer first. The level-major emission below orders a node's program
-     by level, so the dropped arc must still raise the consumer's level
-     above the producer's — otherwise a consumer with a shallower task tree
-     would be emitted (and executed) before its producer. *)
-  let same_node_parents = Array.make (max 1 num_tasks) [] in
-  List.iter
-    (fun (p, c, _) ->
-      if not (cross_node (p, c)) then
-        same_node_parents.(c - id_base) <- p :: same_node_parents.(c - id_base))
-    inter_arcs;
   let all_arcs =
     List.filter cross_node (join_arcs @ List.map (fun (p, c, _) -> (p, c)) inter_arcs)
   in
   let surviving = Sync_min.minimize ~enabled:ctx.options.Context.sync_minimize all_arcs in
-  let sync_of = Sync_min.syncs_per_consumer surviving in
-  (* Inter-statement arcs that survive also order execution: attach them as
-     Result operands (flow deps carry a cache line; anti/output deps carry
-     a token). *)
-  let extra_operands = Array.make (max 1 num_tasks) [] in
-  List.iter
-    (fun (p, c, kind) ->
-      if List.mem (p, c) surviving then begin
-        let bytes = match kind with Dep.Flow | Dep.Anti | Dep.Output -> 8 in
-        extra_operands.(c - id_base) <-
-          Task.Result { producer = p; bytes } :: extra_operands.(c - id_base)
-      end)
-    inter_arcs;
-  let finalize (task : Task.t) =
-    let extras = extra_operands.(task.Task.id - id_base) in
-    let syncs = Option.value (Hashtbl.find_opt sync_of task.Task.id) ~default:0 in
-    match extras with
-    | [] -> if syncs = task.Task.syncs then task else { task with Task.syncs }
-    | _ -> { task with Task.operands = task.Task.operands @ extras; Task.syncs }
-  in
+  (* Everything below is what only emission reads — finalized operands,
+     levels, the level-major order, per-statement reports, predictions —
+     so it is computed on demand: the window-size estimates read only
+     [est_movement] and [sync_count] and never force it. *)
   let tasks =
-    Array.of_list
-      (List.concat_map (fun (_, _, s, _) -> List.map finalize s.Schedule.tasks) per_stmt)
+    lazy
+      (let sync_of = Sync_min.syncs_per_consumer surviving in
+       (* Dropping a same-node arc is only sound if the node really does
+          run the producer first. The level-major emission below orders a
+          node's program by level, so the dropped arc must still raise the
+          consumer's level above the producer's — otherwise a consumer with
+          a shallower task tree would be emitted (and executed) before its
+          producer. *)
+       let same_node_parents = Array.make (max 1 num_tasks) [] in
+       (* Inter-statement arcs that survive also order execution: attach
+          them as Result operands (flow deps carry a cache line; anti/output
+          deps carry a token). *)
+       let extra_operands = Array.make (max 1 num_tasks) [] in
+       List.iter
+         (fun (p, c, kind) ->
+           if not (cross_node (p, c)) then
+             same_node_parents.(c - id_base) <- p :: same_node_parents.(c - id_base);
+           if List.mem (p, c) surviving then begin
+             let bytes = match kind with Dep.Flow | Dep.Anti | Dep.Output -> 8 in
+             extra_operands.(c - id_base) <-
+               Task.Result { producer = p; bytes } :: extra_operands.(c - id_base)
+           end)
+         inter_arcs;
+       let finalize (task : Task.t) =
+         let extras = extra_operands.(task.Task.id - id_base) in
+         let syncs = Option.value (Hashtbl.find_opt sync_of task.Task.id) ~default:0 in
+         match extras with
+         | [] -> if syncs = task.Task.syncs then task else { task with Task.syncs }
+         | _ -> { task with Task.operands = task.Task.operands @ extras; Task.syncs }
+       in
+       let tasks =
+         Array.of_list
+           (List.concat_map (fun (_, _, s, _) -> List.map finalize s.Schedule.tasks) per_stmt)
+       in
+       (* Emit the window level-by-level (all dependency-free
+          subcomputations first), so a node's generated program never
+          blocks a ready subcomputation behind one that is still waiting
+          for remote partial results — the interleaving the paper's code
+          generator produces (Figure 8). The sort is stable, preserving
+          producer-before-consumer within a level chain. *)
+       let level_of = Array.make (max 1 num_tasks) 0 in
+       let leveled =
+         Array.map
+           (fun (t : Task.t) ->
+             let producer_level = function
+               | Task.Result { producer; bytes = _ } -> level_of.(producer - id_base)
+               | Task.Load _ -> 0
+             in
+             let operand_floor =
+               List.fold_left (fun acc op -> max acc (producer_level op)) 0 t.Task.operands
+             in
+             (* Same-node arcs have no Result operand; their ordering
+                obligation lives entirely in this level assignment. *)
+             let parent_floor =
+               List.fold_left
+                 (fun acc p -> max acc level_of.(p - id_base))
+                 0
+                 same_node_parents.(t.Task.id - id_base)
+             in
+             let level = 1 + max operand_floor parent_floor in
+             level_of.(t.Task.id - id_base) <- level;
+             (t, level))
+           tasks
+       in
+       Array.stable_sort (fun ((_ : Task.t), la) ((_ : Task.t), lb) -> compare la lb) leveled;
+       Array.to_list leveled)
   in
-  (* Emit the window level-by-level (all dependency-free subcomputations
-     first), so a node's generated program never blocks a ready
-     subcomputation behind one that is still waiting for remote partial
-     results — the interleaving the paper's code generator produces
-     (Figure 8). The sort is stable, preserving producer-before-consumer
-     within a level chain. *)
-  let level_of = Array.make (max 1 num_tasks) 0 in
-  let leveled =
-    Array.map
-      (fun (t : Task.t) ->
-        let producer_level = function
-          | Task.Result { producer; bytes = _ } -> level_of.(producer - id_base)
-          | Task.Load _ -> 0
-        in
-        let operand_floor =
-          List.fold_left (fun acc op -> max acc (producer_level op)) 0 t.Task.operands
-        in
-        (* Same-node arcs have no Result operand; their ordering obligation
-           lives entirely in this level assignment. *)
-        let parent_floor =
-          List.fold_left
-            (fun acc p -> max acc level_of.(p - id_base))
-            0
-            same_node_parents.(t.Task.id - id_base)
-        in
-        let level = 1 + max operand_floor parent_floor in
-        level_of.(t.Task.id - id_base) <- level;
-        (t, level))
-      tasks
-  in
-  Array.stable_sort (fun ((_ : Task.t), la) ((_ : Task.t), lb) -> compare la lb) leveled;
-  let tasks = Array.to_list leveled in
-  let group_syncs = Hashtbl.create 16 in
-  List.iter
-    (fun ((t : Task.t), _) ->
-      if t.Task.syncs > 0 then
-        Hashtbl.replace group_syncs t.Task.group
-          (Option.value (Hashtbl.find_opt group_syncs t.Task.group) ~default:0 + t.Task.syncs))
-    tasks;
   let reports =
-    List.map
-      (fun (meta, split, sched, default_est) ->
-        {
-          r_group = meta.group;
-          est_movement = split.Splitter.est_movement;
-          default_est;
-          parallelism = sched.Schedule.parallelism;
-          task_count = List.length sched.Schedule.tasks;
-          offload_mix = sched.Schedule.offload_mix;
-          syncs = Option.value (Hashtbl.find_opt group_syncs meta.group) ~default:0;
-        })
-      per_stmt
+    lazy
+      (let group_syncs = Hashtbl.create 16 in
+       List.iter
+         (fun ((t : Task.t), _) ->
+           if t.Task.syncs > 0 then
+             Hashtbl.replace group_syncs t.Task.group
+               (Option.value (Hashtbl.find_opt group_syncs t.Task.group) ~default:0 + t.Task.syncs))
+         (Lazy.force tasks);
+       List.map
+         (fun (meta, split, sched, default_est) ->
+           {
+             r_group = meta.group;
+             est_movement = split.Splitter.est_movement;
+             default_est;
+             parallelism = sched.Schedule.parallelism;
+             task_count = List.length sched.Schedule.tasks;
+             offload_mix = sched.Schedule.offload_mix;
+             syncs = Option.value (Hashtbl.find_opt group_syncs meta.group) ~default:0;
+           })
+         per_stmt)
   in
-  let predictions = List.concat_map (fun (_, sp, _, _) -> sp.Splitter.predictions) per_stmt in
+  let predictions = lazy (List.concat_map (fun (_, sp, _, _) -> Splitter.predictions sp) per_stmt) in
   let roots =
     List.map (fun (meta, _, sched, _) -> (meta.group, sched.Schedule.root_task)) per_stmt
   in
-  { tasks; reports; sync_count = List.length surviving; predictions; roots; sync_arcs = surviving }
+  {
+    tasks;
+    reports;
+    est_movement = !est_total;
+    sync_count = List.length surviving;
+    predictions;
+    roots;
+    sync_arcs = surviving;
+  }
 
 (* Preprocessing objective: estimated links traversed plus the cost of the
    synchronizations the window structure induces, expressed in links
@@ -259,19 +281,7 @@ let sync_links_of (ctx : Context.t) =
   let c = ctx.Context.config in
   max 1 (c.Ndp_sim.Config.sync_cycles / c.Ndp_sim.Config.hop_cycles) + 2
 
-let estimate_of_compiled ~sync_links (compiled : compiled) =
-  let movement = List.fold_left (fun acc r -> acc + r.est_movement) 0 compiled.reports in
-  movement + (sync_links * compiled.sync_count)
-
-let movement_estimate (ctx : Context.t) metas ~window =
-  let ctx = Context.fork_for_estimate ctx in
-  let sync_links = sync_links_of ctx in
-  let windows = chunk metas window in
-  List.fold_left
-    (fun acc w -> acc + estimate_of_compiled ~sync_links (compile ctx w))
-    0 windows
-
-(* Like [movement_estimate], but with the nest sample's dependence
+(* Compile the sample under a fixed window size, with its dependence
    analysis computed once ([all_deps], indices into [sample]) and sliced
    per chunk: a dependence whose endpoints both fall inside a chunk is
    exactly what analyzing the chunk alone would find (the analysis is
@@ -293,7 +303,8 @@ let estimate_sliced (ctx : Context.t) sample all_deps ~window =
             else None)
           all_deps
       in
-      go hi (acc + estimate_of_compiled ~sync_links (compile ~deps ctx metas))
+      let c = compile ~deps ctx metas in
+      go hi (acc + c.est_movement + (sync_links * c.sync_count))
     end
   in
   go 0 0
@@ -310,17 +321,13 @@ let preprocessing_sample = 256
 let all_non_affine metas =
   metas <> []
   && List.for_all
-       (fun m ->
-         let stmt = m.inst.Dep.stmt in
-         List.for_all
-           (fun r -> not (Ndp_ir.Reference.analyzable r))
-           (Ndp_ir.Stmt.output stmt :: Ndp_ir.Stmt.inputs stmt))
+       (fun m -> Array.for_all not m.shape.Staged.affine)
        metas
 
 (* ------------------------------------------------------------------ *)
 (* Analytic (closed-form) window sizing.
 
-   Pricing a candidate window by compiling it ([movement_estimate]) means
+   Pricing a candidate window by compiling it ([estimate_sliced]) means
    splitting, scheduling, repairing and sync-minimizing every statement of
    the sample once per candidate size. The analytic path prices the same
    objective from one walk over the sample plus integer arithmetic per
@@ -341,7 +348,7 @@ type analytic = { a_est : int array; a_syncs : int }
    and runs a multi-item combine on the MST vertex itself, so lines land
    at the store node except where a vertex holds two or more items. The
    margin rule is applied first: a collapsed statement notes everything at
-   its store node, exactly like [Schedule.single_node_schedule]. *)
+   its store node, exactly like [Schedule.schedule]'s single-node case. *)
 let note_analytic (ctx : Context.t) ~store_node ~kept (split : Splitter.t) =
   List.iter
     (fun (node, locs) ->
@@ -354,12 +361,12 @@ let note_analytic (ctx : Context.t) ~store_node ~kept (split : Splitter.t) =
           | Some va -> Context.note_cached ctx ~line:(Location.line_of ctx va) ~node:target
           | None -> ())
         locs)
-    split.Splitter.items_at;
+    (Splitter.items_at split);
   match split.Splitter.store with
   | Some (va, _) -> Context.note_cached ctx ~line:(Location.line_of ctx va) ~node:store_node
   | None -> ()
 
-let analytic_of ?deps (ctx : Context.t) metas ~window =
+let analytic_of (ctx : Context.t) metas ~window =
   if window <= 0 then invalid_arg "Window.analytic_of: window must be positive";
   let ctx = Context.fork_for_estimate ctx in
   let arr = Array.of_list metas in
@@ -372,10 +379,9 @@ let analytic_of ?deps (ctx : Context.t) metas ~window =
       Context.clear_reuse ctx;
       for i = lo to hi - 1 do
         let m = arr.(i) in
-        let stmt = m.inst.Dep.stmt and env = m.inst.Dep.env in
         let store_node = store_node_of ctx m in
-        let split = Splitter.split ctx ~store_node stmt env in
-        let default_est = Splitter.default_movement ctx ~store_node stmt env in
+        let split = Splitter.split ctx ~store_node m in
+        let default_est = Splitter.default_movement ctx ~store_node m in
         let kept = split.Splitter.est_movement * margin_den < default_est * margin_num in
         a_est.(i) <- (if kept then split.Splitter.est_movement else default_est);
         Context.advance_statement ctx;
@@ -385,13 +391,9 @@ let analytic_of ?deps (ctx : Context.t) metas ~window =
          cost one handshake; duplicate (producer, consumer) pairs collapse
          like [compile]'s arc set does. *)
       let chunk_deps =
-        match deps with
-        | Some d -> List.filter (fun (d : Dep.dep) -> d.Dep.src >= lo && d.Dep.dst < hi) d
-        | None ->
-          let insts = List.init (hi - lo) (fun k -> arr.(lo + k).inst) in
-          List.map
-            (fun (d : Dep.dep) -> { d with Dep.src = d.Dep.src + lo; Dep.dst = d.Dep.dst + lo })
-            (Dep.analyze ctx.Context.compiler_resolve insts)
+        List.map
+          (fun (d : Dep.dep) -> { d with Dep.src = d.Dep.src + lo; Dep.dst = d.Dep.dst + lo })
+          (Dep.analyze_accesses (Staged.accesses ctx arr ~lo ~hi))
       in
       let pairs = Hashtbl.create 16 in
       List.iter
@@ -420,10 +422,7 @@ let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
   else begin
     let sample = Array.of_list (List.filteri (fun i _ -> i < preprocessing_sample) metas) in
     let n = Array.length sample in
-    let all_deps =
-      Dep.analyze ctx.Context.compiler_resolve
-        (Array.to_list (Array.map (fun m -> m.inst) sample))
-    in
+    let all_deps = Dep.analyze_accesses (Staged.accesses ctx sample ~lo:0 ~hi:n) in
     (* One un-chunked walk over the sample decomposes every candidate
        size. Statement [i]'s estimate depends on chunking only through
        which in-window providers survive the chunk boundary: [est_full]
@@ -440,31 +439,27 @@ let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
     let providers = Array.make (max 1 n) [] in
     for i = 0 to n - 1 do
       let m = sample.(i) in
-      let stmt = m.inst.Dep.stmt and env = m.inst.Dep.env in
       let store_node = store_node_of ectx m in
       let provs = ref [] in
-      List.iter
-        (fun r ->
-          match ectx.Context.compiler_resolve r env with
-          | Some va -> (
-            let line = Location.line_of ectx va in
-            match Hashtbl.find_opt ectx.Context.var2node line with
-            | Some (_, stamp) when ectx.Context.stmt_clock - stamp <= Context.reuse_horizon ->
-              let p = stamp - 1 in
-              if p >= 0 && not (List.mem p !provs) then provs := p :: !provs
-            | _ -> ())
-          | None -> ())
-        (Ndp_ir.Stmt.inputs stmt);
+      for k = 1 to Array.length m.shape.Staged.refs - 1 do
+        let va = Staged.compiler_va ectx m k in
+        if va <> Staged.none then
+          match Hashtbl.find_opt ectx.Context.var2node (Location.line_of ectx va) with
+          | Some (_, stamp) when ectx.Context.stmt_clock - stamp <= Context.reuse_horizon ->
+            let p = stamp - 1 in
+            if p >= 0 && not (List.mem p !provs) then provs := p :: !provs
+          | _ -> ()
+      done;
       providers.(i) <- !provs;
-      let split = Splitter.split ectx ~store_node stmt env in
-      let default_est = Splitter.default_movement ectx ~store_node stmt env in
+      let split = Splitter.split ectx ~store_node m in
+      let default_est = Splitter.default_movement ectx ~store_node m in
       let kept = split.Splitter.est_movement * margin_den < default_est * margin_num in
       est_full.(i) <- (if kept then split.Splitter.est_movement else default_est);
       (* [default_movement] never consults the reuse map, so the default
          estimate is shared between the two regimes. *)
       est_none.(i) <-
         (if !provs = [] then est_full.(i)
-         else margin_ruled ~default_est (Splitter.split nctx ~store_node stmt env).Splitter.est_movement);
+         else margin_ruled ~default_est (Splitter.split nctx ~store_node m).Splitter.est_movement);
       Context.advance_statement ectx;
       note_analytic ectx ~store_node ~kept split
     done;

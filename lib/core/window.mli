@@ -8,10 +8,13 @@
     size from 1 to the configured maximum and keeps the size with the
     least estimated data movement. *)
 
-type meta = {
+type meta = Staged.meta = {
   group : int; (** global statement-instance id *)
   default_node : int; (** node the default placement would use *)
   inst : Ndp_ir.Dependence.instance;
+  shape : Staged.shape; (** the statement's staged shape *)
+  addrs : int array; (** the stream's staged runtime addresses *)
+  at : int; (** this instance's first reference in [addrs] *)
 }
 
 type stmt_report = {
@@ -25,13 +28,14 @@ type stmt_report = {
 }
 
 type compiled = {
-  tasks : (Ndp_sim.Task.t * int) list;
+  tasks : (Ndp_sim.Task.t * int) list Lazy.t;
       (** tasks with their dependency level (1 = no result operands),
           sorted level-major so ready subcomputations precede waiting
           ones in every node's generated program *)
-  reports : stmt_report list;
+  reports : stmt_report list Lazy.t;
+  est_movement : int; (** total of the reports' [est_movement] *)
   sync_count : int; (** surviving synchronization arcs *)
-  predictions : (int * bool) list; (** (va, predicted hit) in issue order *)
+  predictions : (int * bool) list Lazy.t; (** (va, predicted hit) in issue order *)
   roots : (int * int) list;
       (** (statement group, final task id) per compiled instance — the
           task that performs the output store *)
@@ -51,6 +55,10 @@ val compile :
   meta list ->
   compiled
 (** Compile one window. Clears and then populates the variable2node map.
+    Emission-only parts — [tasks], [reports], [predictions] — are computed
+    when first forced, so an estimate that reads only [est_movement] and
+    [sync_count] never pays for them. Force them on the domain that
+    compiled the window.
     [deps], when given, must be the dependence analysis of exactly these
     instances (indices local to the list) and skips the analysis here —
     the pipeline analyzes each chunk (or slices a fused nest's whole
@@ -68,14 +76,12 @@ type analytic = {
   a_syncs : int;  (** modeled cross-node synchronization handshakes *)
 }
 
-val analytic_of : ?deps:Ndp_ir.Dependence.dep list -> Context.t -> meta list -> window:int -> analytic
+val analytic_of : Context.t -> meta list -> window:int -> analytic
 (** Closed-form counterpart of compiling the stream under a fixed window
     size: per-statement movement from the splitter's estimates with the
     variable2node map maintained at located (rather than scheduled) nodes,
     and one handshake per distinct in-chunk cross-node dependence pair.
-    No tasks are built and no schedule is run. [deps], when given, must be
-    the dependence analysis of exactly these instances (indices local to
-    the list). *)
+    No tasks are built and no schedule is run. *)
 
 val choose_size : ?pool:Ndp_prelude.Pool.t -> Context.t -> meta list -> max:int -> int
 (** The preprocessing step of Section 4.4: pick the window size in
@@ -105,9 +111,3 @@ val all_non_affine : meta list -> bool
     through the inspector), so sizing falls back to 1 with a W402 lint. *)
 
 val chunk : 'a list -> int -> 'a list list
-
-val movement_estimate : Context.t -> meta list -> window:int -> int
-(** Total estimated movement plus synchronization when compiling the
-    stream under a fixed window size, re-analyzing dependences per chunk
-    (no simulation). Its argmin over [1..max] on the sample is the oracle
-    {!choose_size} is tested against. *)

@@ -65,7 +65,7 @@ let buf_trace b = function
     Buffer.add_char b ':';
     List.iter
       (fun (t, level) -> buf_int b level; buf_task b t)
-      t_compiled.Ndp_core.Window.tasks;
+      (Lazy.force t_compiled.Ndp_core.Window.tasks);
     List.iter (fun (a, c) -> buf_int b a; buf_int b c)
       t_compiled.Ndp_core.Window.sync_arcs
 

@@ -374,8 +374,7 @@ let fig23 common =
           let machine = Ndp_sim.Machine.create Config.default in
           let ctx =
             Ndp_core.Context.create ~machine
-              ~compiler_resolve:(fun _ _ -> None)
-              ~runtime_resolve:(fun _ _ -> None)
+              ~runtime_resolve:(fun _ _ -> None) ~indirect_known:false
               ~arrays:k.Ndp_core.Kernel.program.Ndp_ir.Loop.arrays
               ~options:(Ndp_core.Context.default_options Config.default) ()
           in

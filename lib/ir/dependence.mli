@@ -27,15 +27,29 @@ type resolver = Reference.t -> Env.t -> int option
 
 val analyze : resolver -> instance list -> dep list
 (** All pairwise dependences with [src < dst] in list order, sorted by
-    ascending (src, dst). Lists of at most 12 instances (a compilation
+    ascending (src, dst): one resolver call per (instance, reference),
+    then {!analyze_accesses}. *)
+
+type accesses = {
+  first : int array;
+      (** instance [i]'s accesses are [first.(i) .. first.(i+1) - 1], its
+          output first, then its inputs in order; length [n + 1] *)
+  ids : int array; (** dense array id per access; equal ids, equal arrays *)
+  addrs : int array; (** element address per access, or {!unresolved} *)
+}
+
+val unresolved : int
+(** Address of an access the resolver could not analyze. *)
+
+val analyze_accesses : accesses -> dep list
+(** The analysis proper. Lists of at most 12 instances (a compilation
     window) are scanned all-pairs. Longer ones are pre-bucketed by
     resolved address in an int-keyed table and, for unresolvable
-    references, by array (names interned to dense ids once per call), so
-    only pairs that can actually conflict are compared; affine streams
-    cost O(n * dependence-chain length) instead of O(n{^ 2}). The
-    analysis is pairwise, so analyzing a contiguous slice of the list
-    finds exactly the dependences with both ends in it. The result is
-    identical to {!analyze_naive}. *)
+    references, by array id, so only pairs that can actually conflict are
+    compared; affine streams cost O(n * dependence-chain length) instead
+    of O(n{^ 2}). The analysis is pairwise, so analyzing a contiguous
+    slice of the list finds exactly the dependences with both ends in it.
+    The result is identical to {!analyze_naive}. *)
 
 val analyze_naive : resolver -> instance list -> dep list
 (** Reference implementation comparing all O(n{^ 2}) instance pairs: the

@@ -1,12 +1,11 @@
 type t = {
   cols : int;
   rows : int;
-  (* Lazily-built dense XY route table: [routes.(src * size + dst)] is the
-     link-index sequence of the route, shared by every [route_links]
-     caller. Built on first use, so meshes used only for geometry queries
-     never pay for it. *)
+  (* Dense XY route tables, [routes.(src * size + dst)] the link-index
+     sequence of the route and [route_nodes] the nodes it enters: the
+     shape's shared pair, fetched on first use so meshes used only for
+     geometry queries never touch it. *)
   mutable routes : int array array;
-  (* Companion table: the nodes each route enters, one per link. *)
   mutable route_nodes : int array array;
 }
 
@@ -101,46 +100,48 @@ let link_index t l = (l.from_node * 4) + direction_index t l
 
 let num_links t = size t * 4
 
+(* Route tables depend only on the shape: one pair per (cols, rows) for
+   the whole process, not per job (the 6x6 pair costs ~0.5 ms and 280 K
+   words). Pool domains share the registry, so it is filled under a lock. *)
+let registry : ((int * int) * (int array array * int array array)) list ref = ref []
+
+let registry_lock = Mutex.create ()
+
 let build_routes t =
   let n = size t in
-  let routes =
+  let table f =
     Array.init (n * n) (fun cell ->
         let src = cell / n and dst = cell mod n in
-        if src = dst then [||]
-        else
-          let hops = List.map (link_index t) (xy_route t ~src ~dst) in
-          Array.of_list hops)
+        if src = dst then [||] else Array.of_list (List.map f (xy_route t ~src ~dst)))
   in
-  t.routes <- routes;
-  routes
+  (table (link_index t), table (fun l -> l.to_node))
+
+let fetch_routes t =
+  let links, nodes =
+    Mutex.protect registry_lock (fun () ->
+        match List.assoc_opt (t.cols, t.rows) !registry with
+        | Some tables -> tables
+        | None ->
+          let tables = build_routes t in
+          registry := ((t.cols, t.rows), tables) :: !registry;
+          tables)
+  in
+  t.routes <- links;
+  t.route_nodes <- nodes
 
 let route_links t ~src ~dst =
   let n = size t in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Mesh.route_links: bad node id";
-  let routes = if Array.length t.routes = 0 then build_routes t else t.routes in
-  routes.((src * n) + dst)
+  if Array.length t.routes = 0 then fetch_routes t;
+  t.routes.((src * n) + dst)
 
 let route_nodes t ~src ~dst =
   let n = size t in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Mesh.route_nodes: bad node id";
-  let table =
-    if Array.length t.route_nodes > 0 then t.route_nodes
-    else begin
-      let table =
-        Array.init (n * n) (fun cell ->
-            let src = cell / n and dst = cell mod n in
-            if src = dst then [||]
-            else
-              Array.of_list
-                (List.map (fun l -> l.to_node) (xy_route t ~src ~dst)))
-      in
-      t.route_nodes <- table;
-      table
-    end
-  in
-  table.((src * n) + dst)
+  if Array.length t.route_nodes = 0 then fetch_routes t;
+  t.route_nodes.((src * n) + dst)
 
 let quadrant_of_node t node =
   if node < 0 || node >= size t then invalid_arg "Mesh.coord_of_node: bad node id";

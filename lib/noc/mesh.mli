@@ -39,13 +39,14 @@ val xy_route : t -> src:int -> dst:int -> link list
 
 val route_links : t -> src:int -> dst:int -> int array
 (** The XY route as dense link indices ([link_index] of each hop of
-    [xy_route]), served from a per-mesh table built lazily on first use.
-    The returned array is shared — callers must not mutate it. *)
+    [xy_route]), served from a table built once per mesh shape for the
+    whole process and shared by every mesh of that shape (and every
+    domain). The returned array is shared — callers must not mutate it. *)
 
 val route_nodes : t -> src:int -> dst:int -> int array
 (** The nodes the XY route enters, one per hop ([to_node] of each link of
-    [xy_route]), served from a lazily-built per-mesh table. The returned
-    array is shared — callers must not mutate it. *)
+    [xy_route]), served from the shape's shared table like {!route_links}.
+    The returned array is shared — callers must not mutate it. *)
 
 val links : t -> link list
 (** All directed links of the mesh. *)

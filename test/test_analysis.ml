@@ -183,8 +183,14 @@ let flow_trace ?(sync_arcs = []) ?(result_arc = false) ?(serialized = false) () 
   let env = Ndp_ir.Env.of_list [ ("i", 0) ] in
   let s0 = Ndp_ir.Parser.statement "a[i] = b[i]" in
   let s1 = Ndp_ir.Parser.statement "c[i] = a[i]" in
+  let ctx =
+    Ndp_core.Context.create
+      ~machine:(Ndp_sim.Machine.create Ndp_sim.Config.default)
+      ~runtime_resolve:resolver ~indirect_known:false ~arrays:decls
+      ~options:(Ndp_core.Context.default_options Ndp_sim.Config.default) ()
+  in
   let meta group stmt_idx stmt =
-    { Window.group; default_node = group; inst = { Dep.stmt_idx; stmt; env } }
+    List.hd (Ndp_core.Staged.make ctx [ (group, group, { Dep.stmt_idx; stmt; env }) ])
   in
   let operands = if result_arc then [ Task.Result { producer = 0; bytes = 8 } ] else [] in
   let t0 = Task.make ~id:0 ~group:0 ~node:0 ~ops:[] ~operands:[] ~label:"s0" () in

@@ -7,8 +7,7 @@ module Task = Ndp_sim.Task
    8 bytes; predictor state is cold, so locations resolve to MC nodes
    unless we warm the predictor first — [warm] marks lines recently seen
    so GetNode answers with the L2 home. *)
-let fixture ?(options = None) placements =
-  let config = Ndp_sim.Config.default in
+let fixture ?(config = Ndp_sim.Config.default) ?(options = None) placements =
   let machine = Ndp_sim.Machine.create config in
   let arrays =
     Ndp_ir.Array_decl.layout (List.map (fun (name, _) -> (name, 64, 8)) placements)
@@ -23,7 +22,7 @@ let fixture ?(options = None) placements =
     match options with Some o -> o | None -> Context.default_options config
   in
   let ctx =
-    Context.create ~machine ~compiler_resolve:resolve ~runtime_resolve:resolve ~arrays
+    Context.create ~machine ~runtime_resolve:resolve ~indirect_known:false ~arrays
       ~options:opts ()
   in
   (* Warm the predictor so every placement is predicted L2-resident and
@@ -36,6 +35,14 @@ let fixture ?(options = None) placements =
   (ctx, va_of)
 
 let env0 = Ndp_ir.Env.of_list [ ("i", 0) ]
+
+(* Distinct physical nodes of a split tree, the store node included. *)
+let nodes (s : Splitter.t) =
+  List.sort_uniq compare (s.Splitter.store_node :: List.map fst (Splitter.items_at s))
+
+(* One statement instance, staged as the pipeline stages its streams. *)
+let stage ?(group = 0) ?(node = 0) ctx stmt env =
+  List.hd (Staged.make ctx [ (group, node, { Ndp_ir.Dependence.stmt_idx = group; stmt; env }) ])
 
 (* The Figure 3/9 scenario: A with four inputs on a chain of adjacent
    nodes. Default execution visits 10 links; the MST needs only 4. *)
@@ -50,28 +57,28 @@ let figure9_stmt = Ndp_ir.Parser.statement "a[i] = b[i] + c[i] + d[i] + e[i]"
 
 let splitter_figure9 () =
   let ctx, _ = fixture figure9_placements in
-  let split = Splitter.split ctx ~store_node:7 figure9_stmt env0 in
+  let split = Splitter.split ctx ~store_node:7 (stage ctx figure9_stmt env0) in
   Alcotest.(check int) "spanning tree over 5 nodes" 4 (List.length split.Splitter.edges);
   Alcotest.(check bool) "tree is spanning" true
-    (let nodes = split.Splitter.nodes in
+    (let nodes = (nodes split) in
      List.length nodes = 5 && List.mem 7 nodes);
   Alcotest.(check int) "minimum movement 4" 4 split.Splitter.est_movement;
-  let default = Splitter.default_movement ctx ~store_node:7 figure9_stmt env0 in
+  let default = Splitter.default_movement ctx ~store_node:7 (stage ctx figure9_stmt env0) in
   Alcotest.(check int) "default movement 10" 10 default
 
 let splitter_dedupes_same_node () =
   (* b and c share a node: one vertex, not two (Algorithm 1 line 12). *)
   let ctx, _ = fixture [ ("a", 7); ("b", 9); ("c", 9) ] in
   let split =
-    Splitter.split ctx ~store_node:7 (Ndp_ir.Parser.statement "a[i] = b[i] + c[i]") env0
+    Splitter.split ctx ~store_node:7 (stage ctx (Ndp_ir.Parser.statement "a[i] = b[i] + c[i]") env0)
   in
-  Alcotest.(check (list int)) "two vertices" [ 7; 9 ] (List.sort compare split.Splitter.nodes);
+  Alcotest.(check (list int)) "two vertices" [ 7; 9 ] (List.sort compare (nodes split));
   Alcotest.(check int) "one edge" 1 (List.length split.Splitter.edges)
 
 let splitter_single_node () =
   let ctx, _ = fixture [ ("a", 7); ("b", 7); ("c", 7) ] in
   let split =
-    Splitter.split ctx ~store_node:7 (Ndp_ir.Parser.statement "a[i] = b[i] + c[i]") env0
+    Splitter.split ctx ~store_node:7 (stage ctx (Ndp_ir.Parser.statement "a[i] = b[i] + c[i]") env0)
   in
   Alcotest.(check int) "no edges" 0 (List.length split.Splitter.edges);
   Alcotest.(check int) "zero movement" 0 split.Splitter.est_movement
@@ -80,7 +87,7 @@ let splitter_levels () =
   (* a = b * (c + d): the (c, d) group forms its own sub-MST first. *)
   let ctx, _ = fixture [ ("a", 0); ("b", 1); ("c", 34); ("d", 35) ] in
   let split =
-    Splitter.split ctx ~store_node:0 (Ndp_ir.Parser.statement "a[i] = b[i] * (c[i] + d[i])") env0
+    Splitter.split ctx ~store_node:0 (stage ctx (Ndp_ir.Parser.statement "a[i] = b[i] * (c[i] + d[i])") env0)
   in
   (* c-d are adjacent (distance 1); that edge must be in the tree. *)
   Alcotest.(check bool) "group edge chosen" true
@@ -95,22 +102,22 @@ let splitter_never_cyclic () =
      edges or cycles (the pooled-MSTedges property). *)
   let ctx, _ = fixture [ ("a", 0); ("b", 3); ("c", 21); ("e", 23); ("f", 21) ] in
   let stmt = Ndp_ir.Parser.statement "a[i] = (b[i] + c[i]) * (e[i] + f[i]) + c[i] * f[i]" in
-  let split = Splitter.split ctx ~store_node:0 stmt env0 in
-  Alcotest.(check int) "edges = vertices - 1" (List.length split.Splitter.nodes - 1)
+  let split = Splitter.split ctx ~store_node:0 (stage ctx stmt env0) in
+  Alcotest.(check int) "edges = vertices - 1" (List.length (nodes split) - 1)
     (List.length split.Splitter.edges)
 
 let unsplit_collapses () =
   let ctx, va_of = fixture figure9_placements in
-  let split = Splitter.split ctx ~store_node:7 figure9_stmt env0 in
+  let split = Splitter.split ctx ~store_node:7 (stage ctx figure9_stmt env0) in
   let u = Splitter.unsplit split in
   Alcotest.(check int) "no edges" 0 (List.length u.Splitter.edges);
-  Alcotest.(check (list int)) "single node" [ 7 ] u.Splitter.nodes;
+  Alcotest.(check (list int)) "single node" [ 7 ] (nodes u);
   ignore va_of
 
 let schedule_invariants () =
   let ctx, va_of = fixture figure9_placements in
-  let split = Splitter.split ctx ~store_node:7 figure9_stmt env0 in
-  let sched = Schedule.schedule ctx ~group:0 split figure9_stmt env0 in
+  let split = Splitter.split ctx ~store_node:7 (stage ctx figure9_stmt env0) in
+  let sched = Schedule.schedule ctx ~group:0 split in
   (* Producers precede consumers in emission order. *)
   let seen = Hashtbl.create 8 in
   List.iter
@@ -142,16 +149,16 @@ let schedule_invariants () =
 
 let schedule_parallel_branches () =
   let ctx, _ = fixture branching_placements in
-  let split = Splitter.split ctx ~store_node:7 figure9_stmt env0 in
-  let sched = Schedule.schedule ctx ~group:0 split figure9_stmt env0 in
+  let split = Splitter.split ctx ~store_node:7 (stage ctx figure9_stmt env0) in
+  let sched = Schedule.schedule ctx ~group:0 split in
   Alcotest.(check bool) "two parallel subcomputations" true (sched.Schedule.parallelism >= 2);
   (* The root joins two children and synchronizes on both (Figure 6). *)
   Alcotest.(check int) "two join arcs" 2 (List.length sched.Schedule.join_arcs)
 
 let schedule_ops_conserved () =
   let ctx, _ = fixture figure9_placements in
-  let split = Splitter.split ctx ~store_node:7 figure9_stmt env0 in
-  let sched = Schedule.schedule ctx ~group:0 split figure9_stmt env0 in
+  let split = Splitter.split ctx ~store_node:7 (stage ctx figure9_stmt env0) in
+  let sched = Schedule.schedule ctx ~group:0 split in
   let total_cost =
     List.fold_left (fun acc (t : Task.t) -> acc + t.Task.cost) 0 sched.Schedule.tasks
   in
@@ -162,7 +169,7 @@ let location_reuse () =
      C's location for statement 2. *)
   let ctx, va_of = fixture [ ("x", 3); ("y", 4); ("c", 10); ("d", 16) ] in
   Context.note_cached ctx ~line:(va_of "c" / 64) ~node:16;
-  let loc = Location.locate ctx ~store_node:3 (Ndp_ir.Reference.make "c" (Ndp_ir.Subscript.var "i")) env0 in
+  let loc = Location.locate ctx ~store_node:3 (stage ctx (Ndp_ir.Parser.statement "x[i] = c[i]") env0) 1 in
   Alcotest.(check int) "located at n_D" 16 loc.Location.node;
   Alcotest.(check bool) "via L1" true loc.Location.in_l1
 
@@ -172,13 +179,14 @@ let location_reuse_expires () =
   for _ = 1 to Context.reuse_horizon + 1 do
     Context.advance_statement ctx
   done;
-  let loc = Location.locate ctx ~store_node:3 (Ndp_ir.Reference.make "c" (Ndp_ir.Subscript.var "i")) env0 in
+  let loc = Location.locate ctx ~store_node:3 (stage ctx (Ndp_ir.Parser.statement "x[i] = c[i]") env0) 1 in
   Alcotest.(check bool) "stale placement ignored" false loc.Location.in_l1
 
 let location_unanalyzable_pins () =
   let ctx, _ = fixture [ ("x", 3) ] in
   let r = Ndp_ir.Reference.make "x" (Ndp_ir.Subscript.indirect "y" (Ndp_ir.Subscript.var "i")) in
-  let loc = Location.locate ctx ~store_node:31 r env0 in
+  let stmt = Ndp_ir.Stmt.make (Ndp_ir.Reference.make "x" (Ndp_ir.Subscript.var "i")) (Ndp_ir.Expr.Ref r) in
+  let loc = Location.locate ctx ~store_node:31 (stage ctx stmt env0) 1 in
   Alcotest.(check int) "pinned to store node" 31 loc.Location.node;
   Alcotest.(check (option int)) "no address" None loc.Location.va
 
@@ -199,23 +207,17 @@ let window_chunking () =
     (Window.chunk [ 1; 2; 3; 4; 5 ] 2);
   Alcotest.(check (list (list int))) "oversize window" [ [ 1; 2 ] ] (Window.chunk [ 1; 2 ] 9)
 
-let meta_of ctx stmt i node =
-  ignore ctx;
-  {
-    Window.group = i;
-    default_node = node;
-    inst = { Ndp_ir.Dependence.stmt_idx = i; stmt; env = env0 };
-  }
+let meta_of ctx stmt i node = stage ~group:i ~node ctx stmt env0
 
 let window_compile_basics () =
   let ctx, _ = fixture (figure9_placements @ [ ("x", 20); ("y", 21) ]) in
   let s2 = Ndp_ir.Parser.statement "x[i] = y[i] + c[i]" in
   let compiled = Window.compile ctx [ meta_of ctx figure9_stmt 0 7; meta_of ctx s2 1 20 ] in
-  Alcotest.(check int) "two reports" 2 (List.length compiled.Window.reports);
+  Alcotest.(check int) "two reports" 2 (List.length (Lazy.force compiled.Window.reports));
   (* Emission is level-major: levels never decrease. *)
-  let levels = List.map snd compiled.Window.tasks in
+  let levels = List.map snd (Lazy.force compiled.Window.tasks) in
   Alcotest.(check (list int)) "level-sorted" (List.sort compare levels) levels;
-  Alcotest.(check bool) "predictions recorded" true (compiled.Window.predictions <> [])
+  Alcotest.(check bool) "predictions recorded" true ((Lazy.force compiled.Window.predictions) <> [])
 
 let window_choose_size_bounds () =
   let ctx, _ = fixture figure9_placements in
@@ -232,8 +234,8 @@ let window_movement_estimate_reuse () =
       (List.init 10 (fun i ->
            [ meta_of ctx figure9_stmt (2 * i) 7; meta_of ctx s2 ((2 * i) + 1) 20 ]))
   in
-  let m1 = Window.movement_estimate ctx metas ~window:1 in
-  let m2 = Window.movement_estimate ctx metas ~window:2 in
+  let m1 = Window_oracle.movement_estimate ctx metas ~window:1 in
+  let m2 = Window_oracle.movement_estimate ctx metas ~window:2 in
   Alcotest.(check bool) "window of 2 moves no more data" true (m2 <= m1)
 
 let window_analytic_matches_sampled () =
@@ -280,7 +282,7 @@ let baseline_assignment () =
   in
   let machine = Ndp_sim.Machine.create Ndp_sim.Config.default in
   let ctx =
-    Context.create ~machine ~compiler_resolve:resolve ~runtime_resolve:resolve ~arrays
+    Context.create ~machine ~runtime_resolve:resolve ~indirect_known:false ~arrays
       ~options:(Context.default_options Ndp_sim.Config.default) ()
   in
   let nest =
@@ -288,8 +290,7 @@ let baseline_assignment () =
       [ { Ndp_ir.Loop.var = "i"; lo = 0; hi = 72 } ]
       [ Ndp_ir.Parser.statement "a[i] = b[i]" ]
   in
-  let iters = Ndp_ir.Loop.iterations nest in
-  let assignment = Baseline.assign_iterations ctx nest iters in
+  let assignment = Baseline.assign_iterations ctx nest (Staged.stream ctx nest) in
   Alcotest.(check int) "one node per iteration" 144 (Array.length assignment);
   let used = List.sort_uniq compare (Array.to_list assignment) in
   Alcotest.(check int) "all 36 nodes used" 36 (List.length used);
@@ -298,7 +299,8 @@ let baseline_assignment () =
 
 let codegen_renders () =
   let ctx, _ = fixture figure9_placements in
-  let text = Codegen.emit_statement ctx ~store_node:7 figure9_stmt env0 in
+  let split = Splitter.split ctx ~store_node:7 (stage ctx figure9_stmt env0) in
+  let text = Codegen.emit (Schedule.schedule ctx ~group:0 split).Schedule.tasks in
   Alcotest.(check bool) "mentions nodes" true (Astring.String.is_infix ~affix:"node" text);
   Alcotest.(check bool) "stores" true (Astring.String.is_infix ~affix:"store" text)
 
@@ -312,8 +314,8 @@ let qcheck_splitter_beats_default =
       | [ na; nb; nc; nd ] ->
         let ctx, _ = fixture [ ("a", na); ("b", nb); ("c", nc); ("d", nd) ] in
         let stmt = Ndp_ir.Parser.statement "a[i] = b[i] + c[i] + d[i]" in
-        let split = Splitter.split ctx ~store_node:na stmt env0 in
-        split.Splitter.est_movement <= Splitter.default_movement ctx ~store_node:na stmt env0
+        let split = Splitter.split ctx ~store_node:na (stage ctx stmt env0) in
+        split.Splitter.est_movement <= Splitter.default_movement ctx ~store_node:na (stage ctx stmt env0)
       | _ -> true)
 
 let qcheck_schedule_emits_all_inputs =
@@ -325,8 +327,8 @@ let qcheck_schedule_emits_all_inputs =
       | [ na; nb; nc; nd; ne ] ->
         let ctx, _ = fixture [ ("a", na); ("b", nb); ("c", nc); ("d", nd); ("e", ne) ] in
         let stmt = Ndp_ir.Parser.statement "a[i] = b[i] * c[i] + d[i] / e[i]" in
-        let split = Splitter.split ctx ~store_node:na stmt env0 in
-        let sched = Schedule.schedule ctx ~group:0 split stmt env0 in
+        let split = Splitter.split ctx ~store_node:na (stage ctx stmt env0) in
+        let sched = Schedule.schedule ctx ~group:0 split in
         let loads =
           List.concat_map
             (fun (t : Task.t) ->
@@ -338,15 +340,215 @@ let qcheck_schedule_emits_all_inputs =
         List.length loads = 4 && List.length (List.sort_uniq compare loads) = 4
       | _ -> true)
 
+(* A parenthesized group without array references is a constant to the
+   splitter: it forms no component, so the level MSTs never see an empty
+   vertex. *)
+let reference_free_statements =
+  [ "a[i] = b[i] * (2 + 3)"; "a[i] = (2 + 3) * b[i] + c[i]"; "a[i] = (2 * 3) + (4 - 1)" ]
+
+let splitter_reference_free_group () =
+  let ctx, _ = fixture [ ("a", 7); ("b", 9); ("c", 20) ] in
+  List.iter
+    (fun src ->
+      let stmt = Ndp_ir.Parser.statement src in
+      let split = Splitter.split ctx ~store_node:7 (stage ctx stmt env0) in
+      let sched = Schedule.schedule ctx ~group:0 split in
+      let cost = List.fold_left (fun acc (t : Task.t) -> acc + t.Task.cost) 0 sched.Schedule.tasks in
+      Alcotest.(check int) (src ^ ": every operator scheduled")
+        (Task.cost_of_ops (Ndp_ir.Expr.ops stmt.Ndp_ir.Stmt.rhs))
+        cost)
+    reference_free_statements
+
+let reference_free_group_validates () =
+  let kernel =
+    Ndp_workloads.Spec.kernel ~name:"consts" ~description:"reference-free groups"
+      ~arrays:[ ("a", 64, 8); ("b", 64, 8); ("c", 64, 8) ]
+      ~nests:[ Ndp_workloads.Spec.nest "n" [ ("i", 0, 48) ] reference_free_statements ]
+      ()
+  in
+  let r =
+    Pipeline.Job.run
+      (Pipeline.Job.make ~validate:true (Pipeline.Partitioned Pipeline.partitioned_defaults) kernel)
+  in
+  let races =
+    List.filter
+      (fun (d : Ndp_analysis.Diagnostic.t) ->
+        d.Ndp_analysis.Diagnostic.code = "E301" || d.Ndp_analysis.Diagnostic.code = "E302")
+      (Ndp_analysis.Validate.check_result ~kernel r)
+  in
+  Alcotest.(check int) "no E301/E302" 0 (List.length races);
+  Alcotest.(check bool) "tasks emitted" true (r.Pipeline.tasks_emitted > 0)
+
+let schedule_rejects_non_tree () =
+  let ctx, _ = fixture figure9_placements in
+  let split = Splitter.split ctx ~store_node:7 (stage ctx figure9_stmt env0) in
+  let edge u v = { Ndp_graph.Kruskal.u; v; weight = 1 } in
+  let rejects name edges =
+    Alcotest.check_raises name (Invalid_argument "Schedule.schedule: edge set is not a tree")
+      (fun () -> ignore (Schedule.schedule ctx ~group:0 { split with Splitter.edges }))
+  in
+  rejects "cycle" [ edge 7 8 ; edge 8 9; edge 9 7 ];
+  rejects "forest" [ edge 7 8; edge 9 10 ]
+
+(* The staged addresses the kernel reads are exactly what the resolvers
+   answer, reference by reference, over every instance of the suite: with
+   the inspector not run (indirect references unresolved for the
+   compiler), run, and under ideal data analysis. *)
+let staged_addresses_match_resolvers () =
+  let cases =
+    [
+      ("no inspector", { Pipeline.partitioned_defaults with Pipeline.use_inspector = false });
+      ("inspector", Pipeline.partitioned_defaults);
+      ("ideal", { Pipeline.partitioned_defaults with Pipeline.ideal_data = true });
+    ]
+  in
+  let indirect = ref 0 in
+  List.iter
+    (fun (k : Kernel.t) ->
+      List.iter
+        (fun (case, (opts : Pipeline.part_options)) ->
+          let ctx = Pipeline.static_context (Pipeline.Partitioned opts) k in
+          let insp = Kernel.inspector k in
+          if opts.Pipeline.use_inspector then Ndp_ir.Inspector.run insp;
+          let address_of = Kernel.address_of k in
+          let runtime = Ndp_ir.Inspector.runtime_resolver insp ~address_of in
+          let compiler =
+            if opts.Pipeline.ideal_data then runtime
+            else Ndp_ir.Inspector.compiler_resolver insp ~address_of
+          in
+          let view = function Some va -> va | None -> Staged.none in
+          List.iter
+            (fun nest ->
+              let metas, _ = Pipeline.nest_stream ctx nest ~first_group:0 in
+              List.iter
+                (fun (m : Window.meta) ->
+                  Array.iteri
+                    (fun j r ->
+                      if not (Ndp_ir.Reference.analyzable r) then incr indirect;
+                      let env = m.Window.inst.Ndp_ir.Dependence.env in
+                      if
+                        Staged.runtime_va m j <> view (runtime r env)
+                        || Staged.compiler_va ctx m j <> view (compiler r env)
+                      then
+                        Alcotest.failf "%s/%s S%d ref %d (%s): staged address differs"
+                          k.Kernel.name case m.Window.group j (Ndp_ir.Reference.to_string r))
+                    m.Window.shape.Staged.refs)
+                metas)
+            k.Kernel.program.Ndp_ir.Loop.nests)
+        cases)
+    (Ndp_workloads.Suite.all ());
+  Alcotest.(check bool) "indirect references covered" true (!indirect > 0)
+
+(* With priority levels off the statement is one level: the splitter's
+   estimate is exactly a minimum spanning tree over the distinct item
+   nodes plus the store node. On the 9x9 mesh the 81 node ids overflow
+   the packed candidate's 6-bit fields, so the generic path runs. *)
+let qcheck_flat_split_is_mst ~cols ~rows =
+  let names = [| "a"; "b"; "c"; "d"; "e"; "f" |] in
+  let size = cols * rows in
+  let gen_expr =
+    QCheck.Gen.(
+      let leaf =
+        frequency
+          [
+            ( 3,
+              map
+                (fun k ->
+                  Ndp_ir.Expr.Ref (Ndp_ir.Reference.make names.(k) (Ndp_ir.Subscript.var "i")))
+                (0 -- 5) );
+            (1, map (fun c -> Ndp_ir.Expr.Const (float_of_int c)) (0 -- 9));
+          ]
+      in
+      sized_size (1 -- 5)
+        (fix (fun self n ->
+             if n = 0 then leaf
+             else
+               frequency
+                 [
+                   (1, leaf);
+                   (1, map (fun e -> Ndp_ir.Expr.Group e) (self (n - 1)));
+                   ( 3,
+                     map3
+                       (fun op a b -> Ndp_ir.Expr.Binop (op, a, b))
+                       (oneofl Ndp_ir.Op.all) (self (n - 1)) (self (n - 1)) );
+                 ])))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (e, nodes, store) ->
+        Printf.sprintf "a[i] = %s with %s, store %d" (Ndp_ir.Expr.to_string e)
+          (String.concat "," (List.map string_of_int nodes))
+          store)
+      QCheck.Gen.(triple gen_expr (list_repeat 6 (0 -- (size - 1))) (0 -- (size - 1)))
+  in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%dx%d flat split estimate = MST weight" cols rows)
+    ~count:200 arb
+    (fun (rhs, nodes, store_node) ->
+      let config = { Ndp_sim.Config.default with Ndp_sim.Config.mesh_cols = cols; mesh_rows = rows } in
+      let options = { (Context.default_options config) with Context.level_based = false } in
+      let ctx, _ =
+        fixture ~config ~options:(Some options)
+          (List.mapi (fun k node -> (names.(k), node)) nodes)
+      in
+      let stmt = Ndp_ir.Stmt.make (Ndp_ir.Reference.make "a" (Ndp_ir.Subscript.var "i")) rhs in
+      let split = Splitter.split ctx ~store_node (stage ctx stmt env0) in
+      let vertices =
+        Array.of_list (List.sort_uniq compare (store_node :: List.map fst (Splitter.items_at split)))
+      in
+      let n = Array.length vertices in
+      let edges =
+        List.concat
+          (List.init n (fun i ->
+               List.init (n - i - 1) (fun d ->
+                   let j = i + d + 1 in
+                   {
+                     Ndp_graph.Kruskal.u = i;
+                     v = j;
+                     weight = Context.distance ctx vertices.(i) vertices.(j);
+                   })))
+      in
+      split.Splitter.est_movement = Ndp_graph.Kruskal.total_weight (Ndp_graph.Kruskal.mst ~n edges))
+
+(* [items_at] keeps the grouping the splitter always produced: the fold
+   order of an int-keyed [Hashtbl] filled in location order, including
+   past the table's resize at 33 distinct nodes. *)
+let qcheck_items_at_hashtbl_order =
+  QCheck.Test.make ~name:"items_at = Hashtbl fold order" ~count:200
+    (QCheck.make
+       ~print:(fun l -> String.concat "," (List.map string_of_int l))
+       QCheck.Gen.(
+         (* Distinct nodes first (up to all 36, past the resize), then repeats. *)
+         map3
+           (fun perm k extra -> List.filteri (fun i _ -> i < k) perm @ extra)
+           (shuffle_l (List.init 36 Fun.id))
+           (int_range 1 36)
+           (list_size (int_range 0 12) (int_range 0 35))))
+    (fun nodes ->
+      let names = List.mapi (fun k _ -> Printf.sprintf "x%d" k) nodes in
+      let ctx, _ = fixture (("z", 0) :: List.combine names nodes) in
+      let rhs = String.concat " + " (List.map (fun n -> n ^ "[i]") names) in
+      let stmt = Ndp_ir.Parser.statement ("z[i] = " ^ rhs) in
+      let split = Splitter.split ctx ~store_node:0 (stage ctx stmt env0) in
+      let items = Hashtbl.create 8 in
+      Array.iter
+        (fun (l : Location.t) ->
+          let cur = Option.value (Hashtbl.find_opt items l.Location.node) ~default:[] in
+          Hashtbl.replace items l.Location.node (l :: cur))
+        split.Splitter.locs;
+      let expected = Hashtbl.fold (fun node locs acc -> (node, List.rev locs) :: acc) items [] in
+      let key = List.map (fun (n, ls) -> (n, List.map (fun (l : Location.t) -> l.Location.index) ls)) in
+      key (Splitter.items_at split) = key expected)
+
 let graphviz_outputs () =
   let ctx, _ = fixture figure9_placements in
-  let split = Splitter.split ctx ~store_node:7 figure9_stmt env0 in
+  let split = Splitter.split ctx ~store_node:7 (stage ctx figure9_stmt env0) in
   let mst_dot = Graphviz.statement_mst split in
   Alcotest.(check bool) "mst dot well-formed" true
     (Astring.String.is_prefix ~affix:"digraph" mst_dot
     && Astring.String.is_infix ~affix:"n7" mst_dot);
   let compiled = Window.compile ctx [ meta_of ctx figure9_stmt 0 7 ] in
-  let task_dot = Graphviz.task_graph compiled.Window.tasks in
+  let task_dot = Graphviz.task_graph (Lazy.force compiled.Window.tasks) in
   Alcotest.(check bool) "task dot well-formed" true
     (Astring.String.is_prefix ~affix:"digraph" task_dot
     && Astring.String.is_infix ~affix:"store" task_dot)
@@ -380,5 +582,14 @@ let tests =
         Alcotest.test_case "graphviz outputs" `Quick graphviz_outputs;
         QCheck_alcotest.to_alcotest qcheck_splitter_beats_default;
         QCheck_alcotest.to_alcotest qcheck_schedule_emits_all_inputs;
+        Alcotest.test_case "splitter reference-free group" `Quick splitter_reference_free_group;
+        Alcotest.test_case "reference-free group validates partitioned" `Quick
+          reference_free_group_validates;
+        Alcotest.test_case "schedule rejects a non-tree edge set" `Quick schedule_rejects_non_tree;
+        Alcotest.test_case "staged addresses match the resolvers (suite)" `Slow
+          staged_addresses_match_resolvers;
+        QCheck_alcotest.to_alcotest (qcheck_flat_split_is_mst ~cols:6 ~rows:6);
+        QCheck_alcotest.to_alcotest (qcheck_flat_split_is_mst ~cols:9 ~rows:9);
+        QCheck_alcotest.to_alcotest qcheck_items_at_hashtbl_order;
       ] );
   ]

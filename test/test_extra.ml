@@ -122,22 +122,21 @@ let codegen_window_programs () =
   let address_of = Ndp_core.Kernel.address_of k in
   let ctx =
     Ndp_core.Context.create ~machine
-      ~compiler_resolve:(Ndp_ir.Inspector.compiler_resolver insp ~address_of)
       ~runtime_resolve:(Ndp_ir.Inspector.runtime_resolver insp ~address_of)
+      ~indirect_known:true
       ~arrays:k.Ndp_core.Kernel.program.Ndp_ir.Loop.arrays
       ~options:(Ndp_core.Context.default_options config) ()
   in
   let nest = List.hd k.Ndp_core.Kernel.program.Ndp_ir.Loop.nests in
   let env = List.hd (Ndp_ir.Loop.iterations nest) in
   let metas =
-    List.mapi
-      (fun si stmt ->
-        { Ndp_core.Window.group = si; default_node = 4;
-          inst = { Ndp_ir.Dependence.stmt_idx = si; stmt; env } })
-      nest.Ndp_ir.Loop.body
+    Ndp_core.Staged.make ctx
+      (List.mapi
+         (fun si stmt -> (si, 4, { Ndp_ir.Dependence.stmt_idx = si; stmt; env }))
+         nest.Ndp_ir.Loop.body)
   in
   let compiled = Ndp_core.Window.compile ctx metas in
-  let text = Ndp_core.Codegen.emit (List.map fst compiled.Ndp_core.Window.tasks) in
+  let text = Ndp_core.Codegen.emit (List.map fst (Lazy.force compiled.Ndp_core.Window.tasks)) in
   (* Every task id appears in its node's program. *)
   List.iter
     (fun ((t : Task.t), _) ->
@@ -145,7 +144,7 @@ let codegen_window_programs () =
         (Printf.sprintf "t%d rendered" t.Task.id)
         true
         (Astring.String.is_infix ~affix:(Printf.sprintf "t%d" t.Task.id) text))
-    compiled.Ndp_core.Window.tasks
+    (Lazy.force compiled.Ndp_core.Window.tasks)
 
 let qcheck_window_chunks_partition =
   QCheck.Test.make ~name:"window chunks partition the stream" ~count:200

@@ -229,7 +229,7 @@ let repaired_schedule_identical_across_pool_sizes () =
       (function
         | Pipeline.Serialized { t_tasks; _ } -> t_tasks
         | Pipeline.Windowed { t_compiled; _ } ->
-          List.map fst t_compiled.Ndp_core.Window.tasks)
+          List.map fst (Lazy.force t_compiled.Ndp_core.Window.tasks))
       r.Pipeline.traces
   in
   let reference = tasks_of None in

@@ -69,30 +69,6 @@ let qcheck_kruskal_minimal =
       Kruskal.is_spanning ~n mst
       && Kruskal.total_weight mst = brute_force_mst_weight ~n !edges)
 
-let tree_structure () =
-  let edges = [ edge 0 1 2; edge 1 2 3; edge 1 3 1 ] in
-  let t = Rooted_tree.of_edges ~root:0 edges in
-  Alcotest.(check int) "root" 0 (Rooted_tree.root t);
-  Alcotest.(check (list int)) "children of 1" [ 2; 3 ] (Rooted_tree.children t 1);
-  Alcotest.(check (option int)) "parent of 2" (Some 1) (Rooted_tree.parent t 2);
-  Alcotest.(check (option int)) "root has no parent" None (Rooted_tree.parent t 0);
-  Alcotest.(check (list int)) "leaves" [ 2; 3 ] (List.sort compare (Rooted_tree.leaves t));
-  Alcotest.(check int) "edge weight" 3 (Rooted_tree.edge_weight t 2);
-  Alcotest.(check int) "depth" 2 (Rooted_tree.depth t 3)
-
-let tree_postorder () =
-  let edges = [ edge 0 1 1; edge 1 2 1; edge 1 3 1 ] in
-  let t = Rooted_tree.of_edges ~root:0 edges in
-  let order = Rooted_tree.postorder t in
-  let pos v = Option.get (List.find_index (( = ) v) order) in
-  Alcotest.(check bool) "children before parent" true (pos 2 < pos 1 && pos 3 < pos 1);
-  Alcotest.(check bool) "root last" true (pos 0 = 3)
-
-let tree_rejects_cycle () =
-  Alcotest.check_raises "cycle rejected"
-    (Invalid_argument "Rooted_tree.of_edges: edge set contains a cycle")
-    (fun () -> ignore (Rooted_tree.of_edges ~root:0 [ edge 0 1 1; edge 1 2 1; edge 2 0 1 ]))
-
 let all_pairs n = List.concat (List.init n (fun i -> List.init n (fun j -> (i, j))))
 
 let closure_reachability () =
@@ -193,9 +169,6 @@ let tests =
         Alcotest.test_case "kruskal triangle" `Quick kruskal_triangle;
         Alcotest.test_case "kruskal deterministic ties" `Quick kruskal_deterministic_ties;
         Alcotest.test_case "kruskal forest" `Quick kruskal_forest;
-        Alcotest.test_case "rooted tree structure" `Quick tree_structure;
-        Alcotest.test_case "rooted tree postorder" `Quick tree_postorder;
-        Alcotest.test_case "rooted tree rejects cycle" `Quick tree_rejects_cycle;
         Alcotest.test_case "closure reachability" `Quick closure_reachability;
         Alcotest.test_case "closure rejects bad vertex" `Quick closure_rejects_bad_vertex;
         Alcotest.test_case "reduction drops redundant sync" `Quick reduction_drops_redundant;

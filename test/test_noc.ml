@@ -93,6 +93,27 @@ let qcheck_route_symmetric_length =
     (fun (src, dst) ->
       List.length (Mesh.xy_route mesh6 ~src ~dst) = List.length (Mesh.xy_route mesh6 ~src:dst ~dst:src))
 
+(* Route tables are built once per mesh shape: two meshes of one shape
+   hand out the very same arrays, and every entry is the XY route. *)
+let route_tables_shared () =
+  List.iter
+    (fun (cols, rows) ->
+      let a = Mesh.create ~cols ~rows and b = Mesh.create ~cols ~rows in
+      let n = Mesh.size a in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let route = Mesh.xy_route a ~src ~dst in
+          let links = Mesh.route_links a ~src ~dst and nodes = Mesh.route_nodes a ~src ~dst in
+          Alcotest.(check bool) "links shared" true (links == Mesh.route_links b ~src ~dst);
+          Alcotest.(check bool) "nodes shared" true (nodes == Mesh.route_nodes b ~src ~dst);
+          Alcotest.(check (list int)) "links = xy_route"
+            (List.map (Mesh.link_index a) route) (Array.to_list links);
+          Alcotest.(check (list int)) "nodes = xy_route"
+            (List.map (fun (l : Mesh.link) -> l.Mesh.to_node) route) (Array.to_list nodes)
+        done
+      done)
+    [ (6, 6); (5, 3) ]
+
 let tests =
   [
     ( "noc",
@@ -109,5 +130,6 @@ let tests =
         Alcotest.test_case "cluster strings" `Quick cluster_strings;
         QCheck_alcotest.to_alcotest qcheck_manhattan_triangle;
         QCheck_alcotest.to_alcotest qcheck_route_symmetric_length;
+        Alcotest.test_case "route tables shared per shape" `Quick route_tables_shared;
       ] );
   ]

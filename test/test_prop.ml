@@ -382,7 +382,7 @@ let empty_plan_is_identity () =
    an empty chunk slice), and every subscript strides a full cache line
    (8 words at 8-byte elements), so the reuse map never hits and both
    paths price every instance with the same margin rule. On this class
-   [Window.movement_estimate] must equal the analytic total exactly, for
+   [Window_oracle.movement_estimate] must equal the analytic total exactly, for
    every window size, and [Window.choose_size] must pick the oracle's
    size. *)
 type analytic_case = { a_trip : int; a_stmts : int * int list (* inputs per stmt *) }
@@ -423,7 +423,7 @@ let analytic_equals_sampled_estimate () =
           let sampled_ctx = Pipeline.static_context scheme kernel in
           let analytic_ctx = Pipeline.static_context scheme kernel in
           let metas, _ = Pipeline.nest_stream sampled_ctx nest ~first_group:0 in
-          let sampled = Ndp_core.Window.movement_estimate sampled_ctx metas ~window:w in
+          let sampled = Window_oracle.movement_estimate sampled_ctx metas ~window:w in
           let a = Ndp_core.Window.analytic_of analytic_ctx metas ~window:w in
           let analytic =
             Array.fold_left ( + ) 0 a.Ndp_core.Window.a_est
@@ -627,19 +627,17 @@ let scheduled_order (kernel : Ndp_core.Kernel.t) ~fuse =
   let ctx = Pipeline.static_context scheme kernel in
   let nest = List.hd kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests in
   let metas, _ = Pipeline.nest_stream ctx nest ~first_group:0 in
-  let insts = List.map (fun (m : Window.meta) -> m.Window.inst) metas in
-  let deps = Dep.analyze ctx.Ndp_core.Context.compiler_resolve insts in
+  let deps = Ndp_core.Staged.deps ctx metas in
   let fusion =
     if not fuse then None
     else begin
-      let insts_arr = Array.of_list insts in
       let default_node =
         Array.of_list (List.map (fun (m : Window.meta) -> m.Window.default_node) metas)
       in
       let slots, _ =
         Fusion.plan ctx ~nest:nest.Ndp_ir.Loop.nest_name ~window:(List.length metas)
           ~capacity:Ndp_sim.Config.default.Ndp_sim.Config.l1_size
-          ~shared:(Hashtbl.create 1) ~default_node insts_arr (Array.of_list deps)
+          ~shared:(Hashtbl.create 1) ~default_node (Array.of_list metas) (Array.of_list deps)
       in
       Some slots
     end
@@ -648,7 +646,7 @@ let scheduled_order (kernel : Ndp_core.Kernel.t) ~fuse =
   let pos = Hashtbl.create 64 in
   List.iteri
     (fun i ((t : Ndp_sim.Task.t), _level) -> Hashtbl.replace pos t.Ndp_sim.Task.id i)
-    compiled.Window.tasks;
+    (Lazy.force compiled.Window.tasks);
   let root_pos group =
     match List.assoc_opt group compiled.Window.roots with
     | Some task -> Hashtbl.find pos task
