@@ -133,11 +133,35 @@ let analyzable_fraction metas =
   let ok, total = List.fold_left count (0, 0) metas in
   if total = 0 then 1.0 else float_of_int ok /. float_of_int total
 
-(* The machine a run of [kernel] simulates on: hot ranges placed per
-   memory mode, then the cost-model tweaks applied. Compilation and replay
-   both start here, so a replayed schedule sees the capture run's machine. *)
+(* At most one idle (machine, engine) pair per domain, left by the last
+   {!replay}. Building a machine allocates every cache's tag and stamp
+   arrays (~160 K words at the default shape), so a run takes the pair
+   when its shape fits and resets it in place ({!Machine.reset},
+   {!Engine.reset}): a reset pair is indistinguishable from a fresh one.
+   Per domain, so pool workers never share one; a run holds its pair
+   outside the slot, so nested or overlapping runs on one domain simply
+   build their own. *)
+let idle : (Machine.t * Engine.t) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* The machine and engine a run of [kernel] simulates on: hot ranges
+   placed per memory mode, then the cost-model tweaks applied. Compilation
+   and replay both start here, so a replayed schedule sees the capture
+   run's machine. *)
 let make_machine ?faults ~obs ~config ~tweaks kernel =
-  let machine = Machine.create ~obs ?faults config in
+  let slot = Domain.DLS.get idle in
+  let pair = !slot in
+  slot := None;
+  let machine, engine =
+    match pair with
+    | Some (machine, engine) when Config.same_shape (Machine.config machine) config ->
+      Machine.reset ~obs ?faults machine config;
+      Engine.reset ~obs ?faults engine;
+      (machine, engine)
+    | Some _ | None ->
+      let machine = Machine.create ~obs ?faults config in
+      (machine, Engine.create ~obs ?faults machine)
+  in
   (match config.Config.memory_mode with
   | Config.Flat ->
     Machine.set_hot_ranges machine (Kernel.hot_ranges kernel ~budget:config.Config.mcdram_capacity)
@@ -148,41 +172,40 @@ let make_machine ?faults ~obs ~config ~tweaks kernel =
   Machine.set_l1_boost machine tweaks.l1_boost;
   Ndp_sim.Network.set_distance_factor (Machine.network machine) tweaks.distance_factor;
   Machine.set_mc_overrides machine tweaks.mc_overrides;
-  machine
+  Engine.set_tweaks engine ~cost_scale:tweaks.cost_scale ~extra_syncs:tweaks.extra_syncs;
+  (machine, engine)
 
-let make_context ?(options_override = None) ?(obs = Ndp_obs.Sink.none) ?faults ?repair ~config
-    ~tweaks scheme kernel =
-  let machine = make_machine ?faults ~obs ~config ~tweaks kernel in
+(* Put a finished replay's pair back for the next run on this domain. An
+   enabled registry or timeline holds closures that read the machine's
+   caches and the engine's counters when the caller dumps them, so an
+   observed pair is left to the collector instead. *)
+let release ~obs pair =
+  if
+    not
+      (Ndp_obs.Metrics.enabled obs.Ndp_obs.Sink.metrics
+      || Ndp_obs.Timeline.enabled obs.Ndp_obs.Sink.timeline)
+  then Domain.DLS.get idle := Some pair
+
+let make_context ?repair ~machine scheme kernel =
+  let config = Machine.config machine in
   let opts = match scheme with Partitioned o -> o | Default -> partitioned_defaults in
   let insp = Kernel.inspector kernel in
   if opts.use_inspector then Ndp_ir.Inspector.run insp;
   let address_of = Kernel.address_of kernel in
   let runtime_resolve = Ndp_ir.Inspector.runtime_resolver insp ~address_of in
   let ctx_options =
-    match options_override with
-    | Some o -> o
-    | None ->
-      {
-        Context.reuse_aware = opts.reuse_aware;
-        sync_minimize = opts.sync_minimize;
-        level_based = opts.level_based;
-        balance_threshold =
-          Option.value opts.balance_threshold ~default:config.Config.balance_threshold;
-        ideal_location = opts.ideal_data;
-      }
+    {
+      Context.reuse_aware = opts.reuse_aware;
+      sync_minimize = opts.sync_minimize;
+      level_based = opts.level_based;
+      balance_threshold =
+        Option.value opts.balance_threshold ~default:config.Config.balance_threshold;
+      ideal_location = opts.ideal_data;
+    }
   in
   Context.create ~machine ~runtime_resolve
     ~indirect_known:(opts.ideal_data || Ndp_ir.Inspector.has_run insp)
     ~arrays:kernel.Kernel.program.Loop.arrays ?repair ~options:ctx_options ()
-
-let apply_tweaks tweaks (task : Task.t) =
-  let task =
-    if tweaks.cost_scale > 1.0 then
-      { task with Task.cost = max 1 (int_of_float (float_of_int task.Task.cost /. tweaks.cost_scale)) }
-    else task
-  in
-  if tweaks.extra_syncs > 0 then { task with Task.syncs = task.Task.syncs + tweaks.extra_syncs }
-  else task
 
 let line_of config va = va / config.Config.line_bytes
 
@@ -213,10 +236,15 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
      stay race-free and deterministic at any [--jobs]. *)
   let spans = obs.Ndp_obs.Sink.spans in
   let sp_parse = Ndp_obs.Span.enter spans "parse" in
-  let ctx = make_context ~config ~tweaks ~obs ?faults ?repair:repair_plan scheme kernel in
+  (* A job takes an idle pair when one fits but does not put it back.
+     Jobs alternate shapes (cluster and memory modes), and a fresh pair
+     allocates ~20 K more minor words than a reset one, so a job's
+     allocation would depend on which job ran before it on the domain —
+     the repeatability perfbench's traced compile_suite checks. *)
+  let machine, engine = make_machine ?faults ~obs ~config ~tweaks kernel in
+  let ctx = make_context ?repair:repair_plan ~machine scheme kernel in
   let traces = ref [] in
   let emitted = ref [] in
-  let engine = Engine.create ~obs ?faults ctx.Context.machine in
   let streams, total_groups =
     List.fold_left
       (fun (acc, g) nest ->
@@ -340,8 +368,9 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
                 (Splitter.default_movement ctx ~store_node:m.Window.default_node m);
             incr tasks_emitted;
             if validate then nest_tasks := task :: !nest_tasks;
-            if capture then emitted := [ task ] :: !emitted;
-            Engine.run engine [ apply_tweaks tweaks task ])
+            let batch = [ task ] in
+            if capture then emitted := batch :: !emitted;
+            Engine.run engine batch)
           metas;
         if validate then
           traces :=
@@ -382,13 +411,14 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
           | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
           | _ -> None
         in
-        let on_load ~va ~l1_hit ~l2_hit =
+        let on_load ~va level =
           let line = line_of config va in
-          match l2_hit with
-          | None ->
+          match level with
+          | Machine.L1 ->
             (* Satisfied by the L1: the L2 prediction went untested. *)
-            if l1_hit then ignore (pop_prediction line)
-          | Some hit -> (
+            ignore (pop_prediction line)
+          | Machine.L2 | Machine.Memory -> (
+            let hit = level = Machine.L2 in
             match pop_prediction line with
             | Some predicted ->
               Ndp_mem.Miss_predictor.confirm ctx.Context.predictor ~addr:va ~predicted ~hit
@@ -504,13 +534,12 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
         in
         Ndp_obs.Span.attr_int spans sp_s "tasks" (Array.length ordered);
         Ndp_obs.Span.exit spans sp_s;
-        if capture then
-          emitted := Array.fold_right (fun (t, _) acc -> t :: acc) ordered [] :: !emitted;
         let sp_sim = Ndp_obs.Span.enter spans "simulate" in
         Ndp_obs.Span.attr_str spans sp_sim "nest" nest.Loop.nest_name;
         let c0 = Ndp_sim.Stats.finish_time (Engine.stats engine) in
-        Engine.run ~on_load engine
-          (Array.fold_right (fun (t, _) acc -> apply_tweaks tweaks t :: acc) ordered []);
+        let batch = Array.fold_right (fun (t, _) acc -> t :: acc) ordered [] in
+        if capture then emitted := batch :: !emitted;
+        Engine.run ~on_load engine batch;
         let c1 = Ndp_sim.Stats.finish_time (Engine.stats engine) in
         Ndp_obs.Span.exit ~cycles:(c1 - c0) spans sp_sim)
       streams);
@@ -606,29 +635,34 @@ type replayed = {
    since task operands carry resolved virtual addresses. *)
 let replay ?(config = Config.default) ?(tweaks = no_tweaks) ?(obs = Ndp_obs.Sink.none) kernel
     emitted =
-  let machine = make_machine ~obs ~config ~tweaks kernel in
-  let engine = Engine.create ~obs machine in
+  let ((_, engine) as pair) = make_machine ~obs ~config ~tweaks kernel in
   let spans = obs.Ndp_obs.Sink.spans in
   let sp = Ndp_obs.Span.enter spans "replay" in
-  List.iter (fun batch -> Engine.run engine (List.map (apply_tweaks tweaks) batch)) emitted;
+  List.iter (Engine.run engine) emitted;
   let stats = Ndp_sim.Stats.copy (Engine.stats engine) in
   Ndp_obs.Span.exit ~cycles:(Ndp_sim.Stats.finish_time stats) spans sp;
   Ndp_obs.Timeline.flush obs.Ndp_obs.Sink.timeline ~now:(Ndp_sim.Stats.finish_time stats);
-  {
-    rp_stats = stats;
-    rp_energy = Ndp_sim.Energy.of_stats stats;
-    rp_exec_time = Ndp_sim.Stats.finish_time stats;
-    rp_node_finish = Engine.node_clocks engine;
-    rp_node_busy = Engine.node_busy engine;
-  }
+  let replayed =
+    {
+      rp_stats = stats;
+      rp_energy = Ndp_sim.Energy.of_stats stats;
+      rp_exec_time = Ndp_sim.Stats.finish_time stats;
+      rp_node_finish = Engine.node_clocks engine;
+      rp_node_busy = Engine.node_busy engine;
+    }
+  in
+  release ~obs pair;
+  replayed
 
 let static_context ?(config = Config.default) scheme kernel =
-  make_context ~config ~tweaks:no_tweaks scheme kernel
+  let machine, _ = make_machine ~obs:Ndp_obs.Sink.none ~config ~tweaks:no_tweaks kernel in
+  make_context ~machine scheme kernel
 
 let nest_stream = instance_stream
 
 let profile_page_accesses ?(config = Config.default) kernel =
-  let ctx = make_context ~config ~tweaks:no_tweaks Default kernel in
+  let machine, _ = make_machine ~obs:Ndp_obs.Sink.none ~config ~tweaks:no_tweaks kernel in
+  let ctx = make_context ~machine Default kernel in
   let acc = ref [] in
   let _ =
     List.fold_left

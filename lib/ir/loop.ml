@@ -32,10 +32,3 @@ let trip_count t = t.sweeps * base_trip_count t
 let program prog_name ~arrays ~nests = { prog_name; arrays; nests }
 
 let all_statements p = List.concat_map (fun n -> n.body) p.nests
-
-let pp_nest ppf t =
-  let pp_var ppf { var; lo; hi } = Format.fprintf ppf "for %s in [%d,%d)" var lo hi in
-  Format.fprintf ppf "%s: %a@\n" t.nest_name
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") pp_var)
-    t.vars;
-  List.iter (fun s -> Format.fprintf ppf "  %s@\n" (Stmt.to_string s)) t.body

@@ -33,5 +33,3 @@ val trip_count : nest -> int
 val program : string -> arrays:Array_decl.t list -> nests:nest list -> program
 
 val all_statements : program -> Stmt.t list
-
-val pp_nest : Format.formatter -> nest -> unit

@@ -15,66 +15,62 @@ let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Cache: size must be a power of two"
   else go 0 n
 
-let create ?(metrics = Ndp_obs.Metrics.none) ?(metric_name = "cache") ~size_bytes ~assoc
-    ~line_bytes () =
+let create ~size_bytes ~assoc ~line_bytes () =
   if assoc <= 0 then invalid_arg "Cache.create: assoc must be positive";
   let lines = size_bytes / line_bytes in
   if lines < assoc || lines mod assoc <> 0 then
     invalid_arg "Cache.create: size / line_bytes must be a positive multiple of assoc";
   let num_sets = lines / assoc in
   ignore (log2_exact num_sets);
-  let t =
-    {
-      num_sets;
-      assoc;
-      line_bits = log2_exact line_bytes;
-      tags = Array.make (num_sets * assoc) (-1);
-      stamps = Array.make (num_sets * assoc) 0;
-      clock = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-    }
-  in
-  (* Derived gauges read the cache's own counters at dump time, so the
-     access path is identical whether or not metrics are enabled. *)
+  {
+    num_sets;
+    assoc;
+    line_bits = log2_exact line_bytes;
+    tags = Array.make (num_sets * assoc) (-1);
+    stamps = Array.make (num_sets * assoc) 0;
+    clock = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+  }
+
+(* Derived gauges read the cache's own counters at dump time, so the
+   access path is identical whether or not metrics are enabled. *)
+let publish t metrics name =
   if Ndp_obs.Metrics.enabled metrics then begin
     let open Ndp_obs.Metrics in
-    gauge_fn metrics (metric_name ^ ".hits") (fun () -> float_of_int t.hits);
-    gauge_fn metrics (metric_name ^ ".misses") (fun () -> float_of_int t.misses);
-    gauge_fn metrics (metric_name ^ ".evictions") (fun () -> float_of_int t.evictions)
-  end;
-  t
+    gauge_fn metrics (name ^ ".hits") (fun () -> float_of_int t.hits);
+    gauge_fn metrics (name ^ ".misses") (fun () -> float_of_int t.misses);
+    gauge_fn metrics (name ^ ".evictions") (fun () -> float_of_int t.evictions)
+  end
 
 let set_of t block = block land (t.num_sets - 1)
 
 (* Allocation-free way lookup (-1 = miss): the cache is probed several
-   times per simulated memory access, so the option the original
-   returned was a measurable share of the simulator's minor heap. *)
+   times per simulated memory access. The scans are top-level recursions
+   over explicit arguments — a local [let rec] closing over the set's
+   base would allocate a closure on every probe. *)
+let rec scan_ways (tags : int array) (block : int) i last =
+  if i = last then -1 else if tags.(i) = block then i else scan_ways tags block (i + 1) last
+
 let find_slot t block =
-  let s = set_of t block in
-  let base = s * t.assoc in
-  let rec go i =
-    if i = t.assoc then -1
-    else if t.tags.(base + i) = block then base + i
-    else go (i + 1)
-  in
-  go 0
+  let base = set_of t block * t.assoc in
+  scan_ways t.tags block base (base + t.assoc)
 
 let touch t slot =
   t.clock <- t.clock + 1;
   t.stamps.(slot) <- t.clock
 
+(* The first invalid way, else the least recently used one (the lowest
+   stamp, earliest way on ties). *)
+let rec lru_way (tags : int array) (stamps : int array) best i last =
+  if i = last then best
+  else if tags.(i) = -1 then i
+  else lru_way tags stamps (if stamps.(i) < stamps.(best) then i else best) (i + 1) last
+
 let victim_slot t block =
   let base = set_of t block * t.assoc in
-  let rec go best i =
-    if i = t.assoc then best
-    else if t.tags.(base + i) = -1 then base + i
-    else
-      let best = if t.stamps.(base + i) < t.stamps.(best) then base + i else best in
-      go best (i + 1)
-  in
-  go base 0
+  lru_way t.tags t.stamps base base (base + t.assoc)
 
 let fill t slot block =
   if t.tags.(slot) >= 0 then t.evictions <- t.evictions + 1;
@@ -113,20 +109,13 @@ let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0
-
 let clear t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.clock <- 0;
-  reset_stats t
+  t.hits <- 0;
+  t.misses <- 0;
+  t.evictions <- 0
 
 let num_sets t = t.num_sets
 let assoc t = t.assoc

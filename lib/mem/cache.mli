@@ -5,18 +5,13 @@
 
 type t
 
-val create :
-  ?metrics:Ndp_obs.Metrics.t ->
-  ?metric_name:string ->
-  size_bytes:int ->
-  assoc:int ->
-  line_bytes:int ->
-  unit ->
-  t
-(** When [metrics] is an enabled registry, derived gauges
-    [<metric_name>.hits], [.misses] and [.evictions] are registered; they
-    read the cache's own counters at dump time, so the access path does
-    not change. [metric_name] defaults to ["cache"]. *)
+val create : size_bytes:int -> assoc:int -> line_bytes:int -> unit -> t
+
+val publish : t -> Ndp_obs.Metrics.t -> string -> unit
+(** [publish t metrics name] registers the derived gauges [<name>.hits],
+    [.misses] and [.evictions] in an enabled [metrics] registry (a no-op on
+    a disabled one). They read the cache's own counters at dump time, so
+    the access path does not change. *)
 
 val access : t -> int -> bool
 (** [access t addr] looks the line up, updates recency and inserts on miss
@@ -37,13 +32,9 @@ val misses : t -> int
 val evictions : t -> int
 (** Valid lines displaced by fills (capacity/conflict victims). *)
 
-val hit_rate : t -> float
-(** Hits over accesses; 0 before any access. *)
-
-val reset_stats : t -> unit
-
 val clear : t -> unit
-(** Drop all contents and statistics. *)
+(** Drop all contents and statistics: the cache is then indistinguishable
+    from a freshly created one of the same geometry. *)
 
 val num_sets : t -> int
 val assoc : t -> int

@@ -14,24 +14,37 @@ type t = {
   frames : (int, int) Hashtbl.t; (* virtual page -> physical page *)
   tlb_tags : int array; (* vpage per slot, -1 = empty *)
   tlb_frames : int array;
-  rng : Ndp_prelude.Rng.t;
-  m_faults : Ndp_obs.Metrics.counter; (* mem.page_faults: first-touch allocations *)
+  mutable rng : Ndp_prelude.Rng.t;
+  mutable m_faults : Ndp_obs.Metrics.counter; (* mem.page_faults: first-touch allocations *)
 }
 
-let create ?(seed = 0x5eed) ~policy ?(metrics = Ndp_obs.Metrics.none) map =
-  let frames = Hashtbl.create 1024 in
+let default_seed = 0x5eed
+
+let reset ?(seed = default_seed) ?(metrics = Ndp_obs.Metrics.none) t =
+  (* [Hashtbl.reset] shrinks the table to its creation size, so a reused
+     allocator grows (and allocates) exactly as a fresh one would. *)
+  Hashtbl.reset t.frames;
+  Array.fill t.tlb_tags 0 tlb_slots (-1);
+  t.rng <- Ndp_prelude.Rng.create seed;
+  t.m_faults <- Ndp_obs.Metrics.counter metrics "mem.page_faults";
   if Ndp_obs.Metrics.enabled metrics then
     Ndp_obs.Metrics.gauge_fn metrics "mem.pages_resident" (fun () ->
-        float_of_int (Hashtbl.length frames));
-  {
-    policy;
-    map;
-    frames;
-    tlb_tags = Array.make tlb_slots (-1);
-    tlb_frames = Array.make tlb_slots 0;
-    rng = Ndp_prelude.Rng.create seed;
-    m_faults = Ndp_obs.Metrics.counter metrics "mem.page_faults";
-  }
+        float_of_int (Hashtbl.length t.frames))
+
+let create ?seed ~policy ?metrics map =
+  let t =
+    {
+      policy;
+      map;
+      frames = Hashtbl.create 1024;
+      tlb_tags = Array.make tlb_slots (-1);
+      tlb_frames = Array.make tlb_slots 0;
+      rng = Ndp_prelude.Rng.create default_seed;
+      m_faults = Ndp_obs.Metrics.counter Ndp_obs.Metrics.none "mem.page_faults";
+    }
+  in
+  reset ?seed ?metrics t;
+  t
 
 let policy t = t.policy
 
@@ -40,9 +53,9 @@ let frame_of t vpage =
   if t.tlb_tags.(slot) = vpage then t.tlb_frames.(slot)
   else begin
     let p =
-      match Hashtbl.find_opt t.frames vpage with
-      | Some p -> p
-      | None ->
+      match Hashtbl.find t.frames vpage with
+      | p -> p
+      | exception Not_found ->
         Ndp_obs.Metrics.incr t.m_faults;
         let p =
           match t.policy with

@@ -16,6 +16,13 @@ val create : ?seed:int -> policy:policy -> ?metrics:Ndp_obs.Metrics.t -> Addr_ma
     [mem.page_faults] counter and a derived [mem.pages_resident] gauge
     reports the live page count at dump time. *)
 
+val reset : ?seed:int -> ?metrics:Ndp_obs.Metrics.t -> t -> unit
+(** Forget every allocation and rebind the instruments to [metrics]: the
+    frame table returns to its creation capacity, the TLB empties and the
+    frame generator restarts from [seed], so the allocator then behaves
+    exactly like [create ?seed ~policy ?metrics] with its own policy and
+    map. *)
+
 val policy : t -> policy
 
 val translate : t -> int -> int

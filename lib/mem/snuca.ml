@@ -3,18 +3,20 @@ type t = {
   cluster : Ndp_noc.Cluster.t;
   map : Addr_map.t;
   quad_nodes : int array array; (* quadrant -> member nodes, ascending *)
-  m_lookups : Ndp_obs.Metrics.vec; (* mem.home_lookups{bank} *)
+  mutable m_lookups : Ndp_obs.Metrics.vec; (* mem.home_lookups{bank} *)
 }
 
+let lookups metrics mesh =
+  Ndp_obs.Metrics.vec metrics "mem.home_lookups" ~size:(Ndp_noc.Mesh.size mesh)
+    ~label:(fun i -> Printf.sprintf "bank=%d" i)
+
+let reset ?(metrics = Ndp_obs.Metrics.none) t = t.m_lookups <- lookups metrics t.mesh
+
 let create ?(metrics = Ndp_obs.Metrics.none) mesh cluster map =
-  let m_lookups =
-    Ndp_obs.Metrics.vec metrics "mem.home_lookups" ~size:(Ndp_noc.Mesh.size mesh)
-      ~label:(fun i -> Printf.sprintf "bank=%d" i)
-  in
   let quad_nodes =
     Array.init 4 (fun q -> Array.of_list (Ndp_noc.Mesh.nodes_in_quadrant mesh q))
   in
-  { mesh; cluster; map; quad_nodes; m_lookups }
+  { mesh; cluster; map; quad_nodes; m_lookups = lookups metrics mesh }
 
 let home_node t addr =
   let line = Addr_map.line_of_addr t.map addr in

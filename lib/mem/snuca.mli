@@ -12,6 +12,10 @@ val create : ?metrics:Ndp_obs.Metrics.t -> Ndp_noc.Mesh.t -> Ndp_noc.Cluster.t -
 (** With an enabled [metrics] registry, every {!home_node} lookup bumps a
     per-bank [mem.home_lookups{bank}] counter. *)
 
+val reset : ?metrics:Ndp_obs.Metrics.t -> t -> unit
+(** Rebind the lookup counters to [metrics] (inert by default). The homing
+    itself is stateless, so this is all a reused machine needs. *)
+
 val home_node : t -> int -> int
 (** Node id of the home L2 bank for a physical address. *)
 

@@ -83,8 +83,6 @@ let vadd v i n = if v.v_on && i >= 0 && i < Array.length v.v_data then v.v_data.
 
 let vec_value v i = if i >= 0 && i < Array.length v.v_data then v.v_data.(i) else 0
 
-let vec_size v = Array.length v.v_data
-
 let gauge t name =
   if not t.on then dead_gauge
   else
@@ -128,6 +126,10 @@ let observe h x =
     h.h_sum <- h.h_sum +. x;
     h.h_count <- h.h_count + 1
   end
+
+(* The int entry point converts only once the histogram is known to be
+   live, so a disabled one costs a branch and boxes no float. *)
+let observe_int h x = if h.h_on then observe h (float_of_int x)
 
 type sample =
   | Counter_v of int

@@ -54,8 +54,6 @@ val vadd : vec -> int -> int -> unit
 
 val vec_value : vec -> int -> int
 
-val vec_size : vec -> int
-
 type gauge
 
 val gauge : t -> string -> gauge
@@ -75,6 +73,10 @@ val histogram : ?buckets:float array -> t -> string -> histogram
     from 1 to 2^20). *)
 
 val observe : histogram -> float -> unit
+
+val observe_int : histogram -> int -> unit
+(** [observe_int h x] is [observe h (float_of_int x)], except that a
+    disabled histogram allocates nothing. *)
 
 (** {1 Reading} *)
 

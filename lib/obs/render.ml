@@ -2,17 +2,6 @@ type format = Human | Sexp | Json | Jsonl
 
 let all_formats = [ ("human", Human); ("sexp", Sexp); ("json", Json); ("jsonl", Jsonl) ]
 
-let format_to_string f =
-  match List.find (fun (_, g) -> g = f) all_formats with name, _ -> name
-
-let format_of_string s =
-  match List.assoc_opt (String.lowercase_ascii s) all_formats with
-  | Some f -> Ok f
-  | None ->
-    Error
-      (Printf.sprintf "unknown format %S (expected %s)" s
-         (String.concat ", " (List.map fst all_formats)))
-
 module Json = struct
   type t =
     | Null

@@ -14,10 +14,6 @@ val all_formats : (string * format) list
 (** [(name, format)] pairs, in CLI presentation order — feed to
     [Cmdliner.Arg.enum]. *)
 
-val format_to_string : format -> string
-
-val format_of_string : string -> (format, string) result
-
 (** A minimal JSON document model (no external dependency). *)
 module Json : sig
   type t =

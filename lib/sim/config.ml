@@ -85,6 +85,19 @@ let all_memory_modes = [ Flat; Cache_mode; Hybrid ]
 
 let with_modes t cluster memory_mode = { t with cluster; memory_mode }
 
+let same_shape a b =
+  a.mesh_cols = b.mesh_cols
+  && a.mesh_rows = b.mesh_rows
+  && a.cluster = b.cluster
+  && a.memory_mode = b.memory_mode
+  && a.line_bytes = b.line_bytes
+  && a.l1_size = b.l1_size
+  && a.l1_assoc = b.l1_assoc
+  && a.l2_bank_size = b.l2_bank_size
+  && a.l2_assoc = b.l2_assoc
+  && a.mcdram_capacity = b.mcdram_capacity
+  && a.page_policy = b.page_policy
+
 let mesh t = Ndp_noc.Mesh.create ~cols:t.mesh_cols ~rows:t.mesh_rows
 
 let addr_map t =

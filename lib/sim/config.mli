@@ -60,6 +60,12 @@ val all_memory_modes : memory_mode list
 
 val with_modes : t -> Ndp_noc.Cluster.t -> memory_mode -> t
 
+val same_shape : t -> t -> bool
+(** The two configs build machines with the same structure: mesh
+    dimensions, cluster and memory mode, line, cache and MCDRAM sizes and
+    the page policy agree. Latencies, flags and the seed may differ — a
+    machine can be reset from one to the other in place. *)
+
 val mesh : t -> Ndp_noc.Mesh.t
 
 val addr_map : t -> Ndp_mem.Addr_map.t

@@ -19,17 +19,31 @@ val create : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> Machine.t -> t
     windows waits until the window closes; the lost cycles accumulate in
     the [fault.stall_cycles] counter. *)
 
+val reset : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> t -> unit
+(** Return the engine to exactly the state [create ?obs ?faults] builds
+    on the same machine, reusing its storage: node clocks, busy counters,
+    the task and group tables (cleared at the capacity they grew to) and
+    {!stats} start over, the tweaks are cleared and the
+    fault plan and observability handles are rebound. [create] allocates
+    the storage and then calls [reset]. The engine's machine is not
+    touched; reset it with {!Machine.reset}. *)
+
+val set_tweaks : t -> cost_scale:float -> extra_syncs:int -> unit
+(** Counterfactual task knobs for the isolation schemes (Figure 18),
+    applied as each task executes, for the rest of the run: compute cost
+    is divided by [cost_scale] when above 1.0 (at least 1 unit remains),
+    and every task awaits [extra_syncs] more synchronizations. The tasks
+    themselves are not changed. *)
+
 val machine : t -> Machine.t
 
 val stats : t -> Stats.t
 
-val run :
-  ?on_load:(va:int -> l1_hit:bool -> l2_hit:bool option -> unit) ->
-  t ->
-  Task.t list ->
-  unit
-(** Execute the tasks. [on_load] observes every [Load] operand's actual
-    cache outcome (used to confirm compile-time predictions). *)
+val run : ?on_load:(va:int -> Machine.level -> unit) -> t -> Task.t list -> unit
+(** Execute the tasks. [on_load] observes the level that actually served
+    every [Load] operand (used to confirm compile-time predictions).
+    Executing a task allocates nothing beyond the machine's first-touch
+    records ({!Machine.load}). *)
 
 val group_hops : t -> int -> int
 (** Flit-hops attributed to a statement-instance group so far. *)
@@ -39,10 +53,6 @@ val group_latency : t -> int -> int * int
 
 val finish_of : t -> int -> int option
 (** Finish time of a task id, if it has executed. *)
-
-val group_parallelism : t -> int -> int
-(** Maximum number of that group's tasks whose executions overlapped in
-    simulated time — the realized degree of subcomputation parallelism. *)
 
 val elapsed : t -> int
 (** Latest completion time across all nodes. *)

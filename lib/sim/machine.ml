@@ -16,10 +16,12 @@ type sharer_set = {
   mutable len : int;
 }
 
+type level = L1 | L2 | Memory
+
 type t = {
-  config : Config.t;
+  mutable config : Config.t;
   mesh : Mesh.t;
-  faults : Ndp_fault.Plan.t option;
+  mutable faults : Ndp_fault.Plan.t option;
   snuca : Snuca.t;
   pages : Page_alloc.t;
   network : Network.t;
@@ -30,76 +32,119 @@ type t = {
   mutable hot_sorted : (int * int) array; (* by base, for binary search *)
   mutable hot_max_len : int;
   mutable l1_boost : float;
-  boost_rng : Ndp_prelude.Rng.t;
-  mc_overrides : (int, int) Hashtbl.t; (* virtual page -> mc node *)
+  mutable boost_rng : Ndp_prelude.Rng.t;
+  mutable mc_overrides : (int, int) Hashtbl.t; (* virtual page -> mc node *)
   sharers : (int, sharer_set) Hashtbl.t; (* VA line -> nodes with an L1 copy *)
-  m_l1_hits : Metrics.vec; (* mem.l1_hits{node} *)
-  m_l1_misses : Metrics.vec;
-  m_l2_bank_hits : Metrics.vec; (* mem.l2_bank_hits{bank} *)
-  m_l2_bank_misses : Metrics.vec;
-  m_mc_requests : Metrics.vec; (* mem.mc_requests{node}: L2-miss service per MC *)
-  m_mc_penalty : Metrics.counter; (* fault.mc_penalty_cycles *)
-  ledger : Ledger.t;
+  mutable m_l1_hits : Metrics.vec; (* mem.l1_hits{node} *)
+  mutable m_l1_misses : Metrics.vec;
+  mutable m_l2_bank_hits : Metrics.vec; (* mem.l2_bank_hits{bank} *)
+  mutable m_l2_bank_misses : Metrics.vec;
+  mutable m_mc_requests : Metrics.vec; (* mem.mc_requests{node}: L2-miss service per MC *)
+  mutable m_mc_penalty : Metrics.counter; (* fault.mc_penalty_cycles *)
+  mutable ledger : Ledger.t;
+  mutable last_level : level; (* what served the latest [load] *)
 }
 
-type outcome = { arrival : int; l1_hit : bool; l2_hit : bool option }
+(* Shared and never written: a machine without overrides points here, and
+   [set_mc_overrides] installs a table of its own, so what a run allocates
+   for overrides depends on that run's overrides alone. *)
+let no_overrides : (int, int) Hashtbl.t = Hashtbl.create 1
 
-let create ?(obs = Ndp_obs.Sink.none) ?faults (config : Config.t) =
+let node_label i = Printf.sprintf "node=%d" i
+
+let bank_label i = Printf.sprintf "bank=%d" i
+
+(* Everything that is not storage sized by the machine's shape is
+   (re)bound here, and [create] ends by calling it too, so a reused
+   machine and a fresh one start from one definition of "initial". The
+   growable tables go back to their creation capacity ([Hashtbl.reset]):
+   a reused machine then allocates, and iterates, exactly like a fresh
+   one. Cache metric names are formatted only for an enabled registry. *)
+let reset ?(obs = Ndp_obs.Sink.none) ?faults t (config : Config.t) =
+  if not (Config.same_shape config t.config) then
+    invalid_arg "Machine.reset: config has a different shape";
+  let reg = obs.Ndp_obs.Sink.metrics in
+  let clear_all prefix caches =
+    Array.iteri
+      (fun i c ->
+        Cache.clear c;
+        if Metrics.enabled reg then Cache.publish c reg (Printf.sprintf "%s.%d" prefix i))
+      caches
+  in
+  clear_all "mem.l1" t.l1s;
+  clear_all "mem.l2_bank" t.l2s;
+  Option.iter
+    (fun c ->
+      Cache.clear c;
+      Cache.publish c reg "mem.mcdram_cache")
+    t.mcdram_cache;
+  Snuca.reset ~metrics:reg t.snuca;
+  Page_alloc.reset ~seed:config.seed ~metrics:reg t.pages;
+  Network.reset ~obs ?faults t.network config;
+  let n = Mesh.size t.mesh in
+  t.config <- config;
+  t.faults <- faults;
+  t.hot_ranges <- [];
+  t.hot_sorted <- [||];
+  t.hot_max_len <- 0;
+  t.l1_boost <- 0.0;
+  t.boost_rng <- Ndp_prelude.Rng.create (config.seed + 7);
+  t.mc_overrides <- no_overrides;
+  Hashtbl.reset t.sharers;
+  t.m_l1_hits <- Metrics.vec reg "mem.l1_hits" ~size:n ~label:node_label;
+  t.m_l1_misses <- Metrics.vec reg "mem.l1_misses" ~size:n ~label:node_label;
+  t.m_l2_bank_hits <- Metrics.vec reg "mem.l2_bank_hits" ~size:n ~label:bank_label;
+  t.m_l2_bank_misses <- Metrics.vec reg "mem.l2_bank_misses" ~size:n ~label:bank_label;
+  t.m_mc_requests <- Metrics.vec reg "mem.mc_requests" ~size:n ~label:node_label;
+  (* Registered only under a plan, keeping fault-free dumps unchanged. *)
+  t.m_mc_penalty <-
+    Metrics.counter
+      (match faults with Some _ -> reg | None -> Metrics.none)
+      "fault.mc_penalty_cycles";
+  t.ledger <- obs.Ndp_obs.Sink.ledger;
+  t.last_level <- L1
+
+let create ?obs ?faults (config : Config.t) =
   let mesh = Config.mesh config in
   let map = Config.addr_map config in
-  let n = Mesh.size mesh in
-  let reg = obs.Ndp_obs.Sink.metrics in
-  let node_label i = Printf.sprintf "node=%d" i in
-  let l1 i =
-    Cache.create ~size_bytes:config.l1_size ~assoc:config.l1_assoc
-      ~line_bytes:config.line_bytes ~metrics:reg
-      ~metric_name:(Printf.sprintf "mem.l1.%d" i) ()
+  let cache size_bytes assoc =
+    Cache.create ~size_bytes ~assoc ~line_bytes:config.line_bytes ()
   in
-  let l2 i =
-    Cache.create ~size_bytes:config.l2_bank_size ~assoc:config.l2_assoc
-      ~line_bytes:config.line_bytes ~metrics:reg
-      ~metric_name:(Printf.sprintf "mem.l2_bank.%d" i) ()
+  let dead = Metrics.vec Metrics.none "" ~size:0 ~label:node_label in
+  let t =
+    {
+      config;
+      mesh;
+      faults = None;
+      snuca = Snuca.create mesh config.cluster map;
+      pages = Page_alloc.create ~policy:config.page_policy map;
+      network = Network.create config;
+      l1s = Array.init (Mesh.size mesh) (fun _ -> cache config.l1_size config.l1_assoc);
+      l2s = Array.init (Mesh.size mesh) (fun _ -> cache config.l2_bank_size config.l2_assoc);
+      mcdram_cache =
+        (match config.memory_mode with
+        | Config.Flat -> None
+        | Config.Cache_mode -> Some (cache config.mcdram_capacity 1)
+        | Config.Hybrid -> Some (cache (config.mcdram_capacity / 2) 1));
+      hot_ranges = [];
+      hot_sorted = [||];
+      hot_max_len = 0;
+      l1_boost = 0.0;
+      boost_rng = Ndp_prelude.Rng.create 0;
+      mc_overrides = no_overrides;
+      sharers = Hashtbl.create 4096;
+      m_l1_hits = dead;
+      m_l1_misses = dead;
+      m_l2_bank_hits = dead;
+      m_l2_bank_misses = dead;
+      m_mc_requests = dead;
+      m_mc_penalty = Metrics.counter Metrics.none "";
+      ledger = Ledger.none;
+      last_level = L1;
+    }
   in
-  let mcdram_cache =
-    match config.memory_mode with
-    | Config.Flat -> None
-    | Config.Cache_mode ->
-      Some
-        (Cache.create ~size_bytes:config.mcdram_capacity ~assoc:1
-           ~line_bytes:config.line_bytes ~metrics:reg ~metric_name:"mem.mcdram_cache" ())
-    | Config.Hybrid ->
-      Some
-        (Cache.create ~size_bytes:(config.mcdram_capacity / 2) ~assoc:1
-           ~line_bytes:config.line_bytes ~metrics:reg ~metric_name:"mem.mcdram_cache" ())
-  in
-  {
-    config;
-    mesh;
-    faults;
-    snuca = Snuca.create ~metrics:reg mesh config.cluster map;
-    pages = Page_alloc.create ~seed:config.seed ~policy:config.page_policy ~metrics:reg map;
-    network = Network.create ~obs ?faults config;
-    l1s = Array.init n l1;
-    l2s = Array.init n l2;
-    mcdram_cache;
-    hot_ranges = [];
-    hot_sorted = [||];
-    hot_max_len = 0;
-    l1_boost = 0.0;
-    boost_rng = Ndp_prelude.Rng.create (config.seed + 7);
-    mc_overrides = Hashtbl.create 64;
-    sharers = Hashtbl.create 4096;
-    m_l1_hits = Metrics.vec reg "mem.l1_hits" ~size:n ~label:node_label;
-    m_l1_misses = Metrics.vec reg "mem.l1_misses" ~size:n ~label:node_label;
-    m_l2_bank_hits = Metrics.vec reg "mem.l2_bank_hits" ~size:n ~label:(fun i -> Printf.sprintf "bank=%d" i);
-    m_l2_bank_misses =
-      Metrics.vec reg "mem.l2_bank_misses" ~size:n ~label:(fun i -> Printf.sprintf "bank=%d" i);
-    m_mc_requests = Metrics.vec reg "mem.mc_requests" ~size:n ~label:node_label;
-    m_mc_penalty =
-      (* Registered only under a plan, keeping fault-free dumps unchanged. *)
-      Metrics.counter (match faults with Some _ -> reg | None -> Metrics.none) "fault.mc_penalty_cycles";
-    ledger = obs.Ndp_obs.Sink.ledger;
-  }
+  reset ?obs ?faults t config;
+  t
 
 let set_hot_ranges t ranges =
   t.hot_ranges <- ranges;
@@ -113,8 +158,18 @@ let set_l1_boost t p =
   t.l1_boost <- p
 
 let set_mc_overrides t pairs =
-  Hashtbl.reset t.mc_overrides;
-  List.iter (fun (page, mc) -> Hashtbl.replace t.mc_overrides page mc) pairs
+  let table = Hashtbl.create (List.length pairs) in
+  List.iter (fun (page, mc) -> Hashtbl.replace table page mc) pairs;
+  t.mc_overrides <- table
+
+(* Whether one of the ranges [a.(i)], [a.(i-1)], ... still covers [va];
+   [max_len] bounds how far left a covering range can start. *)
+let rec covered a max_len va i =
+  if i < 0 then false
+  else
+    let base, len = a.(i) in
+    if base + max_len <= va then false
+    else (va >= base && va < base + len) || covered a max_len va (i - 1)
 
 (* Binary search for the rightmost range with [base <= va], then walk left
    only as far as [hot_max_len] allows a range to still cover [va] — exact
@@ -130,14 +185,7 @@ let is_hot t va =
       if fst a.(mid) <= va then lo := mid + 1 else hi := mid
     done;
     (* a.(!lo - 1) is the rightmost range starting at or below va. *)
-    let rec covered i =
-      if i < 0 then false
-      else
-        let base, len = a.(i) in
-        if base + t.hot_max_len <= va then false
-        else va >= base && va < base + len || covered (i - 1)
-    in
-    covered (!lo - 1)
+    covered a t.hot_max_len va (!lo - 1)
   end
 
 let translate t va = Page_alloc.translate t.pages va
@@ -155,23 +203,26 @@ let compiler_mc_node t ~va = Snuca.mc_node t.snuca (compiler_translate t va)
 (* Latency of servicing a request at the backing memory, per memory mode.
    Under flat/hybrid modes, arrays placed in MCDRAM are fast; under
    cache/hybrid modes a direct-mapped memory-side cache filters DDR. *)
+let mcdram_latency t stats =
+  Stats.incr_mcdram_accesses stats;
+  t.config.Config.mcdram_cycles
+
+let ddr_latency t stats =
+  Stats.incr_ddr_accesses stats;
+  t.config.Config.ddr_cycles
+
+let through_cache t cache pa stats =
+  if Cache.access cache pa then mcdram_latency t stats
+  else
+    let m = mcdram_latency t stats in
+    m + ddr_latency t stats
+
 let memory_latency t va pa stats =
-  let c = t.config in
-  let mcdram () =
-    Stats.incr_mcdram_accesses stats;
-    c.mcdram_cycles
-  in
-  let ddr () =
-    Stats.incr_ddr_accesses stats;
-    c.ddr_cycles
-  in
-  let through_cache cache =
-    if Cache.access cache pa then mcdram () else mcdram () + ddr ()
-  in
-  match (c.memory_mode, t.mcdram_cache) with
-  | Config.Flat, _ -> if is_hot t va then mcdram () else ddr ()
-  | Config.Cache_mode, Some cache -> through_cache cache
-  | Config.Hybrid, Some cache -> if is_hot t va then mcdram () else through_cache cache
+  match (t.config.Config.memory_mode, t.mcdram_cache) with
+  | Config.Flat, _ -> if is_hot t va then mcdram_latency t stats else ddr_latency t stats
+  | Config.Cache_mode, Some cache -> through_cache t cache pa stats
+  | Config.Hybrid, Some cache ->
+    if is_hot t va then mcdram_latency t stats else through_cache t cache pa stats
   | (Config.Cache_mode | Config.Hybrid), None -> assert false
 
 (* A request header is small; replies carry the data payload. *)
@@ -193,10 +244,11 @@ let set_add s node =
   s.stack.(s.len) <- node;
   s.len <- s.len + 1
 
+(* [Hashtbl.find] rather than [find_opt]: a hit then allocates nothing. *)
 let sharer_set_of t line =
-  match Hashtbl.find_opt t.sharers line with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.sharers line with
+  | s -> s
+  | exception Not_found ->
     let s =
       { bits = Array.make (set_words (Mesh.size t.mesh)) 0; stack = Array.make 4 0; len = 0 }
     in
@@ -252,9 +304,9 @@ let prefetch_next t ~node ~va ~time ~stats =
 
 let mc_for t ~va ~pa =
   let vpage = va lsr Ndp_mem.Addr_map.page_bits (Snuca.addr_map t.snuca) in
-  match Hashtbl.find_opt t.mc_overrides vpage with
-  | Some mc -> mc
-  | None -> Snuca.mc_node t.snuca pa
+  match Hashtbl.find t.mc_overrides vpage with
+  | mc -> mc
+  | exception Not_found -> Snuca.mc_node t.snuca pa
 
 let load t ~node ~va ~bytes ~time ~stats =
   ignore bytes;
@@ -276,7 +328,8 @@ let load t ~node ~va ~bytes ~time ~stats =
   if l1_hit then begin
     Stats.incr_l1_hits stats;
     Metrics.vadd t.m_l1_hits node 1;
-    { arrival = time + c.l1_hit_cycles; l1_hit = true; l2_hit = None }
+    t.last_level <- L1;
+    time + c.l1_hit_cycles
   end
   else begin
     Stats.incr_l1_misses stats;
@@ -293,7 +346,8 @@ let load t ~node ~va ~bytes ~time ~stats =
       Cache.insert t.l1s.(node) va;
       note_sharer t ~node ~va;
       prefetch_next t ~node ~va ~time:arrival ~stats;
-      { arrival = arrival + c.l1_hit_cycles; l1_hit = false; l2_hit = Some true }
+      t.last_level <- L2;
+      arrival + c.l1_hit_cycles
     end
     else begin
       Stats.incr_l2_misses stats;
@@ -328,7 +382,8 @@ let load t ~node ~va ~bytes ~time ~stats =
       Cache.insert t.l1s.(node) va;
       note_sharer t ~node ~va;
       prefetch_next t ~node ~va ~time:arrival ~stats;
-      { arrival = arrival + c.l1_hit_cycles; l1_hit = false; l2_hit = Some false }
+      t.last_level <- Memory;
+      arrival + c.l1_hit_cycles
     end
   end
 
@@ -363,6 +418,8 @@ let probe_l2 t ~va =
   Cache.probe t.l2s.(home) pa
 
 let l1_probe t ~node ~va = Cache.probe t.l1s.(node) va
+
+let last_level t = t.last_level
 
 let network t = t.network
 

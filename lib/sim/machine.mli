@@ -5,11 +5,11 @@
 
 type t
 
-type outcome = {
-  arrival : int; (** cycle at which the data reaches the requesting core *)
-  l1_hit : bool;
-  l2_hit : bool option; (** [None] when the L1 satisfied the access *)
-}
+(** The level of the hierarchy that served a load. *)
+type level =
+  | L1  (** the requester's own L1 (or the S1 boost) *)
+  | L2  (** the line's home L2 bank *)
+  | Memory  (** an L2 miss, served through a memory controller *)
 
 val create : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> Config.t -> t
 (** With [obs], the machine registers per-node L1 hit/miss vectors
@@ -25,6 +25,23 @@ val create : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> Config.t -> t
     surfaced as [fault.mc_penalty_cycles]. Without a plan, timing is
     byte-identical to the pre-fault simulator. *)
 
+val reset : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> t -> Config.t -> unit
+(** Return the machine to exactly the state [create ?obs ?faults config]
+    builds, reusing its storage (the caches' tag arrays, the TLB, the
+    network's per-link table); [create] itself allocates that storage and
+    then calls [reset]. Caches and TLB are emptied, the sharer and frame
+    tables return to their creation capacity, MC overrides, hot ranges and
+    the L1 boost are cleared, both RNGs are reseeded from [config.seed],
+    the network is reset ({!Network.reset}) and the config, fault plan and
+    observability handles are rebound. A run on a reset machine is
+    indistinguishable from one on a fresh machine — results and metric
+    dumps alike — and allocates the same whatever the machine ran before.
+
+    [config] must have the machine's shape ({!Config.same_shape});
+    raises [Invalid_argument] otherwise. Metrics registered by an earlier
+    [obs] keep reading this machine's caches and pages, so a machine must
+    not be reset while an earlier run's registry is still to be dumped. *)
+
 val set_hot_ranges : t -> (int * int) list -> unit
 (** Virtual-address [(base, length_bytes)] ranges placed in MCDRAM under
     the flat and hybrid memory modes (the VTune-guided placement of
@@ -39,7 +56,13 @@ val set_mc_overrides : t -> (int * int) list -> unit
 (** [(virtual_page, mc_node)] pairs that redirect L2-miss service for those
     pages — the profile-based data-to-MC mapping of Figure 23. *)
 
-val load : t -> node:int -> va:int -> bytes:int -> time:int -> stats:Stats.t -> outcome
+val load : t -> node:int -> va:int -> bytes:int -> time:int -> stats:Stats.t -> int
+(** Returns the cycle at which the data reaches the requesting core; the
+    level that served it is then {!last_level}. Allocates only on the
+    first touch of a line or page (its sharer set, its frame). *)
+
+val last_level : t -> level
+(** The level that served the most recent {!load}. *)
 
 val store : t -> node:int -> va:int -> bytes:int -> time:int -> stats:Stats.t -> int
 (** Write-back of a result to its home L2 bank; returns completion time.

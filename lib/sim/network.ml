@@ -5,7 +5,7 @@ module Plan = Ndp_fault.Plan
 
 type t = {
   mesh : Ndp_noc.Mesh.t;
-  config : Config.t;
+  mutable config : Config.t;
   (* Per-link utilization accumulated in fixed time epochs. The engine
      replays tasks in program order while node clocks advance at different
      rates, so sends are observed out of simulated-time order; bucketing
@@ -15,14 +15,14 @@ type t = {
      hot lookup two array reads. *)
   util : int array array;
   mutable distance_factor : float;
-  faults : Plan.t option;
-  link_flits : Metrics.vec; (* noc.link_flits{from->to}, indexed by link id *)
-  link_busy : Metrics.vec; (* noc.link_busy_cycles{from->to} *)
-  msg_latency : Metrics.histogram;
-  fault_retries : Metrics.counter; (* fault.link_retries *)
-  fault_drops : Metrics.counter; (* fault.msg_drops *)
-  trace : Trace.t;
-  ledger : Ledger.t;
+  mutable faults : Plan.t option;
+  mutable link_flits : Metrics.vec; (* noc.link_flits{from->to}, indexed by link id *)
+  mutable link_busy : Metrics.vec; (* noc.link_busy_cycles{from->to} *)
+  mutable msg_latency : Metrics.histogram;
+  mutable fault_retries : Metrics.counter; (* fault.link_retries *)
+  mutable fault_drops : Metrics.counter; (* fault.msg_drops *)
+  mutable trace : Trace.t;
+  mutable ledger : Ledger.t;
 }
 
 let epoch_bits = 8
@@ -31,8 +31,9 @@ let epoch_bits = 8
 
 let epoch_span = 1 lsl epoch_bits
 
-(* Render link [idx] as "x,y->x,y". Built once per network: [link_index]
-   is dense, so a reverse table keyed by index serves every label. *)
+(* Render link [idx] as "x,y->x,y". [link_index] is dense, so a reverse
+   table keyed by index serves every label; it is built only for an
+   enabled registry, since a disabled one never asks for a label. *)
 let link_labeler mesh =
   let labels = Array.make (Ndp_noc.Mesh.num_links mesh) "?" in
   List.iter
@@ -46,10 +47,9 @@ let link_labeler mesh =
     (Ndp_noc.Mesh.links mesh);
   fun i -> labels.(i)
 
-let create ?(obs = Ndp_obs.Sink.none) ?faults (config : Config.t) =
-  let mesh = Config.mesh config in
-  let label = link_labeler mesh in
-  let n = Ndp_noc.Mesh.num_links mesh in
+let reset ?(obs = Ndp_obs.Sink.none) ?faults t (config : Config.t) =
+  if not (Config.same_shape config t.config) then
+    invalid_arg "Network.reset: config has a different shape";
   let registry = obs.Ndp_obs.Sink.metrics in
   (* fault.* instruments live in the registry only when a plan is present,
      so fault-free metric dumps are byte-identical to pre-fault output. *)
@@ -66,20 +66,43 @@ let create ?(obs = Ndp_obs.Sink.none) ?faults (config : Config.t) =
       Metrics.set_gauge (Metrics.gauge registry "fault.links_degraded") (float_of_int degraded);
       Metrics.set_gauge (Metrics.gauge registry "fault.nodes_stalled") (float_of_int stalled);
       Metrics.set_gauge (Metrics.gauge registry "fault.mcs_slowed") (float_of_int mcs));
-  {
-    mesh;
-    config;
-    util = Array.make n [||];
-    distance_factor = 1.0;
-    faults;
-    link_flits = Metrics.vec registry "noc.link_flits" ~size:n ~label;
-    link_busy = Metrics.vec registry "noc.link_busy_cycles" ~size:n ~label;
-    msg_latency = Metrics.histogram registry "noc.msg_latency";
-    fault_retries = Metrics.counter fault_registry "fault.link_retries";
-    fault_drops = Metrics.counter fault_registry "fault.msg_drops";
-    trace = obs.Ndp_obs.Sink.trace;
-    ledger = obs.Ndp_obs.Sink.ledger;
-  }
+  let n = Array.length t.util in
+  let label = if Metrics.enabled registry then link_labeler t.mesh else string_of_int in
+  Array.fill t.util 0 n [||];
+  t.config <- config;
+  (* A counterfactual run must not leak its path-length scaling into the
+     next experiment on a reused network. *)
+  t.distance_factor <- 1.0;
+  t.faults <- faults;
+  t.link_flits <- Metrics.vec registry "noc.link_flits" ~size:n ~label;
+  t.link_busy <- Metrics.vec registry "noc.link_busy_cycles" ~size:n ~label;
+  t.msg_latency <- Metrics.histogram registry "noc.msg_latency";
+  t.fault_retries <- Metrics.counter fault_registry "fault.link_retries";
+  t.fault_drops <- Metrics.counter fault_registry "fault.msg_drops";
+  t.trace <- obs.Ndp_obs.Sink.trace;
+  t.ledger <- obs.Ndp_obs.Sink.ledger
+
+let create ?obs ?faults (config : Config.t) =
+  let mesh = Config.mesh config in
+  let none = Metrics.none in
+  let t =
+    {
+      mesh;
+      config;
+      util = Array.make (Ndp_noc.Mesh.num_links mesh) [||];
+      distance_factor = 1.0;
+      faults = None;
+      link_flits = Metrics.vec none "" ~size:0 ~label:string_of_int;
+      link_busy = Metrics.vec none "" ~size:0 ~label:string_of_int;
+      msg_latency = Metrics.histogram none "";
+      fault_retries = Metrics.counter none "";
+      fault_drops = Metrics.counter none "";
+      trace = Trace.none;
+      ledger = Ledger.none;
+    }
+  in
+  reset ?obs ?faults t config;
+  t
 
 let set_distance_factor t f =
   if f < 0.0 || f > 1.0 then invalid_arg "Network.set_distance_factor: factor must be in [0,1]";
@@ -111,6 +134,18 @@ let bump_util t idx epoch service =
   a.(epoch) <- load + service;
   load
 
+(* One link crossing of a [flits]-flit message that occupies the link for
+   [service] cycles, entered at cycle [now]; returns the cycle it leaves
+   the link. A top-level function, not a closure over the message, so a
+   send allocates nothing. *)
+let traverse t now idx ~flits ~service =
+  let load = bump_util t idx (now lsr epoch_bits) service in
+  Metrics.vadd t.link_flits idx flits;
+  Metrics.vadd t.link_busy idx service;
+  (* Queueing: demand beyond the epoch's capacity waits. *)
+  let wait = Int.max 0 (load + service - epoch_span) in
+  now + t.config.Config.hop_cycles + (service - 1) + wait
+
 let send t ~time ~src ~dst ~bytes ~stats =
   if src = dst then time
   else begin
@@ -118,48 +153,35 @@ let send t ~time ~src ~dst ~bytes ~stats =
     let route = Ndp_noc.Mesh.route_links t.mesh ~src ~dst in
     let hops = effective_hops t (Array.length route) in
     let service = flits * t.config.Config.link_service_cycles in
-    let hop_cycles = t.config.Config.hop_cycles in
-    let traverse now idx service =
-      let load = bump_util t idx (now lsr epoch_bits) service in
-      Metrics.vadd t.link_flits idx flits;
-      Metrics.vadd t.link_busy idx service;
-      (* Queueing: demand beyond the epoch's capacity waits. *)
-      let wait = max 0 (load + service - epoch_span) in
-      now + hop_cycles + (service - 1) + wait
-    in
-    let arrival =
-      match t.faults with
-      | None ->
-          (* Fault-free fast path: no per-link plan consultation. *)
-          let now = ref time in
-          for i = 0 to hops - 1 do
-            now := traverse !now route.(i) service
-          done;
-          !now
-      | Some plan ->
-          (* Fault model: a degraded link serves flits more slowly
-             (service time scaled by its factor); a killed link times out
-             [max_retries] send attempts before the message is forced
-             through on the maintenance path — pure arithmetic on plan
-             data, so runs stay deterministic. *)
-          let now = ref time in
-          for i = 0 to hops - 1 do
-            let idx = route.(i) in
-            let f = Plan.link_factor plan idx in
-            let service =
-              if f = 1.0 then service
-              else int_of_float (ceil (float_of_int service *. f))
-            in
-            if Plan.link_killed plan idx then begin
-              let retries = Plan.max_retries plan in
-              Metrics.add t.fault_retries retries;
-              Metrics.incr t.fault_drops;
-              now := !now + (retries * Plan.retry_timeout plan)
-            end;
-            now := traverse !now idx service
-          done;
-          !now
-    in
+    let now = ref time in
+    (match t.faults with
+    | None ->
+        (* Fault-free fast path: no per-link plan consultation. *)
+        for i = 0 to hops - 1 do
+          now := traverse t !now route.(i) ~flits ~service
+        done
+    | Some plan ->
+        (* Fault model: a degraded link serves flits more slowly
+           (service time scaled by its factor); a killed link times out
+           [max_retries] send attempts before the message is forced
+           through on the maintenance path — pure arithmetic on plan
+           data, so runs stay deterministic. *)
+        for i = 0 to hops - 1 do
+          let idx = route.(i) in
+          let f = Plan.link_factor plan idx in
+          let service =
+            if f = 1.0 then service
+            else int_of_float (ceil (float_of_int service *. f))
+          in
+          if Plan.link_killed plan idx then begin
+            let retries = Plan.max_retries plan in
+            Metrics.add t.fault_retries retries;
+            Metrics.incr t.fault_drops;
+            now := !now + (retries * Plan.retry_timeout plan)
+          end;
+          now := traverse t !now idx ~flits ~service
+        done);
+    let arrival = !now in
     (* Each traversed link also received [flits] in [noc.link_flits], so
        charging [flits x hops] here keeps the ledger total reconciled with
        the link-flit total by construction. *)
@@ -168,15 +190,9 @@ let send t ~time ~src ~dst ~bytes ~stats =
     Stats.incr_messages stats;
     let latency = arrival - time in
     Stats.note_latency stats latency;
-    Metrics.observe t.msg_latency (float_of_int latency);
+    Metrics.observe_int t.msg_latency latency;
     Trace.message t.trace ~src ~dst ~depart:time ~arrival ~bytes;
     arrival
   end
-
-let reset t =
-  Array.fill t.util 0 (Array.length t.util) [||];
-  (* A counterfactual run must not leak its path-length scaling into the
-     next experiment on a reused network. *)
-  t.distance_factor <- 1.0
 
 let mesh t = t.mesh

@@ -27,9 +27,12 @@ val send : t -> time:int -> src:int -> dst:int -> bytes:int -> stats:Stats.t -> 
     message arrives immediately and touches no link. Updates hop, message
     and latency counters in [stats]. *)
 
-val reset : t -> unit
-(** Clear all link occupancy and restore the distance factor to 1.0
-    (between independent experiment runs). *)
+val reset : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> t -> Config.t -> unit
+(** Return the network to the state [create ?obs ?faults config] builds,
+    reusing its storage: all link occupancy is dropped, the distance
+    factor is back to 1.0, and the config, fault plan and observability
+    handles are rebound. [config] must have the network's shape
+    ({!Config.same_shape}); raises [Invalid_argument] otherwise. *)
 
 val set_distance_factor : t -> float -> unit
 (** Scale every message's effective path length by a factor in (0, 1].

@@ -14,5 +14,3 @@ let clustered ~seed ~n ~range ~spread =
       let base = i * range / max 1 n in
       let off = Ndp_prelude.Rng.int rng (2 * spread) - spread in
       ((base + off) mod range + range) mod range)
-
-let strided_neighbors ~n ~range ~stride = Array.init n (fun i -> i * stride mod range)

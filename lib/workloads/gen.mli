@@ -9,6 +9,3 @@ val uniform : seed:int -> n:int -> range:int -> int array
 val clustered : seed:int -> n:int -> range:int -> spread:int -> int array
 (** Indices with spatial locality: a slowly drifting base plus a bounded
     random offset — the shape of neighbor lists and interaction lists. *)
-
-val strided_neighbors : n:int -> range:int -> stride:int -> int array
-(** [i -> (i * stride) mod range]: deterministic gather pattern. *)

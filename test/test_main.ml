@@ -15,6 +15,7 @@ let suites =
     ("core", Test_core.tests);
     ("workloads", Test_workloads.tests);
     ("pipeline", Test_pipeline.tests);
+    ("reuse", Test_reuse.tests);
     ("pool", Test_pool.tests);
     ("analysis", Test_analysis.tests);
     ("obs", Test_obs.tests);
