@@ -229,22 +229,46 @@ end
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 
-let config_of cluster memory = Ndp_sim.Config.with_modes Ndp_sim.Config.default cluster memory
+(* The flags in the daemon's wire vocabulary; [fuse] selects the
+   partitioned+fuse scheme. *)
+let spec_of_flags ?(fuse = false) app cluster memory scheme window faults fault_seed repair =
+  {
+    Protocol.app;
+    scheme =
+      (match scheme with
+      | `Default -> "default"
+      | `Partitioned -> if fuse then "partitioned+fuse" else "partitioned");
+    window = Args.window_to_string window;
+    cluster = Ndp_noc.Cluster.to_string cluster;
+    memory = Ndp_sim.Config.memory_mode_to_string memory;
+    tweaks = Pipeline.no_tweaks;
+    faults;
+    fault_seed;
+    repair;
+  }
 
-let scheme_of ?(fuse = false) ?fuse_capacity scheme window =
-  match scheme with
-  | `Default -> Pipeline.Default
-  | `Partitioned ->
-    Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.window; fuse; fuse_capacity }
+let or_exit cmd = function
+  | Ok v -> v
+  | Error msg ->
+    Printf.eprintf "ndp_run %s: %s\n" cmd msg;
+    exit 2
 
-(* The document builders and human renderers live in [Ndp_serve.Service]
-   now, shared with the daemon: a serve response body is byte-identical
-   to the corresponding subcommand's [--format json] output. *)
-let result_human = Service.result_human
-
-let result_json = Service.result_json
-
-let metrics_json reg = Service.metrics_json reg
+(* Every job is resolved by [Service.job_of_spec], as the daemon resolves
+   a request, so a subcommand's [--format json] output is byte-identical
+   to the matching response body (the document builders live in
+   [Service] too). [fuse_capacity] has no wire spelling: it is set on the
+   resolved job. *)
+let job_of_flags ?fuse ?fuse_capacity ?(faults = "") ?fault_seed ?(repair = false) cmd kernel
+    cluster memory scheme window =
+  let spec =
+    spec_of_flags ?fuse kernel.Ndp_core.Kernel.name cluster memory scheme window faults fault_seed
+      repair
+  in
+  let job = or_exit cmd (Service.job_of_spec spec) in
+  match (fuse_capacity, job.Pipeline.Job.scheme) with
+  | Some _, Pipeline.Partitioned o ->
+    { job with Pipeline.Job.scheme = Pipeline.Partitioned { o with Pipeline.fuse_capacity } }
+  | _ -> job
 
 (* ------------------------------------------------------------------ *)
 (* run / compare                                                       *)
@@ -258,22 +282,15 @@ let with_jobs jobs f =
 
 let run_act kernel cluster memory scheme window fuse fuse_capacity metrics format jobs =
   with_jobs jobs @@ fun pool ->
-  let job =
-    Pipeline.Job.make ~config:(config_of cluster memory)
-      (scheme_of ~fuse ?fuse_capacity scheme window)
-      kernel
-  in
+  let job = job_of_flags ~fuse ?fuse_capacity "run" kernel cluster memory scheme window in
   let o = Service.run ?pool ~metrics job in
   print_endline (Render.output format ~human:o.Service.human o.Service.doc)
 
 let compare_act kernel cluster memory window fuse metrics format jobs =
   with_jobs jobs @@ fun pool ->
-  let config = config_of cluster memory in
-  let od = Service.run ?pool ~metrics (Pipeline.Job.make ~config Pipeline.Default kernel) in
-  let oo =
-    Service.run ?pool ~metrics
-      (Pipeline.Job.make ~config (scheme_of ~fuse `Partitioned window) kernel)
-  in
+  let job scheme = job_of_flags ~fuse "compare" kernel cluster memory scheme window in
+  let od = Service.run ?pool ~metrics (job `Default) in
+  let oo = Service.run ?pool ~metrics (job `Partitioned) in
   let d = od.Service.result and o = oo.Service.result in
   let imp base opt = 100.0 *. float_of_int (base - opt) /. float_of_int (max 1 base) in
   let exec_imp = imp d.Pipeline.exec_time o.Pipeline.exec_time in
@@ -345,20 +362,18 @@ let link_table reg =
 let stats_act kernel cluster memory scheme window fuse format jobs =
   with_jobs jobs @@ fun pool ->
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in
-  let config = config_of cluster memory in
-  let r =
-    Pipeline.Job.run ?pool ~obs
-      (Pipeline.Job.make ~config (scheme_of ~fuse scheme window) kernel)
-  in
+  let job = job_of_flags ~fuse "stats" kernel cluster memory scheme window in
+  let r = Pipeline.Job.run ?pool ~obs job in
   let reg = obs.Ndp_obs.Sink.metrics in
-  let n = Ndp_noc.Mesh.size (Ndp_sim.Config.mesh config) in
+  let n = Ndp_noc.Mesh.size (Ndp_sim.Config.mesh job.Pipeline.Job.config) in
   let doc =
-    Render.Json.Obj [ ("result", result_json r); ("metrics", metrics_json reg) ]
+    Render.Json.Obj
+      [ ("result", Service.result_json r); ("metrics", Service.metrics_json reg) ]
   in
   let human () =
     String.concat "\n"
       [
-        result_human r;
+        Service.result_human r;
         "";
         "per-node:";
         node_table reg n;
@@ -371,22 +386,11 @@ let stats_act kernel cluster memory scheme window fuse format jobs =
 (* ------------------------------------------------------------------ *)
 (* inject: deterministic fault injection + schedule repair             *)
 
-module Plan = Ndp_fault.Plan
-
 let inject_act kernel cluster memory scheme window spec fault_seed repair format jobs =
   with_jobs jobs @@ fun pool ->
-  let config = config_of cluster memory in
-  let mesh = Ndp_sim.Config.mesh config in
-  let seed = Option.value fault_seed ~default:config.Ndp_sim.Config.seed in
-  let plan =
-    match Plan.parse ~mesh ~seed spec with
-    | Ok plan -> plan
-    | Error msg ->
-      Printf.eprintf "ndp_run inject: bad --faults spec: %s\n" msg;
-      exit 2
+  let job =
+    job_of_flags ~faults:spec ?fault_seed ~repair "inject" kernel cluster memory scheme window
   in
-  let scheme = scheme_of scheme window in
-  let job = Pipeline.Job.make ~config ~faults:plan ~repair scheme kernel in
   let o = Service.inject ?pool ~spec job in
   print_endline (Render.output format ~human:o.Service.i_human o.Service.i_doc)
 
@@ -404,9 +408,7 @@ let trace_act kernel cluster memory scheme window out format jobs =
   in
   with_jobs jobs @@ fun pool ->
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:true () in
-  ignore
-    (Pipeline.Job.run ?pool ~obs
-       (Pipeline.Job.make ~config:(config_of cluster memory) (scheme_of scheme window) kernel));
+  ignore (Pipeline.Job.run ?pool ~obs (job_of_flags "trace" kernel cluster memory scheme window));
   let tracer = obs.Ndp_obs.Sink.trace in
   let payload = render tracer in
   (match out with
@@ -424,9 +426,7 @@ let trace_act kernel cluster memory scheme window out format jobs =
 let profile_act kernel cluster memory scheme window interval top out spans format jobs =
   with_jobs jobs @@ fun pool ->
   let want_trace = out <> "" in
-  let job =
-    Pipeline.Job.make ~config:(config_of cluster memory) (scheme_of scheme window) kernel
-  in
+  let job = job_of_flags "profile" kernel cluster memory scheme window in
   let sp = if spans then Ndp_obs.Span.create () else Ndp_obs.Span.none in
   let o = Service.profile ?pool ~trace:want_trace ~spans:sp ~interval ~top job in
   let obs = o.Service.p_sink in
@@ -475,11 +475,7 @@ let profile_act kernel cluster memory scheme window interval top out spans forma
 let analyze_act kernel cluster memory scheme window fuse fuse_capacity fusion threshold format
     jobs =
   with_jobs jobs @@ fun pool ->
-  let job =
-    Pipeline.Job.make ~config:(config_of cluster memory)
-      (scheme_of ~fuse ?fuse_capacity scheme window)
-      kernel
-  in
+  let job = job_of_flags ~fuse ?fuse_capacity "analyze" kernel cluster memory scheme window in
   if fusion then begin
     (* The decision table: [analyze_fusion] forces the fused/unfused pair
        itself, so --fusion works with or without --fuse. *)
@@ -559,7 +555,9 @@ let dot_act kernel =
     print_endline (Ndp_core.Graphviz.task_graph (Lazy.force compiled.Ndp_core.Window.tasks))
 
 let check_act kernel cluster memory window fuse format jobs =
-  let config = config_of cluster memory in
+  let spec fuse = spec_of_flags ~fuse "" cluster memory `Partitioned window "" None false in
+  let config = or_exit "check" (Service.config_of_spec (spec false)) in
+  let scheme fuse = or_exit "check" (Service.scheme_of_spec (spec fuse)) in
   let kernels =
     match kernel with
     | Some k -> [ k ]
@@ -567,8 +565,7 @@ let check_act kernel cluster memory window fuse format jobs =
   in
   let jobs = match jobs with Some j -> max 1 j | None -> Ndp_prelude.Pool.default_jobs () in
   let schemes =
-    [ Pipeline.Default; scheme_of `Partitioned window ]
-    @ (if fuse then [ scheme_of ~fuse `Partitioned window ] else [])
+    [ Pipeline.Default; scheme false ] @ if fuse then [ scheme true ] else []
   in
   (* W204 checks a concrete size against each nest; only a fixed window
      gives it one. *)
@@ -579,19 +576,6 @@ let check_act kernel cluster memory window fuse format jobs =
 
 (* ------------------------------------------------------------------ *)
 (* serve / client: the compile-as-a-service daemon and its CLI client  *)
-
-let spec_of_flags app cluster memory scheme window faults fault_seed repair =
-  {
-    Protocol.app;
-    scheme = (match scheme with `Default -> "default" | `Partitioned -> "partitioned");
-    window = Args.window_to_string window;
-    cluster = Ndp_noc.Cluster.to_string cluster;
-    memory = Ndp_sim.Config.memory_mode_to_string memory;
-    tweaks = Pipeline.no_tweaks;
-    faults;
-    fault_seed;
-    repair;
-  }
 
 (* The canonical demo session: exercises compile sharing (the repeated
    Run and the Compile/Sweep pair) and ends with deterministic cache

@@ -543,7 +543,7 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
         let c1 = Ndp_sim.Stats.finish_time (Engine.stats engine) in
         Ndp_obs.Span.exit ~cycles:(c1 - c0) spans sp_sim)
       streams);
-  let stats = Ndp_sim.Stats.copy (Engine.stats engine) in
+  let stats = Engine.stats engine in
   (* End every timeline series at the run's last cycle, boundary or not. *)
   Ndp_obs.Timeline.flush obs.Ndp_obs.Sink.timeline ~now:(Ndp_sim.Stats.finish_time stats);
   let group_hops = Array.init total_groups (fun g -> Engine.group_hops engine g) in
@@ -639,7 +639,7 @@ let replay ?(config = Config.default) ?(tweaks = no_tweaks) ?(obs = Ndp_obs.Sink
   let spans = obs.Ndp_obs.Sink.spans in
   let sp = Ndp_obs.Span.enter spans "replay" in
   List.iter (Engine.run engine) emitted;
-  let stats = Ndp_sim.Stats.copy (Engine.stats engine) in
+  let stats = Engine.stats engine in
   Ndp_obs.Span.exit ~cycles:(Ndp_sim.Stats.finish_time stats) spans sp;
   Ndp_obs.Timeline.flush obs.Ndp_obs.Sink.timeline ~now:(Ndp_sim.Stats.finish_time stats);
   let replayed =

@@ -30,15 +30,6 @@ type compiled = {
   sync_arcs : (int * int) list;
 }
 
-(* The root of the statement MST is the node the default placement
-   assigned the iteration to (Figure 8: node i computes the final
-   combine); the result's write-back still goes to its home bank, which
-   the engine models in the store path. Keeping the final subcomputation
-   on the assigned node preserves the default's iteration-level balance —
-   rooting at the LHS home bank would serialize the 8 statements sharing
-   an output cache line onto one node. *)
-let store_node_of (_ctx : Context.t) meta = meta.default_node
-
 let chunk list size =
   if size <= 0 then invalid_arg "Window.chunk: size must be positive";
   let rec go acc cur n = function
@@ -72,8 +63,16 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
         let fslot =
           match fusion with Some f when i < Array.length f -> f.(i) | Some _ | None -> None
         in
+        (* The root of the statement MST is the node the default placement
+           assigned the iteration to (Figure 8: node i computes the final
+           combine); the result's write-back still goes to its home bank,
+           which the engine models in the store path. Keeping the final
+           subcomputation on the assigned node preserves the default's
+           iteration-level balance — rooting at the LHS home bank would
+           serialize the 8 statements sharing an output cache line onto
+           one node. A fused group roots at its chosen node instead. *)
         let store_node =
-          match fslot with Some s -> s.Fusion.f_node | None -> store_node_of ctx meta
+          match fslot with Some s -> s.Fusion.f_node | None -> meta.default_node
         in
         let split = Splitter.split ctx ~store_node meta in
         let default_est = Splitter.default_movement ctx ~store_node meta in
@@ -379,7 +378,7 @@ let analytic_of (ctx : Context.t) metas ~window =
       Context.clear_reuse ctx;
       for i = lo to hi - 1 do
         let m = arr.(i) in
-        let store_node = store_node_of ctx m in
+        let store_node = m.default_node in
         let split = Splitter.split ctx ~store_node m in
         let default_est = Splitter.default_movement ctx ~store_node m in
         let kept = split.Splitter.est_movement * margin_den < default_est * margin_num in
@@ -439,7 +438,7 @@ let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
     let providers = Array.make (max 1 n) [] in
     for i = 0 to n - 1 do
       let m = sample.(i) in
-      let store_node = store_node_of ectx m in
+      let store_node = m.default_node in
       let provs = ref [] in
       for k = 1 to Array.length m.shape.Staged.refs - 1 do
         let va = Staged.compiler_va ectx m k in

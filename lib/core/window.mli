@@ -44,10 +44,6 @@ type compiled = {
           (producer task, consumer task); [sync_count] is their length *)
 }
 
-val store_node_of : Context.t -> meta -> int
-(** Home node of the statement's output under the compiler's view; falls
-    back to the default node when the output is unanalyzable. *)
-
 val compile :
   ?deps:Ndp_ir.Dependence.dep list ->
   ?fusion:Fusion.slot option array ->

@@ -3,63 +3,38 @@ module Config = Ndp_sim.Config
 module Pool = Ndp_prelude.Pool
 
 type t = {
-  cache : (string, Pipeline.result) Hashtbl.t;
-  lock : Mutex.t;
+  cache : Pipeline.result Ndp_serve.Cache.t;
+  lock : Mutex.t; (* guards [kernels] *)
   pool : Pool.t;
   mutable kernels : Ndp_core.Kernel.t list option;
 }
 
 let create ?jobs () =
-  { cache = Hashtbl.create 64; lock = Mutex.create (); pool = Pool.create ?jobs (); kernels = None }
+  {
+    cache = Ndp_serve.Cache.create ~name:"experiments" ~capacity:max_int ();
+    lock = Mutex.create ();
+    pool = Pool.create ?jobs ();
+    kernels = None;
+  }
 
 let pool t = t.pool
 
 let apps t =
-  Mutex.lock t.lock;
-  let ks =
-    match t.kernels with
-    | Some ks -> ks
-    | None ->
-      let ks = Ndp_workloads.Suite.all () in
-      t.kernels <- Some ks;
-      ks
-  in
-  Mutex.unlock t.lock;
-  ks
-
-(* Canonical content keys live in [Ndp_serve.Key] (this cache is where
-   they were born; the serve daemon promoted them). [Key.kernel] digests
-   the IR content, so same-named kernels with different bodies cannot
-   alias here either. *)
-module Key = Ndp_serve.Key
-
-let run t ?(config = Config.default) ?(tweaks = Pipeline.no_tweaks) ?(key_suffix = "") scheme
-    kernel =
-  let key =
-    String.concat "#"
-      [ Key.kernel kernel; Key.scheme scheme; Key.config config; Key.tweaks tweaks; key_suffix ]
-  in
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.cache key with
-  | Some r ->
-    Mutex.unlock t.lock;
-    r
-  | None ->
-    Mutex.unlock t.lock;
-    (* Simulate outside the lock; a concurrent cell computing the same key
-       produces a bit-identical result (runs are deterministic), and the
-       first writer wins so every reader sees one value. *)
-    let r = Pipeline.Job.run ~pool:t.pool (Pipeline.Job.make ~config ~tweaks scheme kernel) in
-    Mutex.lock t.lock;
-    let r =
-      match Hashtbl.find_opt t.cache key with
-      | Some first -> first
+  Mutex.protect t.lock (fun () ->
+      match t.kernels with
+      | Some ks -> ks
       | None ->
-        Hashtbl.replace t.cache key r;
-        r
-    in
-    Mutex.unlock t.lock;
-    r
+        let ks = Ndp_workloads.Suite.all () in
+        t.kernels <- Some ks;
+        ks)
+
+(* [Key.job] covers every input of the run (the kernel by IR content), so
+   same-named kernels with different bodies cannot alias. *)
+let run t ?(config = Config.default) ?(tweaks = Pipeline.no_tweaks) scheme kernel =
+  let job = Pipeline.Job.make ~config ~tweaks scheme kernel in
+  fst
+    (Ndp_serve.Cache.find_or_add t.cache (Ndp_serve.Key.job job) (fun () ->
+         Pipeline.Job.run ~pool:t.pool job))
 
 let parallel_map t f xs = Pool.parallel_map t.pool f xs
 

@@ -1,9 +1,10 @@
 (** Shared run cache and parallel cell executor for the experiment
     drivers: the same (app, scheme, config, tweaks) simulation backs
-    several figures, so results are memoized per process, and each driver
-    fans its per-app cells across a domain pool. The cache is
-    mutex-protected (compute happens outside the lock, first writer
-    wins), so cells may call {!run} concurrently. *)
+    several figures, so results are memoized per process (an
+    [Ndp_serve.Cache] that never evicts, keyed by [Ndp_serve.Key.job]),
+    and each driver fans its per-app cells across a domain pool. The
+    cache computes outside its lock and the first writer wins, so cells
+    may call {!run} concurrently. *)
 
 type t
 
@@ -21,13 +22,11 @@ val run :
   t ->
   ?config:Ndp_sim.Config.t ->
   ?tweaks:Ndp_core.Pipeline.tweaks ->
-  ?key_suffix:string ->
   Ndp_core.Pipeline.scheme ->
   Ndp_core.Kernel.t ->
   Ndp_core.Pipeline.result
-(** Memoized {!Ndp_core.Pipeline.Job.run}. [key_suffix] must distinguish calls
-    whose config/tweaks differ in ways the automatic key cannot see.
-    Safe to call from pool workers. *)
+(** Memoized {!Ndp_core.Pipeline.Job.run}. Safe to call from pool
+    workers. *)
 
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Ordered map over the embedded pool; see

@@ -1,22 +1,1 @@
 type edge = { u : int; v : int; weight : int }
-
-let compare_edge a b =
-  match compare a.weight b.weight with
-  | 0 -> compare (a.u, a.v) (b.u, b.v)
-  | c -> c
-
-let mst ~n edges =
-  let uf = Union_find.create n in
-  let sorted = List.sort compare_edge edges in
-  let keep e = Union_find.union uf e.u e.v in
-  List.filter keep sorted
-
-let total_weight edges = List.fold_left (fun acc e -> acc + e.weight) 0 edges
-
-let is_spanning ~n edges =
-  if n = 0 then true
-  else begin
-    let uf = Union_find.create n in
-    List.iter (fun e -> ignore (Union_find.union uf e.u e.v)) edges;
-    Union_find.count uf = 1
-  end

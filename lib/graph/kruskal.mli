@@ -1,14 +1,4 @@
-(** Minimum spanning trees / forests over weighted undirected edges. *)
+(** Weighted undirected edges: the statement MSTs the splitter builds and
+    the scheduler walks. *)
 
 type edge = { u : int; v : int; weight : int }
-
-val mst : n:int -> edge list -> edge list
-(** [mst ~n edges] runs Kruskal's algorithm over vertices [0 .. n-1].
-    Edges are considered in increasing weight; ties are broken by the
-    [(u, v)] pair so the result is deterministic. When the graph is not
-    connected the minimum spanning forest is returned. *)
-
-val total_weight : edge list -> int
-
-val is_spanning : n:int -> edge list -> bool
-(** Whether the edge set connects all [n] vertices. *)

@@ -152,5 +152,3 @@ let index_deps deps =
   tbl
 
 let serialized index ~src ~dst = Hashtbl.mem index (src, dst)
-
-let must_serialize deps ~src ~dst = serialized (index_deps deps) ~src ~dst

@@ -66,8 +66,3 @@ val index_deps : dep list -> index
 
 val serialized : index -> src:int -> dst:int -> bool
 (** Whether any dependence orders the two instances. *)
-
-val must_serialize : dep list -> src:int -> dst:int -> bool
-(** Whether any dependence orders the two instances. Thin wrapper that
-    builds a throwaway {!index}; callers with repeated queries against one
-    dependence list should build the index once via {!index_deps}. *)

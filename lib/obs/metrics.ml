@@ -16,6 +16,7 @@ type instrument =
   | I_counter of counter
   | I_vec of vec
   | I_gauge of gauge
+  | I_counter_fn of (unit -> int)
   | I_gauge_fn of (unit -> float)
   | I_histogram of histogram
 
@@ -63,6 +64,8 @@ let add c n = if c.c_on then c.c_v <- c.c_v + n
 let incr c = add c 1
 
 let counter_value c = c.c_v
+
+let counter_fn t name f = if t.on then Hashtbl.replace t.table name (I_counter_fn f)
 
 let vec t name ~size ~label =
   if not t.on then dead_vec
@@ -139,6 +142,7 @@ type sample =
 let explode name instrument acc =
   match instrument with
   | I_counter c -> (name, Counter_v c.c_v) :: acc
+  | I_counter_fn f -> (name, Counter_v (f ())) :: acc
   | I_gauge g -> (name, Gauge_v g.g_v) :: acc
   | I_gauge_fn f -> (name, Gauge_v (f ())) :: acc
   | I_histogram h ->

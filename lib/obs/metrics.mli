@@ -41,6 +41,12 @@ val incr : counter -> unit
 
 val counter_value : counter -> int
 
+val counter_fn : t -> string -> (unit -> int) -> unit
+(** A derived counter: the closure is evaluated at {!to_alist} time and
+    samples as a counter. Used for integers a structure already keeps
+    exact on its own (the simulator's aggregate stats, the serve caches'
+    hit counts), so publishing them costs nothing per event. *)
+
 type vec
 
 val vec : t -> string -> size:int -> label:(int -> string) -> vec

@@ -10,32 +10,33 @@ type 'a t = {
   tbl : (string, 'a entry) Hashtbl.t;
   lock : Mutex.t;
   mutable clock : int;
-  m_hits : Metrics.counter;
-  m_misses : Metrics.counter;
-  m_evictions : Metrics.counter;
-  (* Own integer mirrors of the instruments: the registry may be the
-     disabled one (inert handles), and [stats] must stay exact either
-     way — it feeds the deterministic [cache-stats] response. *)
+  (* Exact whatever the registry: [stats] feeds the deterministic
+     [cache-stats] response, and an enabled registry reads them too. *)
   mutable n_hits : int;
   mutable n_misses : int;
   mutable n_evictions : int;
 }
 
 let create ?(metrics = Metrics.none) ~name ~capacity () =
-  let inst kind = Metrics.counter metrics (Printf.sprintf "serve.cache_%s{cache=%s}" kind name) in
-  {
-    name;
-    capacity = max 1 capacity;
-    tbl = Hashtbl.create 64;
-    lock = Mutex.create ();
-    clock = 0;
-    m_hits = inst "hits";
-    m_misses = inst "misses";
-    m_evictions = inst "evictions";
-    n_hits = 0;
-    n_misses = 0;
-    n_evictions = 0;
-  }
+  let t =
+    {
+      name;
+      capacity = max 1 capacity;
+      tbl = Hashtbl.create 64;
+      lock = Mutex.create ();
+      clock = 0;
+      n_hits = 0;
+      n_misses = 0;
+      n_evictions = 0;
+    }
+  in
+  let publish kind read =
+    Metrics.counter_fn metrics (Printf.sprintf "serve.cache_%s{cache=%s}" kind name) read
+  in
+  publish "hits" (fun () -> t.n_hits);
+  publish "misses" (fun () -> t.n_misses);
+  publish "evictions" (fun () -> t.n_evictions);
+  t
 
 let name t = t.name
 
@@ -59,20 +60,15 @@ let evict_lru t =
   | None -> ()
   | Some (k, _) ->
     Hashtbl.remove t.tbl k;
-    t.n_evictions <- t.n_evictions + 1;
-    Metrics.incr t.m_evictions
+    t.n_evictions <- t.n_evictions + 1
 
 let find t key =
-  Mutex.lock t.lock;
-  let r =
-    match Hashtbl.find_opt t.tbl key with
-    | Some e ->
-      touch t e;
-      Some e.value
-    | None -> None
-  in
-  Mutex.unlock t.lock;
-  r
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.tbl key with
+      | Some e ->
+        touch t e;
+        Some e.value
+      | None -> None)
 
 let insert_locked t key v =
   while Hashtbl.length t.tbl >= t.capacity do
@@ -87,7 +83,6 @@ let find_or_add t key compute =
   | Some e ->
     touch t e;
     t.n_hits <- t.n_hits + 1;
-    Metrics.incr t.m_hits;
     Mutex.unlock t.lock;
     (e.value, true)
   | None ->
@@ -107,19 +102,14 @@ let find_or_add t key compute =
         v
     in
     t.n_misses <- t.n_misses + 1;
-    Metrics.incr t.m_misses;
     Mutex.unlock t.lock;
     (r, false)
 
 let stats t =
-  Mutex.lock t.lock;
-  let s =
-    {
-      entries = Hashtbl.length t.tbl;
-      hits = t.n_hits;
-      misses = t.n_misses;
-      evictions = t.n_evictions;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
+  Mutex.protect t.lock (fun () ->
+      {
+        entries = Hashtbl.length t.tbl;
+        hits = t.n_hits;
+        misses = t.n_misses;
+        evictions = t.n_evictions;
+      })

@@ -1,13 +1,14 @@
 (** Bounded, mutex-protected LRU cache with eviction accounting.
 
-    Generalizes the unbounded memo table [Experiments.Common] grew for the
-    experiment drivers: keys are canonical content strings (see {!Key}),
-    values are whatever the owner stores (rendered response bodies,
-    captured schedules), and capacity is enforced by least-recently-used
-    eviction. Hit/miss/eviction counts surface both as exact integers
-    ({!stats}, feeding the daemon's deterministic [cache-stats] response)
-    and as [serve.cache_{hits,misses,evictions}{cache=NAME}] counters in
-    the registry passed at creation.
+    Keys are canonical content strings (see {!Key}), values are whatever
+    the owner stores (rendered response bodies, captured schedules,
+    pipeline results), and capacity is enforced by least-recently-used
+    eviction; the experiment drivers' memo ([Experiments.Common]) is one
+    with a capacity of [max_int], which never evicts. Hit/miss/eviction
+    counts are exact integers ({!stats}, feeding the daemon's
+    deterministic [cache-stats] response), which the registry passed at
+    creation reads as [serve.cache_{hits,misses,evictions}{cache=NAME}]
+    derived counters.
 
     Thread-safety: all operations take an internal mutex. {!find_or_add}
     computes outside the lock — concurrent callers may both compute a

@@ -55,7 +55,9 @@ let job_of_spec (s : Protocol.job_spec) =
       else
         let mesh = Config.mesh config in
         let seed = Option.value s.Protocol.fault_seed ~default:config.Config.seed in
-        let* plan = Plan.parse ~mesh ~seed s.Protocol.faults in
+        let* plan =
+          Result.map_error (( ^ ) "bad fault spec: ") (Plan.parse ~mesh ~seed s.Protocol.faults)
+        in
         Ok (Some plan)
     in
     Ok
@@ -674,7 +676,7 @@ let inject ?pool ?(spans = Ndp_obs.Span.none) ~spec (job : Pipeline.Job.t) =
   let plan =
     match job.Pipeline.Job.faults with
     | Some p -> p
-    | None -> Plan.empty ~mesh:(Config.mesh config)
+    | None -> Plan.make ~mesh:(Config.mesh config) ~seed:config.Config.seed []
   in
   let repair = job.Pipeline.Job.repair in
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in

@@ -144,5 +144,6 @@ val inject :
   spec:string ->
   Ndp_core.Pipeline.Job.t ->
   inject_outcome
-(** Runs the job under its fault plan (an empty plan when the job carries
-    none); [spec] is echoed into the document's plan description. *)
+(** Runs the job under its fault plan (when the job carries none, an empty
+    plan with the config's seed, as [ndp_run inject --seed] documents);
+    [spec] is echoed into the document's plan description. *)

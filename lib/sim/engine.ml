@@ -73,7 +73,12 @@ let reset ?(obs = Ndp_obs.Sink.none) ?faults t =
   let n = Array.length t.node_free in
   let reg = obs.Ndp_obs.Sink.metrics in
   let timeline = obs.Ndp_obs.Sink.timeline in
-  t.stats <- Stats.create ~metrics:reg ();
+  (* Fresh counters per run: a result keeps the stats of its own run even
+     after the engine is reset for the next one. *)
+  let stats = Stats.create () in
+  t.stats <- stats;
+  if Metrics.enabled reg then
+    Stats.publish stats (fun name read -> Metrics.counter_fn reg ("sim." ^ name) read);
   t.faults <- faults;
   t.cost_scale <- 1.0;
   t.extra_syncs <- 0;

@@ -11,9 +11,9 @@ val create : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> Machine.t -> t
     start/finish cycle, task id, group) plus an instant event per
     synchronizing task, and per-node task/busy/sync vectors
     ([core.tasks{node}], ...) are registered in [obs.metrics]. The
-    engine's {!stats} counters are registered in [obs.metrics] (as
-    [sim.*]) when it is enabled. Observability never changes scheduling
-    or timing.
+    engine's {!stats} counters are published to [obs.metrics] as derived
+    [sim.*] counters when it is enabled. Observability never changes
+    scheduling or timing.
 
     With [faults], a task issued on a node during one of the plan's stall
     windows waits until the window closes; the lost cycles accumulate in
@@ -22,8 +22,9 @@ val create : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> Machine.t -> t
 val reset : ?obs:Ndp_obs.Sink.t -> ?faults:Ndp_fault.Plan.t -> t -> unit
 (** Return the engine to exactly the state [create ?obs ?faults] builds
     on the same machine, reusing its storage: node clocks, busy counters,
-    the task and group tables (cleared at the capacity they grew to) and
-    {!stats} start over, the tweaks are cleared and the
+    the task and group tables (cleared at the capacity they grew to)
+    start over, {!stats} are fresh counters (the previous run's are left
+    as they were), the tweaks are cleared and the
     fault plan and observability handles are rebound. [create] allocates
     the storage and then calls [reset]. The engine's machine is not
     touched; reset it with {!Machine.reset}. *)

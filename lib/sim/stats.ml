@@ -1,149 +1,82 @@
-module Metrics = Ndp_obs.Metrics
+(* One plain int slot per counter, in [names] order. Counting never
+   depends on observability: an enabled registry reads the slots through
+   [publish]. *)
+type t = int array
 
-(* Each field is a registry-backed counter so one metrics dump can carry
-   the aggregate stats next to the per-structure families. Counting must
-   never depend on whether observability is enabled, so when the caller's
-   registry is absent or disabled the counters are registered in a private
-   always-enabled one. *)
-type t = {
-  l1_hits : Metrics.counter;
-  l1_misses : Metrics.counter;
-  l2_hits : Metrics.counter;
-  l2_misses : Metrics.counter;
-  mcdram_accesses : Metrics.counter;
-  ddr_accesses : Metrics.counter;
-  hops : Metrics.counter;
-  messages : Metrics.counter;
-  latency_sum : Metrics.counter;
-  latency_max : Metrics.counter;
-  ops : Metrics.counter;
-  syncs : Metrics.counter;
-  tasks : Metrics.counter;
-  finish_time : Metrics.counter;
-  load_wait : Metrics.counter;
-  result_wait : Metrics.counter;
-  invalidations : Metrics.counter;
-  prefetches : Metrics.counter;
-}
+let names =
+  [|
+    "l1_hits";
+    "l1_misses";
+    "l2_hits";
+    "l2_misses";
+    "mcdram_accesses";
+    "ddr_accesses";
+    "hops";
+    "messages";
+    "latency_sum";
+    "latency_max";
+    "ops";
+    "syncs";
+    "tasks";
+    "finish_time";
+    "load_wait";
+    "result_wait";
+    "invalidations";
+    "prefetches";
+  |]
 
-let create ?metrics () =
-  let reg =
-    match metrics with
-    | Some r when Metrics.enabled r -> r
-    | Some _ | None -> Metrics.create ()
-  in
-  let c name = Metrics.counter reg ("sim." ^ name) in
-  {
-    l1_hits = c "l1_hits";
-    l1_misses = c "l1_misses";
-    l2_hits = c "l2_hits";
-    l2_misses = c "l2_misses";
-    mcdram_accesses = c "mcdram_accesses";
-    ddr_accesses = c "ddr_accesses";
-    hops = c "hops";
-    messages = c "messages";
-    latency_sum = c "latency_sum";
-    latency_max = c "latency_max";
-    ops = c "ops";
-    syncs = c "syncs";
-    tasks = c "tasks";
-    finish_time = c "finish_time";
-    load_wait = c "load_wait";
-    result_wait = c "result_wait";
-    invalidations = c "invalidations";
-    prefetches = c "prefetches";
-  }
+let create () = Array.make (Array.length names) 0
 
-let l1_hits t = Metrics.counter_value t.l1_hits
-let l1_misses t = Metrics.counter_value t.l1_misses
-let l2_hits t = Metrics.counter_value t.l2_hits
-let l2_misses t = Metrics.counter_value t.l2_misses
-let mcdram_accesses t = Metrics.counter_value t.mcdram_accesses
-let ddr_accesses t = Metrics.counter_value t.ddr_accesses
-let hops t = Metrics.counter_value t.hops
-let messages t = Metrics.counter_value t.messages
-let latency_sum t = Metrics.counter_value t.latency_sum
-let latency_max t = Metrics.counter_value t.latency_max
-let ops t = Metrics.counter_value t.ops
-let syncs t = Metrics.counter_value t.syncs
-let tasks t = Metrics.counter_value t.tasks
-let finish_time t = Metrics.counter_value t.finish_time
-let load_wait t = Metrics.counter_value t.load_wait
-let result_wait t = Metrics.counter_value t.result_wait
-let invalidations t = Metrics.counter_value t.invalidations
-let prefetches t = Metrics.counter_value t.prefetches
+let l1_hits t = t.(0)
+let l1_misses t = t.(1)
+let l2_hits t = t.(2)
+let l2_misses t = t.(3)
+let mcdram_accesses t = t.(4)
+let ddr_accesses t = t.(5)
+let hops t = t.(6)
+let messages t = t.(7)
+let latency_sum t = t.(8)
+let latency_max t = t.(9)
+let ops t = t.(10)
+let syncs t = t.(11)
+let tasks t = t.(12)
+let finish_time t = t.(13)
+let load_wait t = t.(14)
+let result_wait t = t.(15)
+let invalidations t = t.(16)
+let prefetches t = t.(17)
 
-let to_alist t =
-  [
-    ("l1_hits", l1_hits t);
-    ("l1_misses", l1_misses t);
-    ("l2_hits", l2_hits t);
-    ("l2_misses", l2_misses t);
-    ("mcdram_accesses", mcdram_accesses t);
-    ("ddr_accesses", ddr_accesses t);
-    ("hops", hops t);
-    ("messages", messages t);
-    ("latency_sum", latency_sum t);
-    ("latency_max", latency_max t);
-    ("ops", ops t);
-    ("syncs", syncs t);
-    ("tasks", tasks t);
-    ("finish_time", finish_time t);
-    ("load_wait", load_wait t);
-    ("result_wait", result_wait t);
-    ("invalidations", invalidations t);
-    ("prefetches", prefetches t);
-  ]
+let to_alist t = List.init (Array.length names) (fun i -> (names.(i), t.(i)))
 
-let equal a b = to_alist a = to_alist b
+let equal (a : t) b = a = b
 
-let copy t =
-  let s = create () in
-  Metrics.add s.l1_hits (l1_hits t);
-  Metrics.add s.l1_misses (l1_misses t);
-  Metrics.add s.l2_hits (l2_hits t);
-  Metrics.add s.l2_misses (l2_misses t);
-  Metrics.add s.mcdram_accesses (mcdram_accesses t);
-  Metrics.add s.ddr_accesses (ddr_accesses t);
-  Metrics.add s.hops (hops t);
-  Metrics.add s.messages (messages t);
-  Metrics.add s.latency_sum (latency_sum t);
-  Metrics.add s.latency_max (latency_max t);
-  Metrics.add s.ops (ops t);
-  Metrics.add s.syncs (syncs t);
-  Metrics.add s.tasks (tasks t);
-  Metrics.add s.finish_time (finish_time t);
-  Metrics.add s.load_wait (load_wait t);
-  Metrics.add s.result_wait (result_wait t);
-  Metrics.add s.invalidations (invalidations t);
-  Metrics.add s.prefetches (prefetches t);
-  s
+let publish t register = Array.iteri (fun i name -> register name (fun () -> t.(i))) names
 
-let incr_l1_hits t = Metrics.incr t.l1_hits
-let incr_l1_misses t = Metrics.incr t.l1_misses
-let incr_l2_hits t = Metrics.incr t.l2_hits
-let incr_l2_misses t = Metrics.incr t.l2_misses
-let incr_mcdram_accesses t = Metrics.incr t.mcdram_accesses
-let incr_ddr_accesses t = Metrics.incr t.ddr_accesses
-let add_hops t n = Metrics.add t.hops n
-let incr_messages t = Metrics.incr t.messages
+let add t i n = t.(i) <- t.(i) + n
 
-let raise_to c v =
-  let cur = Metrics.counter_value c in
-  if v > cur then Metrics.add c (v - cur)
+let raise_to t i v = if v > t.(i) then t.(i) <- v
+
+let incr_l1_hits t = add t 0 1
+let incr_l1_misses t = add t 1 1
+let incr_l2_hits t = add t 2 1
+let incr_l2_misses t = add t 3 1
+let incr_mcdram_accesses t = add t 4 1
+let incr_ddr_accesses t = add t 5 1
+let add_hops t n = add t 6 n
+let incr_messages t = add t 7 1
 
 let note_latency t l =
-  Metrics.add t.latency_sum l;
-  raise_to t.latency_max l
+  add t 8 l;
+  raise_to t 9 l
 
-let add_ops t n = Metrics.add t.ops n
-let add_syncs t n = Metrics.add t.syncs n
-let incr_tasks t = Metrics.incr t.tasks
-let note_finish t cycle = raise_to t.finish_time cycle
-let add_load_wait t n = Metrics.add t.load_wait n
-let add_result_wait t n = Metrics.add t.result_wait n
-let incr_invalidations t = Metrics.incr t.invalidations
-let incr_prefetches t = Metrics.incr t.prefetches
+let add_ops t n = add t 10 n
+let add_syncs t n = add t 11 n
+let incr_tasks t = add t 12 1
+let note_finish t cycle = raise_to t 13 cycle
+let add_load_wait t n = add t 14 n
+let add_result_wait t n = add t 15 n
+let incr_invalidations t = add t 16 1
+let incr_prefetches t = add t 17 1
 
 let rate hits misses =
   let total = hits + misses in

@@ -1,24 +1,18 @@
 (** Aggregate counters collected by the execution engine.
 
     The type is opaque: readers go through the named accessors or
-    {!to_alist}, writers through the typed bump functions. Internally each
-    counter is an [Ndp_obs.Metrics] instrument — pass [?metrics] at
-    {!create} to register them (under [sim.*] names) in a caller-owned
-    registry, so one [Metrics.to_alist] dump interleaves the aggregate
-    stats with the per-link / per-node / per-bank families the subsystems
-    register in the same registry. Counting is always on: a disabled (or
-    absent) registry changes where the counters live, never whether they
-    count. *)
+    {!to_alist}, writers through the typed bump functions. The counters
+    are plain integers that always count, whether or not observability is
+    on. [Engine.reset] {!publish}es them to an enabled metrics registry
+    as derived counters ([Metrics.counter_fn]) named [sim.l1_hits],
+    [sim.hops], ..., read at dump time, so one [Metrics.to_alist] dump
+    interleaves the aggregate stats with the per-link / per-node /
+    per-bank families without the registry ever holding the counts. *)
 
 type t
 
-val create : ?metrics:Ndp_obs.Metrics.t -> unit -> t
-(** Fresh zeroed counters. When [metrics] is given and enabled, the
-    counters are registered in it as [sim.l1_hits], [sim.hops], ...;
-    otherwise they live in a private registry. *)
-
-val copy : t -> t
-(** A detached snapshot (backed by a private registry). *)
+val create : unit -> t
+(** Fresh zeroed counters. *)
 
 (** {1 Accessors} *)
 
@@ -75,6 +69,10 @@ val to_alist : t -> (string * int) list
 
 val equal : t -> t -> bool
 (** All counters equal — the metrics-on/off determinism check. *)
+
+val publish : t -> (string -> (unit -> int) -> unit) -> unit
+(** [publish t register] calls [register name read] once per counter, in
+    {!to_alist} order; [read ()] is the counter's current value. *)
 
 (** {1 Bumps (simulator-internal writers)} *)
 

@@ -334,8 +334,8 @@ let index_matches_linear_scan () =
   done;
   match deps with
   | d :: _ ->
-    Alcotest.(check bool) "must_serialize wrapper" true
-      (Dep.must_serialize deps ~src:d.Dep.src ~dst:d.Dep.dst)
+    Alcotest.(check bool) "fresh index serializes a dependence" true
+      (Dep.serialized (Dep.index_deps deps) ~src:d.Dep.src ~dst:d.Dep.dst)
   | [] -> Alcotest.fail "expected at least one dependence"
 
 (* -------------------------------------------------------------------- *)

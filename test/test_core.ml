@@ -508,7 +508,7 @@ let qcheck_flat_split_is_mst ~cols ~rows =
                      weight = Context.distance ctx vertices.(i) vertices.(j);
                    })))
       in
-      split.Splitter.est_movement = Ndp_graph.Kruskal.total_weight (Ndp_graph.Kruskal.mst ~n edges))
+      split.Splitter.est_movement = Kruskal_ref.total_weight (Kruskal_ref.mst ~n edges))
 
 (* [items_at] keeps the grouping the splitter always produced: the fold
    order of an int-keyed [Hashtbl] filled in location order, including

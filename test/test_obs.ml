@@ -429,6 +429,21 @@ let observed_run_identical_under_pool () =
       Alcotest.(check bool) "stats equal under jobs=4" true (Stats.equal bare.P.stats seen.P.stats);
       Alcotest.(check int) "exec_time equal under jobs=4" bare.P.exec_time seen.P.exec_time)
 
+(* One sink reused across runs: each result counts its own run only, and
+   the registry's derived sim.* counters read the latest run. *)
+let reused_sink_counts_once () =
+  let job = P.Job.make (P.Partitioned P.partitioned_defaults) (Ndp_workloads.Suite.find "fft") in
+  let fresh = P.Job.run job in
+  let obs = Sink.create ~metrics:true () in
+  ignore (P.Job.run ~obs job);
+  let again = P.Job.run ~obs job in
+  Alcotest.(check (list (pair string int)))
+    "second run's stats" (Stats.to_alist fresh.P.stats) (Stats.to_alist again.P.stats);
+  Alcotest.(check bool) "second run's energy" true (fresh.P.energy = again.P.energy);
+  match M.find obs.Sink.metrics "sim.hops" with
+  | Some (M.Counter_v hops) -> Alcotest.(check int) "sim.hops" (Stats.hops fresh.P.stats) hops
+  | _ -> Alcotest.fail "sim.hops is not a counter sample"
+
 (* {1 Stats surface} *)
 
 let stats_alist_shape () =
@@ -681,6 +696,7 @@ let tests =
         Alcotest.test_case "timeline bounded" `Quick timeline_bounded;
         Alcotest.test_case "observed run identical" `Quick observed_run_identical;
         Alcotest.test_case "observed run identical under pool" `Quick observed_run_identical_under_pool;
+        Alcotest.test_case "reused sink counts each run once" `Quick reused_sink_counts_once;
         Alcotest.test_case "stats alist shape" `Quick stats_alist_shape;
         Alcotest.test_case "stats pp no nan" `Quick stats_pp_no_nan;
         Alcotest.test_case "span nesting and attrs" `Quick span_nesting_and_attrs;

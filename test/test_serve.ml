@@ -573,6 +573,33 @@ let op_names_cover_requests () =
     (representative_requests ())
 
 (* -------------------------------------------------------------------- *)
+(* The CLI resolves its flags as the daemon resolves a spec.             *)
+
+let ndp_run args =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/ndp_run.exe" in
+  let ic = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> String.trim out
+  | _ -> Alcotest.failf "ndp_run %s failed" (String.concat " " args)
+
+let cli_bodies_match_service () =
+  let job spec =
+    match Ndp_serve.Service.job_of_spec spec with Ok j -> j | Error m -> Alcotest.fail m
+  in
+  let json = Ndp_obs.Render.Json.to_string in
+  let water = Protocol.default_spec ~app:"water" in
+  let inject spec = json (Ndp_serve.Service.inject ~spec:spec.Protocol.faults (job spec)).i_doc in
+  Alcotest.(check string) "inject, empty fault spec" (inject water)
+    (ndp_run [ "inject"; "water"; "--format"; "json" ]);
+  Alcotest.(check string) "inject, seeded faults with repair"
+    (inject { water with Protocol.faults = "kill=2"; fault_seed = Some 7; repair = true })
+    (ndp_run [ "inject"; "water"; "--faults"; "kill=2"; "--seed"; "7"; "--repair"; "--format"; "json" ]);
+  Alcotest.(check string) "run --fuse"
+    (json (Ndp_serve.Service.run (job { water with Protocol.scheme = "partitioned+fuse" })).doc)
+    (ndp_run [ "run"; "water"; "--fuse"; "--format"; "json" ])
+
+(* -------------------------------------------------------------------- *)
 (* The socket daemon outlives a client that hangs up before its reply.   *)
 
 (* The reply to a closed socket fails with EPIPE; unless the daemon
@@ -684,6 +711,7 @@ let tests =
         Alcotest.test_case "cache-stats latency section" `Quick cache_stats_latency_section;
         Alcotest.test_case "access log JSONL" `Quick access_log_jsonl;
         Alcotest.test_case "op names cover requests" `Quick op_names_cover_requests;
+        Alcotest.test_case "CLI bodies match the service's" `Quick cli_bodies_match_service;
         Alcotest.test_case "daemon survives a client hang-up" `Quick daemon_survives_hangup;
       ] );
   ]
