@@ -194,8 +194,8 @@ val replay :
     replay left behind, reset in place ({!Ndp_sim.Machine.reset}), when
     its shape matches the config, and on a new one otherwise; either way
     the result is that of a fresh machine. The machine is kept for the
-    next replay unless [obs] enables metrics or a timeline (their dumps
-    read it later). With the capture run's config and
+    next replay unless [obs] enables metrics or counter samples (their
+    samplers read it). With the capture run's config and
     tweaks the replay is cycle-identical to the original simulation; with
     a different config it answers how the {e fixed} schedule performs
     under that cost model — the amortized inner loop of [bench sweep].

@@ -1,28 +1,13 @@
-type t = {
-  metrics : Metrics.t;
-  trace : Trace.t;
-  ledger : Ledger.t;
-  timeline : Timeline.t;
-  spans : Span.t;
-}
+type t = { metrics : Metrics.t; trace : Trace.t; ledger : Ledger.t; spans : Span.t }
 
-let none =
-  {
-    metrics = Metrics.none;
-    trace = Trace.none;
-    ledger = Ledger.none;
-    timeline = Timeline.none;
-    spans = Span.none;
-  }
+let none = { metrics = Metrics.none; trace = Trace.none; ledger = Ledger.none; spans = Span.none }
 
 let create ?(metrics = true) ?(trace = true) ?(ledger = false) ?(timeline_interval = 0)
     ?(spans = false) () =
+  let log = Trace.create ~events:trace ~interval:timeline_interval ~spans () in
   {
     metrics = (if metrics then Metrics.create () else Metrics.none);
-    trace = (if trace then Trace.create () else Trace.none);
+    trace = log;
     ledger = (if ledger then Ledger.create () else Ledger.none);
-    timeline =
-      (if timeline_interval > 0 then Timeline.create ~interval:timeline_interval ()
-       else Timeline.none);
-    spans = (if spans then Span.create () else Span.none);
+    spans = log;
   }

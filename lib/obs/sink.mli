@@ -1,17 +1,16 @@
 (** The observability handle threaded through the simulator and compiler:
-    one metrics registry, one event tracer, one data-movement attribution
-    ledger and one counter timeline. Subsystem constructors
-    ([Machine.create], [Engine.create], [Pipeline.Job.run], ...) take
-    [?obs:Sink.t] defaulting to {!none}, so unobserved runs pay only the
-    inert-handle branches. *)
+    one metrics registry, one data-movement attribution ledger and the
+    event log ({!Trace}) — the simulator records its events and counter
+    samples into [trace], the pipeline its phase spans into [spans].
+    Subsystem constructors ([Machine.create], [Engine.create],
+    [Pipeline.Job.run], ...) take [?obs:Sink.t] defaulting to {!none}, so
+    unobserved runs pay only the inert-handle branches.
 
-type t = {
-  metrics : Metrics.t;
-  trace : Trace.t;
-  ledger : Ledger.t;
-  timeline : Timeline.t;
-  spans : Span.t;
-}
+    A sink reused for a second run reports that run alone in its registry
+    and ledger: each run rebinds and zeroes the simulator's instruments
+    and clears the ledger. Its log keeps appending. *)
+
+type t = { metrics : Metrics.t; trace : Trace.t; ledger : Ledger.t; spans : Span.t }
 
 val none : t
 (** Everything disabled — the default everywhere. *)
@@ -24,9 +23,11 @@ val create :
   ?spans:bool ->
   unit ->
   t
-(** Enable the requested parts. [metrics] and [trace] default to [true];
-    the profiling layers default to off ([ledger = false],
-    [timeline_interval = 0], [spans = false]) so existing callers keep
-    their exact pre-profiling behaviour. Callers that already hold a
-    {!Span.t} (e.g. a per-request collector) substitute it with a record
-    update: [{ sink with Sink.spans }]. *)
+(** Enable the requested parts. [metrics] and [trace] (simulator events)
+    default to [true]; the profiling layers default to off
+    ([ledger = false], [timeline_interval = 0], [spans = false]).
+    [trace], [timeline_interval] (counter sampling period in cycles) and
+    [spans] switch the kinds of one log, which fills both [trace] and
+    [spans]. Callers that already hold a span log (e.g. a per-request
+    collector) substitute it with a record update:
+    [{ sink with Sink.spans }]. *)

@@ -1,36 +1,37 @@
 (** Request-scoped nestable spans.
 
-    A collector records a log of named spans with structural parent links
-    (derived from an explicit open-span stack), wall-clock durations,
-    simulated-cycle counts and key=value attributes. Handles are inert —
-    [enter]/[exit] on a disabled collector cost one branch and allocate
-    nothing, the same discipline as disabled {!Metrics} handles.
+    A span log is an event log ({!Trace.t}) that records spans: named
+    phases with structural parent links (derived from an explicit
+    open-span stack), wall-clock durations, simulated-cycle counts and
+    key=value attributes. Handles are inert — [enter]/[exit] on a log that
+    records no spans cost one branch and allocate nothing, the same
+    discipline as disabled {!Metrics} handles.
 
-    A collector lives on one domain — the pipeline records spans only on
-    the calling domain — and nothing merges collectors, so traced output
-    is byte-identical at any [--jobs]. *)
+    A log lives on one domain — the pipeline records spans only on the
+    calling domain — and nothing merges logs, so traced output is
+    byte-identical at any [--jobs]. *)
 
-type attr = Int of int | Str of string
+type attr = Trace.attr = Int of int | Str of string
 
-type t
-(** A span collector. *)
+type t = Trace.t
+(** The log: a sink's [spans] and [trace] may be one and the same, and
+    then its Chrome document ({!Trace.to_chrome}) carries the spans. *)
 
-type span
+type span = Trace.span
 (** A handle for one open (or finished) span. *)
 
 val none : t
-(** The disabled collector — every operation is an inert branch. *)
+(** The disabled log — every operation is an inert branch. *)
 
 val create : ?clock:(unit -> float) -> unit -> t
-(** A live collector. [clock] defaults to {!default_clock} [()]. *)
+(** A log recording spans only. [clock] defaults to
+    {!Trace.default_clock} [()]. *)
 
 val default_clock : unit -> unit -> float
-(** [Unix.gettimeofday], unless the [NDP_FAKE_CLOCK] environment variable
-    is set (non-empty, non-"0"), in which case a process-global monotone
-    counter stepping 1/1024 s per call — golden tests use it to make
-    durations byte-reproducible. *)
+(** {!Trace.default_clock}. *)
 
 val enabled : t -> bool
+(** The log records spans. *)
 
 val count : t -> int
 (** Spans recorded so far. *)
@@ -54,7 +55,7 @@ val with_span : ?cycles:int -> t -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] brackets [f ()] in a span, exception-safely. *)
 
 val to_json : ?wall:bool -> t -> Render.Json.t
-(** The span log as [{"count": n, "spans": [...]}]. [wall:false] omits
+(** The spans as [{"count": n, "spans": [...]}]. [wall:false] omits
     the wall-clock ["ms"] field — the deterministic projection the
     determinism tests compare byte-for-byte. *)
 
@@ -64,8 +65,3 @@ val summary : t -> (string * (int * float * int)) list
 
 val summary_table : t -> string
 (** Human rendering of {!summary}. *)
-
-val chrome_events : ?pid:int -> t -> Render.Json.t list
-(** Chrome trace "X" slices (wall microseconds) on their own [pid] track
-    (default 1), nested by ts/dur containment — feed to
-    [Trace.to_chrome ~spans]. *)

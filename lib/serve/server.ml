@@ -252,7 +252,8 @@ let handle t (req : Protocol.request) =
         cacheable t spec
           ~salt:(Printf.sprintf "profile:%d:%d" interval top)
           (fun job ->
-            let o = Service.profile ~pool:t.pool ~spans ~interval ~top job in
+            let trace = Ndp_obs.Trace.create ~events:false ~interval () in
+            let o = Service.profile ~pool:t.pool ~spans ~trace ~top job in
             rendered spans (fun () -> body o.Service.p_doc))
       | Protocol.Analyze { spec; threshold } ->
         cacheable t spec

@@ -78,7 +78,6 @@ val run :
 
 type profile_outcome = {
   p_result : Ndp_core.Pipeline.result;
-  p_sink : Ndp_obs.Sink.t;
   p_doc : Ndp_obs.Render.Json.t;
   p_human : unit -> string;
   p_reconciled : bool; (** ledger flit-hops = noc.link_flits *)
@@ -88,16 +87,18 @@ type profile_outcome = {
 
 val profile :
   ?pool:Ndp_prelude.Pool.t ->
-  ?trace:bool ->
   ?spans:Ndp_obs.Span.t ->
-  interval:int ->
+  trace:Ndp_obs.Trace.t ->
   top:int ->
   Ndp_core.Pipeline.Job.t ->
   profile_outcome
-(** Movement-attribution ledger + counter timeline. [trace] additionally
-    fills the sink's tracer (for the CLI's Perfetto output); [spans]
-    collects phase spans; neither changes the document. [top] bounds the
-    human table only. *)
+(** Movement-attribution ledger + counter timeline. The run records into
+    the log [trace]: its counter samples (taken every
+    [Trace.create ~interval] cycles) are the document's timeline, and
+    any simulator events it records are there for the CLI's Perfetto
+    output. [spans] collects phase spans; passing one log as both puts
+    the spans in that document too. Neither changes the other fields of
+    the document. [top] bounds the human table only. *)
 
 type analyze_outcome = {
   a_result : Ndp_core.Pipeline.result;

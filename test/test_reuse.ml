@@ -127,7 +127,7 @@ let reused_equals_fresh () =
 let dumps (obs : Sink.t) =
   ( Json.to_string (Ndp_obs.Metrics.to_json obs.Sink.metrics),
     Json.to_string (Ndp_obs.Ledger.to_json obs.Sink.ledger),
-    Json.to_string (Ndp_obs.Timeline.to_json obs.Sink.timeline),
+    Json.to_string (Ndp_obs.Trace.series_json obs.Sink.trace),
     Ndp_obs.Trace.to_jsonl obs.Sink.trace )
 
 let observed () = Sink.create ~metrics:true ~trace:true ~ledger:true ~timeline_interval:500 ()
