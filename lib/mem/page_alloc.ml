@@ -26,7 +26,7 @@ let reset ?(seed = default_seed) ?(metrics = Ndp_obs.Metrics.none) t =
   Hashtbl.reset t.frames;
   Array.fill t.tlb_tags 0 tlb_slots (-1);
   t.rng <- Ndp_prelude.Rng.create seed;
-  t.m_faults <- Ndp_obs.Metrics.counter metrics "mem.page_faults";
+  t.m_faults <- Ndp_obs.Metrics.counter ~fresh:true metrics "mem.page_faults";
   if Ndp_obs.Metrics.enabled metrics then
     Ndp_obs.Metrics.gauge_fn metrics "mem.pages_resident" (fun () ->
         float_of_int (Hashtbl.length t.frames))

@@ -7,7 +7,7 @@ type t = {
 }
 
 let lookups metrics mesh =
-  Ndp_obs.Metrics.vec metrics "mem.home_lookups" ~size:(Ndp_noc.Mesh.size mesh)
+  Ndp_obs.Metrics.vec ~fresh:true metrics "mem.home_lookups" ~size:(Ndp_noc.Mesh.size mesh)
     ~label:(fun i -> Printf.sprintf "bank=%d" i)
 
 let reset ?(metrics = Ndp_obs.Metrics.none) t = t.m_lookups <- lookups metrics t.mesh

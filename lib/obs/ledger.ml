@@ -75,6 +75,20 @@ let create () =
 
 let enabled t = t.on
 
+let clear t =
+  if t.on then begin
+    Hashtbl.reset t.table;
+    t.stmt_count <- 1;
+    Hashtbl.reset t.stmt_ids;
+    t.array_count <- 1;
+    Hashtbl.reset t.array_ids;
+    Array.fill t.predicted 0 (Array.length t.predicted) 0;
+    t.group_resolve <- (fun _ -> 0);
+    t.va_resolve <- (fun _ -> 0);
+    t.cur_stmt <- 0;
+    t.cur_array <- 0
+  end
+
 let grow arr count absent =
   if count < Array.length arr then arr
   else begin

@@ -29,6 +29,11 @@ val create : unit -> t
 
 val enabled : t -> bool
 
+val clear : t -> unit
+(** Back to the state {!create} left: no traffic, predictions,
+    interned names or resolvers. [Machine.reset] clears its sink's ledger,
+    so a ledger reused for a second run reports that run alone. *)
+
 (** {1 Vocabulary and resolvers (compiler side)} *)
 
 val stmt_id : t -> nest:string -> stmt:int -> int

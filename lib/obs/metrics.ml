@@ -39,25 +39,28 @@ let dead_gauge = { g_v = 0.0; g_on = false }
 let dead_histogram =
   { h_bounds = [||]; h_counts = [| 0 |]; h_sum = 0.0; h_count = 0; h_on = false }
 
-let register t name make get =
+(* [zero] clears an existing instrument when the caller asks for a
+   [fresh] one. *)
+let register ~fresh t name make get zero =
   match Hashtbl.find_opt t.table name with
   | Some i -> (
     match get i with
-    | Some h -> h
+    | Some h ->
+      if fresh then zero h;
+      h
     | None -> invalid_arg (Printf.sprintf "Metrics: %S already registered with another type" name))
-  | None ->
-    let h = make () in
-    h
+  | None -> make ()
 
-let counter t name =
+let counter ?(fresh = false) t name =
   if not t.on then dead_counter
   else
-    register t name
+    register ~fresh t name
       (fun () ->
         let c = { c_v = 0; c_on = true } in
         Hashtbl.replace t.table name (I_counter c);
         c)
       (function I_counter c -> Some c | _ -> None)
+      (fun c -> c.c_v <- 0)
 
 let add c n = if c.c_on then c.c_v <- c.c_v + n
 
@@ -67,10 +70,10 @@ let counter_value c = c.c_v
 
 let counter_fn t name f = if t.on then Hashtbl.replace t.table name (I_counter_fn f)
 
-let vec t name ~size ~label =
+let vec ?(fresh = false) t name ~size ~label =
   if not t.on then dead_vec
   else
-    register t name
+    register ~fresh t name
       (fun () ->
         let v = { v_data = Array.make size 0; v_label = label; v_on = true } in
         Hashtbl.replace t.table name (I_vec v);
@@ -81,6 +84,7 @@ let vec t name ~size ~label =
             invalid_arg (Printf.sprintf "Metrics.vec: %S re-registered with size %d" name size);
           Some v
         | _ -> None)
+      (fun v -> Array.fill v.v_data 0 size 0)
 
 let vadd v i n = if v.v_on && i >= 0 && i < Array.length v.v_data then v.v_data.(i) <- v.v_data.(i) + n
 
@@ -89,12 +93,13 @@ let vec_value v i = if i >= 0 && i < Array.length v.v_data then v.v_data.(i) els
 let gauge t name =
   if not t.on then dead_gauge
   else
-    register t name
+    register ~fresh:false t name
       (fun () ->
         let g = { g_v = 0.0; g_on = true } in
         Hashtbl.replace t.table name (I_gauge g);
         g)
       (function I_gauge g -> Some g | _ -> None)
+      ignore
 
 let set_gauge g v = if g.g_on then g.g_v <- v
 
@@ -102,10 +107,10 @@ let gauge_fn t name f = if t.on then Hashtbl.replace t.table name (I_gauge_fn f)
 
 let default_buckets = Array.init 21 (fun i -> float_of_int (1 lsl i))
 
-let histogram ?(buckets = default_buckets) t name =
+let histogram ?(buckets = default_buckets) ?(fresh = false) t name =
   if not t.on then dead_histogram
   else
-    register t name
+    register ~fresh t name
       (fun () ->
         let h =
           {
@@ -119,6 +124,10 @@ let histogram ?(buckets = default_buckets) t name =
         Hashtbl.replace t.table name (I_histogram h);
         h)
       (function I_histogram h -> Some h | _ -> None)
+      (fun h ->
+        Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
+        h.h_sum <- 0.0;
+        h.h_count <- 0)
 
 let observe h x =
   if h.h_on then begin

@@ -31,9 +31,12 @@ val enabled : t -> bool
 
 type counter
 
-val counter : t -> string -> counter
+val counter : ?fresh:bool -> t -> string -> counter
 (** [counter reg name] registers (or retrieves — same name, same handle) a
-    monotonically increasing integer. *)
+    monotonically increasing integer. [fresh] (default [false]) zeroes a
+    retrieved instrument, here and for {!vec} and {!histogram}: a
+    structure rebinding its instruments for a new run passes it, so a
+    reused registry reports that run alone. *)
 
 val add : counter -> int -> unit
 
@@ -49,7 +52,7 @@ val counter_fn : t -> string -> (unit -> int) -> unit
 
 type vec
 
-val vec : t -> string -> size:int -> label:(int -> string) -> vec
+val vec : ?fresh:bool -> t -> string -> size:int -> label:(int -> string) -> vec
 (** A dense family of counters indexed by [0..size-1] — one slot per link,
     node or bank. [label i] renders slot [i]'s sample name suffix, e.g.
     ["noc.link_flits{1,0->2,0}"]. Registering an existing name returns the
@@ -74,7 +77,7 @@ val gauge_fn : t -> string -> (unit -> float) -> unit
 
 type histogram
 
-val histogram : ?buckets:float array -> t -> string -> histogram
+val histogram : ?buckets:float array -> ?fresh:bool -> t -> string -> histogram
 (** Distribution with cumulative-style buckets (default: powers of two
     from 1 to 2^20). *)
 

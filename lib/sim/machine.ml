@@ -59,7 +59,9 @@ let bank_label i = Printf.sprintf "bank=%d" i
    machine and a fresh one start from one definition of "initial". The
    growable tables go back to their creation capacity ([Hashtbl.reset]):
    a reused machine then allocates, and iterates, exactly like a fresh
-   one. Cache metric names are formatted only for an enabled registry. *)
+   one. Cache metric names are formatted only for an enabled registry.
+   The sink's instruments are rebound fresh (zeroed) and its ledger is
+   cleared, so a sink reused for another run reports that run alone. *)
 let reset ?(obs = Ndp_obs.Sink.none) ?faults t (config : Config.t) =
   if not (Config.same_shape config t.config) then
     invalid_arg "Machine.reset: config has a different shape";
@@ -91,16 +93,17 @@ let reset ?(obs = Ndp_obs.Sink.none) ?faults t (config : Config.t) =
   t.boost_rng <- Ndp_prelude.Rng.create (config.seed + 7);
   t.mc_overrides <- no_overrides;
   Hashtbl.reset t.sharers;
-  t.m_l1_hits <- Metrics.vec reg "mem.l1_hits" ~size:n ~label:node_label;
-  t.m_l1_misses <- Metrics.vec reg "mem.l1_misses" ~size:n ~label:node_label;
-  t.m_l2_bank_hits <- Metrics.vec reg "mem.l2_bank_hits" ~size:n ~label:bank_label;
-  t.m_l2_bank_misses <- Metrics.vec reg "mem.l2_bank_misses" ~size:n ~label:bank_label;
-  t.m_mc_requests <- Metrics.vec reg "mem.mc_requests" ~size:n ~label:node_label;
+  t.m_l1_hits <- Metrics.vec ~fresh:true reg "mem.l1_hits" ~size:n ~label:node_label;
+  t.m_l1_misses <- Metrics.vec ~fresh:true reg "mem.l1_misses" ~size:n ~label:node_label;
+  t.m_l2_bank_hits <- Metrics.vec ~fresh:true reg "mem.l2_bank_hits" ~size:n ~label:bank_label;
+  t.m_l2_bank_misses <- Metrics.vec ~fresh:true reg "mem.l2_bank_misses" ~size:n ~label:bank_label;
+  t.m_mc_requests <- Metrics.vec ~fresh:true reg "mem.mc_requests" ~size:n ~label:node_label;
   (* Registered only under a plan, keeping fault-free dumps unchanged. *)
   t.m_mc_penalty <-
-    Metrics.counter
+    Metrics.counter ~fresh:true
       (match faults with Some _ -> reg | None -> Metrics.none)
       "fault.mc_penalty_cycles";
+  Ledger.clear obs.Ndp_obs.Sink.ledger;
   t.ledger <- obs.Ndp_obs.Sink.ledger;
   t.last_level <- L1
 

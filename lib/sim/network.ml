@@ -74,11 +74,11 @@ let reset ?(obs = Ndp_obs.Sink.none) ?faults t (config : Config.t) =
      next experiment on a reused network. *)
   t.distance_factor <- 1.0;
   t.faults <- faults;
-  t.link_flits <- Metrics.vec registry "noc.link_flits" ~size:n ~label;
-  t.link_busy <- Metrics.vec registry "noc.link_busy_cycles" ~size:n ~label;
-  t.msg_latency <- Metrics.histogram registry "noc.msg_latency";
-  t.fault_retries <- Metrics.counter fault_registry "fault.link_retries";
-  t.fault_drops <- Metrics.counter fault_registry "fault.msg_drops";
+  t.link_flits <- Metrics.vec ~fresh:true registry "noc.link_flits" ~size:n ~label;
+  t.link_busy <- Metrics.vec ~fresh:true registry "noc.link_busy_cycles" ~size:n ~label;
+  t.msg_latency <- Metrics.histogram ~fresh:true registry "noc.msg_latency";
+  t.fault_retries <- Metrics.counter ~fresh:true fault_registry "fault.link_retries";
+  t.fault_drops <- Metrics.counter ~fresh:true fault_registry "fault.msg_drops";
   t.trace <- obs.Ndp_obs.Sink.trace;
   t.ledger <- obs.Ndp_obs.Sink.ledger
 
