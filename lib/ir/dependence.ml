@@ -140,8 +140,6 @@ let analyze_accesses acc = if count acc <= 12 then all_pairs acc else bucketed a
 
 let analyze resolver instances = analyze_accesses (resolve resolver instances)
 
-let analyze_naive resolver instances = all_pairs (resolve resolver instances)
-
 let kind_to_string = function Flow -> "flow" | Anti -> "anti" | Output -> "output"
 
 type index = (int * int, unit) Hashtbl.t

@@ -49,12 +49,7 @@ val analyze_accesses : accesses -> dep list
     compared; affine streams cost O(n * dependence-chain length) instead
     of O(n{^ 2}). The analysis is pairwise, so analyzing a contiguous
     slice of the list finds exactly the dependences with both ends in it.
-    The result is identical to {!analyze_naive}. *)
-
-val analyze_naive : resolver -> instance list -> dep list
-(** Reference implementation comparing all O(n{^ 2}) instance pairs: the
-    oracle of the equivalence tests. {!analyze} runs the same scan on
-    windows of at most 12 instances; use {!analyze}. *)
+    Both paths give the result of comparing every pair. *)
 
 val kind_to_string : kind -> string
 

@@ -313,7 +313,7 @@ let dep_to_tuple (d : Dep.dep) = (d.Dep.src, d.Dep.dst, Dep.kind_to_string d.Dep
 let analyze_matches_naive () =
   let stream, resolver = raytrace_stream 150 in
   let fast = List.map dep_to_tuple (Dep.analyze resolver stream) in
-  let naive = List.map dep_to_tuple (Dep.analyze_naive resolver stream) in
+  let naive = List.map dep_to_tuple (Dependence_oracle.analyze resolver stream) in
   Alcotest.(check bool) "dependence stream is non-trivial" true (List.length naive > 0);
   Alcotest.(check (list (pair (pair int int) (pair string bool))))
     "bucketed analyze equals the naive oracle"

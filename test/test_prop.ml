@@ -245,7 +245,7 @@ let analyze_equals_oracle () =
     (fun case ->
       let stream = dep_stream case in
       let fast = List.map dep_to_tuple (Dep.analyze dep_resolver stream) in
-      let naive = List.map dep_to_tuple (Dep.analyze_naive dep_resolver stream) in
+      let naive = List.map dep_to_tuple (Dependence_oracle.analyze dep_resolver stream) in
       if fast = naive then Ok ()
       else
         Error
