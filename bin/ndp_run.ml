@@ -121,9 +121,9 @@ module Args = struct
       & opt (some int) None
       & info [ "j"; "jobs" ]
           ~doc:
-            "Number of domains for parallel work (window preprocessing; $(b,check)'s \
-             validation cells). Default: \\$(b,NDP_JOBS) or the recommended domain count. \
-             Output is identical at any job count.")
+            "Number of domains for parallel work: $(b,check)'s validation cells, $(b,serve)'s \
+             sweep replays and batch jobs. Default: $(b,NDP_JOBS) or the recommended domain \
+             count. Output is identical at any job count.")
 
   let out_file =
     Arg.(
@@ -185,7 +185,7 @@ module Args = struct
       & info [ "seed"; "fault-seed" ] ~docv:"SEED"
           ~doc:
             "Seed for the plan's random choices (which links $(b,kill=N) removes). Default: the \
-             simulator config's seed. A fixed seed gives byte-identical runs at any --jobs.")
+             simulator config's seed. A fixed seed gives byte-identical runs.")
 
   let repair =
     Arg.(
@@ -277,27 +277,18 @@ let job_of_flags ?(fuse = false) ?fuse_capacity cmd spec =
 (* ------------------------------------------------------------------ *)
 (* run / compare                                                       *)
 
-(* Run [f] with a pool of the requested size, or without one when --jobs
-   is absent (the pipeline then stays serial). *)
-let with_jobs jobs f =
-  match jobs with
-  | None -> f None
-  | Some j -> Ndp_prelude.Pool.with_pool ~jobs:(max 1 j) (fun p -> f (Some p))
-
-let run_act spec fuse fuse_capacity metrics format jobs =
-  with_jobs jobs @@ fun pool ->
+let run_act spec fuse fuse_capacity metrics format =
   let job = job_of_flags ~fuse ?fuse_capacity "run" spec in
-  let o = Service.run ?pool ~metrics job in
+  let o = Service.run ~metrics job in
   print_endline (Render.output format ~human:o.Service.human o.Service.doc)
 
-let compare_act kernel cluster memory window fuse metrics format jobs =
-  with_jobs jobs @@ fun pool ->
+let compare_act kernel cluster memory window fuse metrics format =
   let job scheme =
     job_of_flags ~fuse "compare"
       (spec_of_flags kernel.Ndp_core.Kernel.name cluster memory scheme window)
   in
-  let od = Service.run ?pool ~metrics (job `Default) in
-  let oo = Service.run ?pool ~metrics (job `Partitioned) in
+  let od = Service.run ~metrics (job `Default) in
+  let oo = Service.run ~metrics (job `Partitioned) in
   let d = od.Service.result and o = oo.Service.result in
   let imp base opt = 100.0 *. float_of_int (base - opt) /. float_of_int (max 1 base) in
   let exec_imp = imp d.Pipeline.exec_time o.Pipeline.exec_time in
@@ -366,11 +357,10 @@ let link_table reg =
     (Metrics.to_alist reg);
   Ndp_prelude.Table.render t
 
-let stats_act spec fuse format jobs =
-  with_jobs jobs @@ fun pool ->
+let stats_act spec fuse format =
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in
   let job = job_of_flags ~fuse "stats" spec in
-  let r = Pipeline.Job.run ?pool ~obs job in
+  let r = Pipeline.Job.run ~obs job in
   let reg = obs.Ndp_obs.Sink.metrics in
   let n = Ndp_noc.Mesh.size (Ndp_sim.Config.mesh job.Pipeline.Job.config) in
   let doc =
@@ -393,16 +383,15 @@ let stats_act spec fuse format jobs =
 (* ------------------------------------------------------------------ *)
 (* inject: deterministic fault injection + schedule repair             *)
 
-let inject_act spec faults fault_seed repair format jobs =
-  with_jobs jobs @@ fun pool ->
+let inject_act spec faults fault_seed repair format =
   let job = job_of_flags "inject" { spec with Protocol.faults; fault_seed; repair } in
-  let o = Service.inject ?pool ~spec:faults job in
+  let o = Service.inject ~spec:faults job in
   print_endline (Render.output format ~human:o.Service.i_human o.Service.i_doc)
 
 (* ------------------------------------------------------------------ *)
 (* trace: Chrome trace_event JSON                                      *)
 
-let trace_act spec out format jobs =
+let trace_act spec out format =
   let render =
     match format with
     | Render.Jsonl -> Trace.to_jsonl
@@ -411,9 +400,8 @@ let trace_act spec out format jobs =
       prerr_endline "ndp_run trace: --format sexp is not supported; use json or jsonl";
       exit 2
   in
-  with_jobs jobs @@ fun pool ->
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:true () in
-  ignore (Pipeline.Job.run ?pool ~obs (job_of_flags "trace" spec));
+  ignore (Pipeline.Job.run ~obs (job_of_flags "trace" spec));
   let tracer = obs.Ndp_obs.Sink.trace in
   let payload = render tracer in
   (match out with
@@ -428,13 +416,12 @@ let trace_act spec out format jobs =
 (* ------------------------------------------------------------------ *)
 (* profile: movement attribution ledger + counter timeline             *)
 
-let profile_act spec interval top out spans format jobs =
-  with_jobs jobs @@ fun pool ->
+let profile_act spec interval top out spans format =
   let job = job_of_flags "profile" spec in
   (* One log takes the counter samples, the simulator's events (for -o)
      and the phase spans (for --spans): one Perfetto document. *)
   let log = Trace.create ~events:(out <> "") ~interval ~spans () in
-  let o = Service.profile ?pool ~trace:log ~spans:log ~top job in
+  let o = Service.profile ~trace:log ~spans:log ~top job in
   if out <> "" then begin
     let payload = Trace.to_chrome log in
     match out with
@@ -472,17 +459,16 @@ let profile_act spec interval top out spans format jobs =
 (* ------------------------------------------------------------------ *)
 (* analyze: static cost table reconciled against a measured run        *)
 
-let analyze_act spec fuse fuse_capacity fusion threshold format jobs =
-  with_jobs jobs @@ fun pool ->
+let analyze_act spec fuse fuse_capacity fusion threshold format =
   let job = job_of_flags ~fuse ?fuse_capacity "analyze" spec in
   if fusion then begin
     (* The decision table: [analyze_fusion] forces the fused/unfused pair
        itself, so --fusion works with or without --fuse. *)
-    let o = Service.analyze_fusion ?pool job in
+    let o = Service.analyze_fusion job in
     print_endline (Render.output format ~human:o.Service.f_human o.Service.f_doc)
   end
   else begin
-    let o = Service.analyze ?pool ~threshold job in
+    let o = Service.analyze ~threshold job in
     print_endline (Render.output format ~human:o.Service.a_human o.Service.a_doc);
     if not o.Service.a_within then begin
       Printf.eprintf
@@ -792,8 +778,7 @@ let commands =
       summary = "Compile and simulate one application.";
       term =
         Term.(
-          const run_act $ job_spec $ Args.fuse $ Args.fuse_capacity $ Args.metrics $ Args.format
-          $ Args.jobs);
+          const run_act $ job_spec $ Args.fuse $ Args.fuse_capacity $ Args.metrics $ Args.format);
     };
     {
       name = "compare";
@@ -801,14 +786,14 @@ let commands =
       term =
         Term.(
           const compare_act $ Args.kernel $ Args.cluster $ Args.memory $ Args.window
-          $ Args.fuse $ Args.metrics $ Args.format $ Args.jobs);
+          $ Args.fuse $ Args.metrics $ Args.format);
     };
     {
       name = "stats";
       summary = "Simulate with metrics enabled and print per-node/per-link breakdowns.";
       term =
         Term.(
-          const stats_act $ job_spec $ Args.fuse $ Args.format $ Args.jobs);
+          const stats_act $ job_spec $ Args.fuse $ Args.format);
     };
     {
       name = "inject";
@@ -817,15 +802,14 @@ let commands =
          backpressure), optionally repairing the schedule around it.";
       term =
         Term.(
-          const inject_act $ job_spec $ Args.faults $ Args.fault_seed $ Args.repair $ Args.format
-          $ Args.jobs);
+          const inject_act $ job_spec $ Args.faults $ Args.fault_seed $ Args.repair $ Args.format);
     };
     {
       name = "trace";
       summary = "Simulate with tracing enabled and write Chrome trace_event JSON (Perfetto).";
       term =
         Term.(
-          const trace_act $ job_spec $ Args.out_file $ Args.format $ Args.jobs);
+          const trace_act $ job_spec $ Args.out_file $ Args.format);
     };
     {
       name = "profile";
@@ -836,7 +820,7 @@ let commands =
       term =
         Term.(
           const profile_act $ job_spec $ Args.interval $ Args.top $ Args.profile_out $ Args.spans
-          $ Args.format $ Args.jobs);
+          $ Args.format);
     };
     {
       name = "analyze";
@@ -848,7 +832,7 @@ let commands =
       term =
         Term.(
           const analyze_act $ job_spec $ Args.fuse $ Args.fuse_capacity $ Args.fusion
-          $ Args.threshold $ Args.format $ Args.jobs);
+          $ Args.threshold $ Args.format);
     };
     { name = "list"; summary = "List the application kernels."; term = Term.(const list_act $ const ()) };
     {

@@ -10,9 +10,6 @@ type report = {
 
 val lint_kernel : ?window:int -> Ndp_core.Kernel.t -> report
 
-val validate_kernel :
-  ?config:Ndp_sim.Config.t -> Ndp_core.Pipeline.scheme -> Ndp_core.Kernel.t -> report
-
 val check_kernel :
   ?config:Ndp_sim.Config.t ->
   ?window:int ->
@@ -31,8 +28,6 @@ val check_suite :
 (** With [jobs > 1] the (kernel, pass) cells run concurrently on a domain
     pool; the report list is identical to the serial one (cells are
     independent: each builds its own inspector, machine and context). *)
-
-val all_diagnostics : report list -> Diagnostic.t list
 
 val has_errors : report list -> bool
 

@@ -51,7 +51,7 @@ type t = {
 }
 
 let line_words config (d : Array_decl.t) =
-  max 1 (config.Config.line_bytes / max 1 d.Array_decl.elem_size)
+  Int.max 1 (config.Config.line_bytes / Int.max 1 d.Array_decl.elem_size)
 
 let ref_rows config (kernel : Kernel.t) (nest : Loop.nest) =
   let bounds = Affine_range.bounds_of_nest nest in
@@ -61,7 +61,7 @@ let ref_rows config (kernel : Kernel.t) (nest : Loop.nest) =
   let words name =
     match List.find_opt (fun (d : Array_decl.t) -> d.Array_decl.name = name) decls with
     | Some d -> line_words config d
-    | None -> max 1 (config.Config.line_bytes / 8)
+    | None -> Int.max 1 (config.Config.line_bytes / 8)
   in
   let classes = Reuse.classify_nest ~line_words:words nest in
   List.mapi
@@ -90,14 +90,14 @@ let ref_rows config (kernel : Kernel.t) (nest : Loop.nest) =
    pipeline's [record_predicted] accumulates per statement. *)
 let nest_movement ~scheme config ctx (nest : Loop.nest) metas =
   let spi = List.length nest.Loop.body in
-  let links = Array.make (max 1 spi) 0 in
+  let links = Array.make (Int.max 1 spi) 0 in
   let window =
     match scheme with
     | Pipeline.Default -> None
     | Pipeline.Partitioned o ->
       Some
         (match o.Pipeline.window with
-        | Pipeline.Fixed k -> max 1 k
+        | Pipeline.Fixed k -> Int.max 1 k
         | Pipeline.Adaptive -> Window.choose_size ctx metas ~max:config.Config.max_window)
   in
   (match window with
@@ -131,7 +131,7 @@ let table ?(config = Config.default) ~scheme kernel =
         let links, window = nest_movement ~scheme config ctx nest metas in
         Option.iter (fun w -> windows := (nest.Loop.nest_name, w) :: !windows) window;
         let refs = ref_rows config kernel nest in
-        let instances = List.length metas / max 1 (List.length nest.Loop.body) in
+        let instances = List.length metas / Int.max 1 (List.length nest.Loop.body) in
         List.iteri
           (fun si (stmt : Stmt.t) ->
             rows :=

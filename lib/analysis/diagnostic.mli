@@ -30,8 +30,6 @@ val make : code:string -> severity:severity -> loc:location -> string -> t
 val makef :
   code:string -> severity:severity -> loc:location -> ('a, unit, string, t) format4 -> 'a
 
-val severity_to_string : severity -> string
-
 val is_error : t -> bool
 
 val count : severity -> t list -> int

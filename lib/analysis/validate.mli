@@ -37,10 +37,6 @@ type trace = {
   v_serialized : bool; (** emission order is a total order *)
 }
 
-val of_compiled :
-  kernel:string -> nest:string -> Ndp_core.Window.meta list -> Ndp_core.Window.compiled -> trace
-(** Trace of one directly-compiled window (see [Window.compile]). *)
-
 val of_pipeline_trace : kernel:string -> Ndp_core.Pipeline.schedule_trace -> trace
 
 val check : resolver:Ndp_ir.Dependence.resolver -> trace -> Diagnostic.t list

@@ -16,9 +16,9 @@ let assign_iterations (ctx : Context.t) nest (s : Staged.stream) =
   (* Chunk one sweep of the iteration space and repeat the assignment for
      the remaining sweeps: each core owns the same iterations of every
      sweep, as an OpenMP-style static schedule would. *)
-  let period = max 1 (Ndp_ir.Loop.base_trip_count nest) in
+  let period = Int.max 1 (Ndp_ir.Loop.base_trip_count nest) in
   let iterations = Array.length s.Staged.envs in
-  let trips = min period iterations in
+  let trips = Int.min period iterations in
   let stride = s.Staged.stride and addrs = s.Staged.stream_addrs in
   let assign ~usable ~distance =
     (* The chunk count tracks the usable-node count so the greedy
@@ -31,10 +31,10 @@ let assign_iterations (ctx : Context.t) nest (s : Staged.stream) =
       done;
       !k
     in
-    let chunks = min usable_count (max 1 trips) in
+    let chunks = Int.min usable_count (Int.max 1 trips) in
     let bounds k =
       let per = trips / chunks and rem = trips mod chunks in
-      let lo = (k * per) + min k rem in
+      let lo = (k * per) + Int.min k rem in
       let hi = lo + per + if k < rem then 1 else 0 in
       (lo, hi)
     in
@@ -113,7 +113,7 @@ let assign_iterations (ctx : Context.t) nest (s : Staged.stream) =
   | None -> ()
   | Some _ ->
     let plain = assign ~usable:(fun _ -> true) ~distance:(Mesh.distance mesh) in
-    let sweeps = iterations / max 1 trips in
+    let sweeps = iterations / Int.max 1 trips in
     Array.iteri
       (fun i node ->
         if node <> plain.(i) then

@@ -38,8 +38,6 @@ type t = {
   options : options;
 }
 
-let scratch_slots = 4
-
 let create ~machine ~runtime_resolve ~indirect_known ~arrays ?repair ~options () =
   let config = Ndp_sim.Machine.config machine in
   let map = Ndp_sim.Config.addr_map config in
@@ -55,7 +53,7 @@ let create ~machine ~runtime_resolve ~indirect_known ~arrays ?repair ~options ()
     decls = Array.of_list arrays;
     scratch_guf = Ndp_graph.Union_find.create (Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine));
     scratch_mst = Ndp_graph.Union_find.create 16;
-    scratch_ints = Array.make scratch_slots [||];
+    scratch_ints = Array.make 4 [||];
     loads = Array.make (Ndp_noc.Mesh.size (Ndp_sim.Machine.mesh machine)) 0;
     loads_total = 0;
     var2node = Hashtbl.create 256;
@@ -104,8 +102,7 @@ let bytes_of t (r : Ndp_ir.Reference.t) =
   find 0
 
 (* Splitter scratch: one mesh-sized union-find reused across [split]
-   calls, plus a second grown on demand for the per-level MSTs. Forked
-   contexts get fresh instances, so pooled estimation never shares them. *)
+   calls, plus a second grown on demand for the per-level MSTs. *)
 let scratch_guf t =
   Ndp_graph.Union_find.reset t.scratch_guf;
   t.scratch_guf
@@ -119,7 +116,7 @@ let scratch_mst t ~at_least =
 let scratch_ints t ~slot ~at_least =
   let a = t.scratch_ints.(slot) in
   if Array.length a < at_least then
-    t.scratch_ints.(slot) <- Array.make (max at_least (2 * Array.length a)) 0;
+    t.scratch_ints.(slot) <- Array.make (Int.max at_least (2 * Array.length a)) 0;
   t.scratch_ints.(slot)
 
 let mesh t = Ndp_sim.Machine.mesh t.machine
@@ -171,9 +168,6 @@ let balanced t ~node ~cost =
 let fork_for_estimate t =
   {
     t with
-    scratch_guf = Ndp_graph.Union_find.create (Ndp_graph.Union_find.capacity t.scratch_guf);
-    scratch_mst = Ndp_graph.Union_find.create 16;
-    scratch_ints = Array.make scratch_slots [||];
     loads = Array.copy t.loads;
     var2node = Hashtbl.copy t.var2node;
     var2node_fifo = Queue.copy t.var2node_fifo;

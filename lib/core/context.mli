@@ -76,7 +76,7 @@ val scratch_mst : t -> at_least:int -> Ndp_graph.Union_find.t
 val scratch_ints : t -> slot:int -> at_least:int -> int array
 (** Int scratch [slot] (0 to 3), at least [at_least] cells, contents
     unspecified: the splitter's stacks and the scheduler's level counts.
-    Forked contexts get their own. *)
+    Forked contexts share their parent's. *)
 
 val mesh : t -> Ndp_noc.Mesh.t
 
@@ -104,6 +104,6 @@ val balanced : t -> node:int -> cost:int -> bool
     threshold above the most loaded other node. *)
 
 val fork_for_estimate : t -> t
-(** Copy with private load/reuse/task-counter state, sharing the machine
-    and predictor read-only — used by the window-size preprocessing, which
-    must not disturb real compilation state. *)
+(** Copy with private load/reuse/task-counter state, sharing the machine,
+    the predictor and the splitter scratch — used by the window-size
+    preprocessing, which must not disturb real compilation state. *)

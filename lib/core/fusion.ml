@@ -16,7 +16,7 @@ type decision = {
 let plan (ctx : Context.t) ~nest ~window ~capacity ~shared ~default_node (metas : Staged.meta array)
     deps =
   let n = Array.length metas in
-  let slots = Array.make (max 1 n) None in
+  let slots = Array.make (Int.max 1 n) None in
   if capacity <= 0 || n = 0 || window <= 0 then (slots, [])
   else begin
     let line_bytes = ctx.Context.config.Config.line_bytes in
@@ -109,11 +109,11 @@ let plan (ctx : Context.t) ~nest ~window ~capacity ~shared ~default_node (metas 
             let normal = match home_of i with Some h -> h | None -> node in
             let fused_cost = Splitter.default_movement ectx ~store_node:node metas.(i) in
             let unfused_cost =
-              min
+              Int.min
                 (Splitter.split ectx ~store_node:normal metas.(i)).Splitter.est_movement
                 (Splitter.default_movement ectx ~store_node:normal metas.(i))
             in
-            acc + max 0 (fused_cost - unfused_cost))
+            acc + Int.max 0 (fused_cost - unfused_cost))
           0 chain
       in
       if saved_links > penalty then begin

@@ -228,12 +228,9 @@ let job_make ?(config = Config.default) ?(tweaks = no_tweaks) ?faults ?(repair =
     ?(validate = false) ?(capture = false) scheme kernel =
   { scheme; kernel; config; tweaks; faults; repair; validate; capture }
 
-let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
+let run_job ?(obs = Ndp_obs.Sink.none) (j : job) =
   let { scheme; kernel; config; tweaks; faults; repair; validate; capture } = j in
   let repair_plan = if repair then faults else None in
-  (* Phase spans live on the calling domain only: window-size estimation
-     and batch runs fan work across the pool, so per-phase brackets here
-     stay race-free and deterministic at any [--jobs]. *)
   let spans = obs.Ndp_obs.Sink.spans in
   let sp_parse = Ndp_obs.Span.enter spans "parse" in
   (* A job takes an idle pair when one fits but does not put it back.
@@ -264,7 +261,7 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
   let record_predicted =
     if not ledger_on then fun _ _ -> ()
     else begin
-      let stmt_of_group = Array.make (max 1 total_groups) 0 in
+      let stmt_of_group = Array.make (Int.max 1 total_groups) 0 in
       List.iter
         (fun ((nest : Loop.nest), metas) ->
           List.iter
@@ -387,8 +384,8 @@ let run_job ?pool ?(obs = Ndp_obs.Sink.none) (j : job) =
         Ndp_obs.Span.attr_str spans sp_w "nest" nest.Loop.nest_name;
         let w =
           match opts.window with
-          | Fixed k -> max 1 k
-          | Adaptive -> Window.choose_size ?pool ctx metas ~max:config.Config.max_window
+          | Fixed k -> Int.max 1 k
+          | Adaptive -> Window.choose_size ctx metas ~max:config.Config.max_window
         in
         Ndp_obs.Span.attr_int spans sp_w "w" w;
         Ndp_obs.Span.exit spans sp_w;

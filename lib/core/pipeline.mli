@@ -136,15 +136,12 @@ module Job : sig
   (** Defaults: default config, no tweaks, no faults, no repair, no
       validation traces, no capture. *)
 
-  val run : ?pool:Ndp_prelude.Pool.t -> ?obs:Ndp_obs.Sink.t -> t -> result
+  val run : ?obs:Ndp_obs.Sink.t -> t -> result
   (** Compile the job's kernel under its scheme and simulate it.
 
       [validate] additionally records a {!schedule_trace} per emitted
       window (or per nest under the default scheme) so the schedule can
       be re-checked against ground-truth dependences after the run.
-      [pool] parallelizes the window-size preprocessing:
-      {!Window.choose_size} compiles its near-tied candidate sizes
-      concurrently. The result is bit-identical with and without it.
       [obs] threads an observability sink through the machine and engine
       (per-link, cache, core metric families plus task/message trace
       events) and records each nest's chosen window size as a

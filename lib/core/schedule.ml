@@ -104,7 +104,7 @@ let schedule (ctx : Context.t) ~group (split : Splitter.t) =
      or fewer when the statement runs out. *)
   let draw k =
     let lo = !drawn in
-    drawn := min n_ops (lo + k);
+    drawn := Int.min n_ops (lo + k);
     List.init (!drawn - lo) (fun j -> shape.Staged.ops.(lo + j))
   in
   let store_node = split.Splitter.store_node in
@@ -125,7 +125,7 @@ let schedule (ctx : Context.t) ~group (split : Splitter.t) =
     let id = Context.fresh_task_id ctx in
     let task = Task.make ~id ~group ~node ~ops ~operands ?store ~label () in
     tasks := task :: !tasks;
-    Context.add_load ctx ~node ~cost:(max 1 bcost);
+    Context.add_load ctx ~node ~cost:(Int.max 1 bcost);
     if node <> store_node then offload := Task.mix_add !offload task.Task.mix;
     by_level.(level) <- by_level.(level) + 1;
     task
@@ -178,7 +178,7 @@ let schedule (ctx : Context.t) ~group (split : Splitter.t) =
             (fun r ((ops, level) as acc) ->
               match r with
               | From_task { task; bytes; level = l } ->
-                (Task.Result { producer = task; bytes } :: ops, max level (l + 1))
+                (Task.Result { producer = task; bytes } :: ops, Int.max level (l + 1))
               | Deferred _ -> acc)
             child_results ([], 1)
         in
@@ -191,7 +191,7 @@ let schedule (ctx : Context.t) ~group (split : Splitter.t) =
         end
         else begin
           let inputs = List.length loads + List.length result_ops in
-          let ops = if is_root then draw n_ops else draw (max 0 (inputs - 1)) in
+          let ops = if is_root then draw n_ops else draw (Int.max 0 (inputs - 1)) in
           let alternatives =
             (* "Skips this node and moves to the next one" (4.5): the result
                travels toward the parent anyway, so every node on the mesh
@@ -243,7 +243,7 @@ let schedule (ctx : Context.t) ~group (split : Splitter.t) =
     parallelism =
       (let widest = ref 1 in
        for l = 0 to levels - 1 do
-         widest := max !widest by_level.(l)
+         widest := Int.max !widest by_level.(l)
        done;
        !widest);
     offload_mix = !offload;

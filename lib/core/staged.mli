@@ -1,6 +1,6 @@
 (** What the per-statement kernel reads, computed once: each statement's
     static shape and each (instance, reference) address. Immutable once
-    built, since pooled window sizing reads it from several domains. *)
+    built. *)
 
 type shape = {
   stmt : Ndp_ir.Stmt.t;

@@ -152,7 +152,7 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
   let join_arcs = List.concat_map (fun (_, _, s, _) -> s.Schedule.join_arcs) per_stmt in
   (* A producer and consumer on the same node are ordered by the node's
      program; only cross-node waits need a synchronization handshake. *)
-  let node_of_task = Array.make (max 1 num_tasks) (-1) in
+  let node_of_task = Array.make (Int.max 1 num_tasks) (-1) in
   List.iter
     (fun (_, _, s, _) ->
       List.iter
@@ -177,11 +177,11 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
           consumer's level above the producer's — otherwise a consumer with
           a shallower task tree would be emitted (and executed) before its
           producer. *)
-       let same_node_parents = Array.make (max 1 num_tasks) [] in
+       let same_node_parents = Array.make (Int.max 1 num_tasks) [] in
        (* Inter-statement arcs that survive also order execution: attach
           them as Result operands (flow deps carry a cache line; anti/output
           deps carry a token). *)
-       let extra_operands = Array.make (max 1 num_tasks) [] in
+       let extra_operands = Array.make (Int.max 1 num_tasks) [] in
        List.iter
          (fun (p, c, kind) ->
            if not (cross_node (p, c)) then
@@ -209,7 +209,7 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
           for remote partial results — the interleaving the paper's code
           generator produces (Figure 8). The sort is stable, preserving
           producer-before-consumer within a level chain. *)
-       let level_of = Array.make (max 1 num_tasks) 0 in
+       let level_of = Array.make (Int.max 1 num_tasks) 0 in
        let leveled =
          Array.map
            (fun (t : Task.t) ->
@@ -218,17 +218,17 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
                | Task.Load _ -> 0
              in
              let operand_floor =
-               List.fold_left (fun acc op -> max acc (producer_level op)) 0 t.Task.operands
+               List.fold_left (fun acc op -> Int.max acc (producer_level op)) 0 t.Task.operands
              in
              (* Same-node arcs have no Result operand; their ordering
                 obligation lives entirely in this level assignment. *)
              let parent_floor =
                List.fold_left
-                 (fun acc p -> max acc level_of.(p - id_base))
+                 (fun acc p -> Int.max acc level_of.(p - id_base))
                  0
                  same_node_parents.(t.Task.id - id_base)
              in
-             let level = 1 + max operand_floor parent_floor in
+             let level = 1 + Int.max operand_floor parent_floor in
              level_of.(t.Task.id - id_base) <- level;
              (t, level))
            tasks
@@ -278,7 +278,7 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
    monotone in the window size; synchronizations are what push back. *)
 let sync_links_of (ctx : Context.t) =
   let c = ctx.Context.config in
-  max 1 (c.Ndp_sim.Config.sync_cycles / c.Ndp_sim.Config.hop_cycles) + 2
+  Int.max 1 (c.Ndp_sim.Config.sync_cycles / c.Ndp_sim.Config.hop_cycles) + 2
 
 (* Compile the sample under a fixed window size, with its dependence
    analysis computed once ([all_deps], indices into [sample]) and sliced
@@ -292,7 +292,7 @@ let estimate_sliced (ctx : Context.t) sample all_deps ~window =
   let rec go lo acc =
     if lo >= n then acc
     else begin
-      let hi = min n (lo + window) in
+      let hi = Int.min n (lo + window) in
       let metas = Array.to_list (Array.sub sample lo (hi - lo)) in
       let deps =
         List.filter_map
@@ -370,11 +370,11 @@ let analytic_of (ctx : Context.t) metas ~window =
   let ctx = Context.fork_for_estimate ctx in
   let arr = Array.of_list metas in
   let n = Array.length arr in
-  let a_est = Array.make (max 1 n) 0 in
+  let a_est = Array.make (Int.max 1 n) 0 in
   let syncs = ref 0 in
   let rec go lo =
     if lo < n then begin
-      let hi = min n (lo + window) in
+      let hi = Int.min n (lo + window) in
       Context.clear_reuse ctx;
       for i = lo to hi - 1 do
         let m = arr.(i) in
@@ -416,7 +416,7 @@ let analytic_of (ctx : Context.t) metas ~window =
    uncontested analytic winner skips sampling entirely. *)
 let analytic_tie_margin = 0.10
 
-let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
+let choose_size (ctx : Context.t) metas ~max:max_size =
   if max_size < 1 || metas = [] || all_non_affine metas then 1
   else begin
     let sample = Array.of_list (List.filteri (fun i _ -> i < preprocessing_sample) metas) in
@@ -433,9 +433,9 @@ let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
     let ectx = Context.fork_for_estimate ctx in
     Context.clear_reuse ectx;
     let nctx = { ectx with Context.options = { ectx.Context.options with Context.reuse_aware = false } } in
-    let est_full = Array.make (max 1 n) 0 in
-    let est_none = Array.make (max 1 n) 0 in
-    let providers = Array.make (max 1 n) [] in
+    let est_full = Array.make (Int.max 1 n) 0 in
+    let est_none = Array.make (Int.max 1 n) 0 in
+    let providers = Array.make (Int.max 1 n) [] in
     for i = 0 to n - 1 do
       let m = sample.(i) in
       let store_node = m.default_node in
@@ -486,7 +486,7 @@ let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
     in
     let candidates = List.init max_size (fun k -> k + 1) in
     let totals = List.map total candidates in
-    let best = List.fold_left min (List.hd totals) totals in
+    let best = List.fold_left Int.min (List.hd totals) totals in
     let cut = float_of_int best *. (1. +. analytic_tie_margin) in
     let ties =
       List.filteri (fun k _ -> float_of_int (List.nth totals k) <= cut) candidates
@@ -496,15 +496,10 @@ let choose_size ?pool (ctx : Context.t) metas ~max:max_size =
     | ties ->
       (* Too close to call analytically: re-score only the contested
          candidates by compiling them, breaking exact ties toward the
-         smallest window. The walk above already resolved (and
-         page-allocated) every address the sample reaches, so pooled
-         evaluation only reads shared machine state. *)
-      let estimate w = estimate_sliced ctx sample all_deps ~window:w in
-      let estimates =
-        match pool with
-        | Some p -> Ndp_prelude.Pool.parallel_map p estimate ties
-        | None -> List.map estimate ties
-      in
+         smallest window. The analytic walk must stay first: under the
+         [Scrambled] page policy first-touch order sets the page frames,
+         and the walk touches the sample in stream order. *)
+      let estimates = List.map (fun w -> estimate_sliced ctx sample all_deps ~window:w) ties in
       let best_w, _ =
         List.fold_left2
           (fun (best_w, best_m) w m -> if m < best_m then (w, m) else (best_w, best_m))

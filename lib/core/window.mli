@@ -79,7 +79,7 @@ val analytic_of : Context.t -> meta list -> window:int -> analytic
     and one handshake per distinct in-chunk cross-node dependence pair.
     No tasks are built and no schedule is run. *)
 
-val choose_size : ?pool:Ndp_prelude.Pool.t -> Context.t -> meta list -> max:int -> int
+val choose_size : Context.t -> meta list -> max:int -> int
 (** The preprocessing step of Section 4.4: pick the window size in
     [1..max] minimizing total estimated data movement plus synchronization
     over the first {!preprocessing_sample} instances of one loop nest.
@@ -89,9 +89,8 @@ val choose_size : ?pool:Ndp_prelude.Pool.t -> Context.t -> meta list -> max:int 
     off). Only candidates within 10% of the analytic minimum are re-scored
     by compiling the sample under them, with the nest sample's
     dependences analyzed once and sliced per chunk; exact ties go to the
-    smaller size. With [pool], those re-scorings run concurrently over
-    forked estimate contexts; the chosen size is independent of [pool].
-    Nests with only non-affine references short-circuit to size 1. *)
+    smaller size. Nests with only non-affine references short-circuit to
+    size 1. *)
 
 val preprocessing_sample : int
 (** Length of the instance-stream prefix {!choose_size} prices. *)

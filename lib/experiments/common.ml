@@ -9,15 +9,13 @@ type t = {
   mutable kernels : Ndp_core.Kernel.t list option;
 }
 
-let create ?jobs () =
+let create () =
   {
     cache = Ndp_serve.Cache.create ~name:"experiments" ~capacity:max_int ();
     lock = Mutex.create ();
-    pool = Pool.create ?jobs ();
+    pool = Pool.create ();
     kernels = None;
   }
-
-let pool t = t.pool
 
 let apps t =
   Mutex.protect t.lock (fun () ->
@@ -34,11 +32,9 @@ let run t ?(config = Config.default) ?(tweaks = Pipeline.no_tweaks) scheme kerne
   let job = Pipeline.Job.make ~config ~tweaks scheme kernel in
   fst
     (Ndp_serve.Cache.find_or_add t.cache (Ndp_serve.Key.job job) (fun () ->
-         Pipeline.Job.run ~pool:t.pool job))
+         Pipeline.Job.run job))
 
-let parallel_map t f xs = Pool.parallel_map t.pool f xs
-
-let map_apps t f = parallel_map t f (apps t)
+let map_apps t f = Pool.parallel_map t.pool f (apps t)
 
 let default_of t kernel = run t Pipeline.Default kernel
 

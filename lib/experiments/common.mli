@@ -8,12 +8,9 @@
 
 type t
 
-val create : ?jobs:int -> unit -> t
-(** [jobs] sizes the embedded domain pool;
-    defaults to {!Ndp_prelude.Pool.default_jobs}. *)
-
-val pool : t -> Ndp_prelude.Pool.t
-(** The embedded pool, for drivers that parallelize non-app work. *)
+val create : unit -> t
+(** The embedded domain pool has {!Ndp_prelude.Pool.default_jobs}
+    domains. *)
 
 val apps : t -> Ndp_core.Kernel.t list
 (** The twelve-application suite, constructed once. *)
@@ -27,10 +24,6 @@ val run :
   Ndp_core.Pipeline.result
 (** Memoized {!Ndp_core.Pipeline.Job.run}. Safe to call from pool
     workers. *)
-
-val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Ordered map over the embedded pool; see
-    {!Ndp_prelude.Pool.parallel_map}. *)
 
 val map_apps : t -> (Ndp_core.Kernel.t -> 'a) -> 'a list
 (** Evaluate one cell per suite application across the pool, results in

@@ -17,9 +17,6 @@ val modes : mode list
 val schemes : Ndp_core.Pipeline.scheme list
 (** [Default] and the full partitioned scheme, in that order. *)
 
-val fault_spec : string
-(** The fault mini-language spec used by {!Faulted} runs. *)
-
 val fault_seed : int
 
 val run :

@@ -75,18 +75,10 @@ module Prom : sig
   (** [name{labels} value]. *)
 end
 
-val sexp_atom : string -> string
-(** Quote/escape a string as a single s-expression atom; bare symbols pass
-    through unquoted. *)
-
-val json_to_sexp : Json.t -> string
-(** Generic s-expression view of a JSON document: objects become
-    [(key value)] pair lists, arrays become plain lists. Gives every
-    command a sexp format for free once it can build its JSON document. *)
-
 val output : format -> human:(unit -> string) -> Json.t -> string
 (** Render one document under the requested format. [human] is consulted
     only for {!Human}; {!Json} is the compact document; {!Jsonl} emits one
     line per element of a top-level [List] (or per field of a top-level
-    [Obj], as [{"key": ..., "value": ...}] lines); {!Sexp} is
-    {!json_to_sexp}. *)
+    [Obj], as [{"key": ..., "value": ...}] lines); {!Sexp} is a generic
+    s-expression view of the document: objects become [(key value)] pair
+    lists, arrays plain lists. *)

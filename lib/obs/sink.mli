@@ -8,7 +8,8 @@
 
     A sink reused for a second run reports that run alone in its registry
     and ledger: each run rebinds and zeroes the simulator's instruments
-    and clears the ledger. Its log keeps appending. *)
+    and clears the ledger. Its log keeps appending: each run's simulator
+    events and counter samples restart at cycle 0. *)
 
 type t = { metrics : Metrics.t; trace : Trace.t; ledger : Ledger.t; spans : Span.t }
 

@@ -140,7 +140,11 @@ let interval t = t.iv
 let register t name sampler =
   if t.iv > 0 then
     match List.find_opt (fun i -> String.equal i.i_name name) t.instruments with
-    | Some i -> i.sampler <- sampler
+    | Some i ->
+      (* A new run on a reused log: its samples restart at cycle 0. *)
+      i.sampler <- sampler;
+      i.last_ts <- -1;
+      t.next <- t.iv
     | None -> t.instruments <- { i_name = name; sampler; last_ts = -1; missed = 0 } :: t.instruments
 
 let sample_all t ~ts =

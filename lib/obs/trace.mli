@@ -80,9 +80,10 @@ val interval : t -> int
 (** Sampling period in cycles; [0] when the log takes no samples. *)
 
 val register : t -> string -> (unit -> int) -> unit
-(** Register (or re-bind) a named sampler. Re-registering a name swaps
-    the closure and keeps its series, so a fresh engine can adopt a log
-    that already carries history. *)
+(** Register (or re-bind) a named sampler. Re-registering a name starts
+    a new run: it swaps the closure and keeps the series, whose samples
+    restart at cycle 0 as the new run's simulator events do, so a fresh
+    engine can adopt a log that already carries history. *)
 
 val tick : t -> now:int -> unit
 (** Sample every instrument, at the boundary timestamp, if [now] has

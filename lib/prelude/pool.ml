@@ -15,12 +15,6 @@ let in_worker : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref fals
 
 let inside_pool () = !(Domain.DLS.get in_worker)
 
-let run_serially f =
-  let flag = Domain.DLS.get in_worker in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) f
-
 let default_jobs () =
   match Sys.getenv_opt "NDP_JOBS" with
   | Some s -> (

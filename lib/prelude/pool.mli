@@ -35,11 +35,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
     exception of the lowest-index failure is re-raised (with its
     backtrace). *)
 
-val run_serially : (unit -> 'a) -> 'a
-(** [run_serially f] runs [f ()] with this domain marked as a pool
-    worker, forcing any [parallel_map] it performs onto the serial
-    path. Used by determinism tests to compare against parallel runs. *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent; the pool afterwards
     behaves as a size-1 (inline) pool. *)

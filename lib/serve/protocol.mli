@@ -67,15 +67,9 @@ type envelope = { id : int; ok : bool; cached : bool; key : string }
     request (floats survive via the {!Ndp_obs.Render.Json} round-trip
     guarantee). *)
 
-val spec_to_json : job_spec -> Ndp_obs.Render.Json.t
-
-val spec_of_json : Ndp_obs.Render.Json.t -> (job_spec, string) result
-
 val request_to_json : id:int -> request -> Ndp_obs.Render.Json.t
 
 val request_of_json : Ndp_obs.Render.Json.t -> (int * request, string) result
-
-val envelope_to_json : envelope -> Ndp_obs.Render.Json.t
 
 val envelope_of_json : Ndp_obs.Render.Json.t -> (envelope, string) result
 

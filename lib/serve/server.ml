@@ -50,10 +50,6 @@ let create ?jobs ?(result_capacity = 256) ?(schedule_capacity = 64) ?metrics ?cl
 
 let registry t = t.reg
 
-let pool t = t.pool
-
-let result_cache t = t.results
-
 let schedule_cache t = t.schedules
 
 let shutdown t = Pool.shutdown t.pool
@@ -96,7 +92,7 @@ let captured t ~spans (job : Pipeline.Job.t) =
   let skey = Key.job_digest job in
   let obs = { Ndp_obs.Sink.none with Ndp_obs.Sink.spans = spans } in
   let r, hit =
-    Cache.find_or_add t.schedules skey (fun () -> Pipeline.Job.run ~pool:t.pool ~obs job)
+    Cache.find_or_add t.schedules skey (fun () -> Pipeline.Job.run ~obs job)
   in
   (skey, r, hit)
 
@@ -246,24 +242,24 @@ let handle t (req : Protocol.request) =
         cacheable t spec
           ~salt:(Printf.sprintf "run:%b" metrics)
           (fun job ->
-            let o = Service.run ~pool:t.pool ~metrics ~spans job in
+            let o = Service.run ~metrics ~spans job in
             rendered spans (fun () -> body o.Service.doc))
       | Protocol.Profile { spec; interval; top } ->
         cacheable t spec
           ~salt:(Printf.sprintf "profile:%d:%d" interval top)
           (fun job ->
             let trace = Ndp_obs.Trace.create ~events:false ~interval () in
-            let o = Service.profile ~pool:t.pool ~spans ~trace ~top job in
+            let o = Service.profile ~spans ~trace ~top job in
             rendered spans (fun () -> body o.Service.p_doc))
       | Protocol.Analyze { spec; threshold } ->
         cacheable t spec
           ~salt:(Printf.sprintf "analyze:%h" threshold)
           (fun job ->
-            let o = Service.analyze ~pool:t.pool ~spans ~threshold job in
+            let o = Service.analyze ~spans ~threshold job in
             rendered spans (fun () -> body o.Service.a_doc))
       | Protocol.Inject spec ->
         cacheable t spec ~salt:"inject" (fun job ->
-            let o = Service.inject ~pool:t.pool ~spans ~spec:spec.Protocol.faults job in
+            let o = Service.inject ~spans ~spec:spec.Protocol.faults job in
             rendered spans (fun () -> body o.Service.i_doc))
       | Protocol.Compile spec ->
         cacheable t spec ~salt:"compile" (fun job -> compile_body t ~spans job)
@@ -410,9 +406,10 @@ let serve t ~socket_path =
     try Unix.unlink socket_path with Unix.Unix_error _ -> ()
   in
   (try
-     (* Connections are served one at a time: within a request the domain
-        pool supplies the parallelism, and sequential sessions keep cache
-        accounting and replies deterministic for a given request order. *)
+     (* Connections are served one at a time: a sweep's replays and a
+        batch's jobs fan out across the domain pool, and sequential
+        sessions keep cache accounting and replies deterministic for a
+        given request order. *)
      while not t.stop do
        let fd, _ = Unix.accept sock in
        let ic = Unix.in_channel_of_descr fd in

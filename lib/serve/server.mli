@@ -1,6 +1,7 @@
-(** The compile-as-a-service daemon: dispatches {!Protocol} requests onto
-    a domain pool and memoizes both rendered response bodies and captured
-    schedules in content-addressed LRU caches.
+(** The compile-as-a-service daemon: answers {!Protocol} requests, fans
+    a sweep's replays and a batch's jobs across a domain pool, and
+    memoizes both rendered response bodies and captured schedules in
+    content-addressed LRU caches.
 
     Two caches, two granularities:
     - the {e result} cache maps [digest(op + params + Key.job)] to the
@@ -45,19 +46,15 @@ val create :
   ?slow_ms:float ->
   unit ->
   t
-(** [jobs] sizes the embedded pool. Capacities default to 256 result
-    bodies and 64 captured schedules. [metrics] defaults to a fresh
-    enabled registry. [clock] (default {!Ndp_obs.Span.default_clock}, so
+(** [jobs] sizes the embedded pool, which runs a sweep's replays and a
+    batch's jobs. Capacities default to 256 result bodies and 64
+    captured schedules. [metrics] defaults to a fresh enabled registry. [clock] (default {!Ndp_obs.Span.default_clock}, so
     [NDP_FAKE_CLOCK] applies) times requests and spans. [access_log]
     makes {!serve_channels} append one JSONL line per request;
     [slow_ms] makes it print a span breakdown to stderr for requests
     slower than the threshold. *)
 
 val registry : t -> Ndp_obs.Metrics.t
-
-val pool : t -> Ndp_prelude.Pool.t
-
-val result_cache : t -> string Cache.t
 
 val schedule_cache : t -> Ndp_core.Pipeline.result Cache.t
 
@@ -77,8 +74,8 @@ val serve : t -> socket_path:string -> unit
 (** Bind a Unix-domain socket (unlinking any stale file), then accept and
     serve sessions one at a time until a [Shutdown] request; unlinks the
     socket on the way out. Parallelism comes from the pool within a
-    request, so replies for a given request order are deterministic.
-    Ignores SIGPIPE for the process, so a client that closes before its
+    sweep or batch request, so replies for a given request order are
+    deterministic. Ignores SIGPIPE for the process, so a client that closes before its
     reply ends only that connection. *)
 
 val shutdown : t -> unit

@@ -210,12 +210,12 @@ type run_outcome = {
   human : unit -> string;
 }
 
-let run ?pool ?(metrics = false) ?(spans = Ndp_obs.Span.none) (job : Pipeline.Job.t) =
+let run ?(metrics = false) ?(spans = Ndp_obs.Span.none) (job : Pipeline.Job.t) =
   let obs =
     if metrics then Ndp_obs.Sink.create ~metrics:true ~trace:false () else Ndp_obs.Sink.none
   in
   let obs = { obs with Ndp_obs.Sink.spans = spans } in
-  let r = Pipeline.Job.run ?pool ~obs job in
+  let r = Pipeline.Job.run ~obs job in
   let doc =
     if metrics then
       Render.Json.Obj
@@ -324,10 +324,10 @@ type profile_outcome = {
   p_link_flits : int;
 }
 
-let profile ?pool ?(spans = Ndp_obs.Span.none) ~trace ~top (job : Pipeline.Job.t) =
+let profile ?(spans = Ndp_obs.Span.none) ~trace ~top (job : Pipeline.Job.t) =
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false ~ledger:true () in
   let obs = { obs with Ndp_obs.Sink.trace; spans } in
-  let r = Pipeline.Job.run ?pool ~obs job in
+  let r = Pipeline.Job.run ~obs job in
   let ledger = obs.Ndp_obs.Sink.ledger in
   let reg = obs.Ndp_obs.Sink.metrics in
   let link_flits = link_flits_total reg in
@@ -439,7 +439,7 @@ type analyze_outcome = {
   a_measured_total : int;
 }
 
-let analyze ?pool ?(spans = Ndp_obs.Span.none) ~threshold (job : Pipeline.Job.t) =
+let analyze ?(spans = Ndp_obs.Span.none) ~threshold (job : Pipeline.Job.t) =
   let config = job.Pipeline.Job.config in
   let scheme_v = job.Pipeline.Job.scheme in
   let kernel = job.Pipeline.Job.kernel in
@@ -450,7 +450,7 @@ let analyze ?pool ?(spans = Ndp_obs.Span.none) ~threshold (job : Pipeline.Job.t)
   in
   let obs = Ndp_obs.Sink.create ~metrics:false ~trace:false ~ledger:true () in
   let obs = { obs with Ndp_obs.Sink.spans = spans } in
-  let r = Pipeline.Job.run ?pool ~obs job in
+  let r = Pipeline.Job.run ~obs job in
   let ledger = obs.Ndp_obs.Sink.ledger in
   let stmt_of =
     let tbl = Hashtbl.create 16 in
@@ -549,7 +549,7 @@ let chain_label (d : Ndp_core.Fusion.decision) =
    decisions with the per-statement measured flit-hop deltas — the same
    reconciliation discipline [analyze] applies to the static cost model,
    aimed at the fusion pass's own predictions. *)
-let analyze_fusion ?pool (job : Pipeline.Job.t) =
+let analyze_fusion (job : Pipeline.Job.t) =
   let opts =
     match job.Pipeline.Job.scheme with
     | Pipeline.Partitioned o -> o
@@ -563,7 +563,7 @@ let analyze_fusion ?pool (job : Pipeline.Job.t) =
   in
   let run_with_ledger j =
     let obs = Ndp_obs.Sink.create ~metrics:false ~trace:false ~ledger:true () in
-    let r = Pipeline.Job.run ?pool ~obs j in
+    let r = Pipeline.Job.run ~obs j in
     let measured =
       let tbl = Hashtbl.create 16 in
       List.iter
@@ -669,7 +669,7 @@ let analyze_fusion ?pool (job : Pipeline.Job.t) =
 
 type inject_outcome = { i_doc : Render.Json.t; i_human : unit -> string }
 
-let inject ?pool ?(spans = Ndp_obs.Span.none) ~spec (job : Pipeline.Job.t) =
+let inject ?(spans = Ndp_obs.Span.none) ~spec (job : Pipeline.Job.t) =
   let config = job.Pipeline.Job.config in
   let plan =
     match job.Pipeline.Job.faults with
@@ -679,7 +679,7 @@ let inject ?pool ?(spans = Ndp_obs.Span.none) ~spec (job : Pipeline.Job.t) =
   let repair = job.Pipeline.Job.repair in
   let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in
   let obs = { obs with Ndp_obs.Sink.spans = spans } in
-  let r = Pipeline.Job.run ?pool ~obs { job with Pipeline.Job.faults = Some plan } in
+  let r = Pipeline.Job.run ~obs { job with Pipeline.Job.faults = Some plan } in
   let reg = obs.Ndp_obs.Sink.metrics in
   let doc =
     Render.Json.Obj

@@ -37,17 +37,9 @@ val result_json : Ndp_core.Pipeline.result -> Ndp_obs.Render.Json.t
 
 val metrics_json : Ndp_obs.Metrics.t -> Ndp_obs.Render.Json.t
 
-val metrics_human : Ndp_obs.Metrics.t -> string
-
-val plan_json : Ndp_fault.Plan.t -> spec:string -> repair:bool -> Ndp_obs.Render.Json.t
-
 val link_flits_total : Ndp_obs.Metrics.t -> int
 (** Sum of [noc.link_flits{..}] over every link — the ledger
     reconciliation target. *)
-
-val divergence_ratio : static:int -> measured:int -> float
-(** Symmetric >=1 divergence ratio; [infinity] when exactly one side is
-    zero, [1.0] when both are. *)
 
 val ratio_cell : float -> string
 
@@ -65,7 +57,6 @@ type run_outcome = {
 }
 
 val run :
-  ?pool:Ndp_prelude.Pool.t ->
   ?metrics:bool ->
   ?spans:Ndp_obs.Span.t ->
   Ndp_core.Pipeline.Job.t ->
@@ -86,7 +77,6 @@ type profile_outcome = {
 }
 
 val profile :
-  ?pool:Ndp_prelude.Pool.t ->
   ?spans:Ndp_obs.Span.t ->
   trace:Ndp_obs.Trace.t ->
   top:int ->
@@ -111,7 +101,6 @@ type analyze_outcome = {
 }
 
 val analyze :
-  ?pool:Ndp_prelude.Pool.t ->
   ?spans:Ndp_obs.Span.t ->
   threshold:float ->
   Ndp_core.Pipeline.Job.t ->
@@ -128,8 +117,7 @@ type fusion_outcome = {
   f_reduction_pct : float;
 }
 
-val analyze_fusion :
-  ?pool:Ndp_prelude.Pool.t -> Ndp_core.Pipeline.Job.t -> fusion_outcome
+val analyze_fusion : Ndp_core.Pipeline.Job.t -> fusion_outcome
 (** Runs the job twice — fused and unfused partitioned schemes, same
     window policy and config, each under its own movement ledger — and
     joins the fused run's per-chain fusion decisions with the measured
@@ -140,7 +128,6 @@ val analyze_fusion :
 type inject_outcome = { i_doc : Ndp_obs.Render.Json.t; i_human : unit -> string }
 
 val inject :
-  ?pool:Ndp_prelude.Pool.t ->
   ?spans:Ndp_obs.Span.t ->
   spec:string ->
   Ndp_core.Pipeline.Job.t ->

@@ -189,42 +189,41 @@ let repaired_schedules_race_free () =
     [ "fft"; "water"; "lu"; "radix" ]
 
 let deterministic_across_pool_sizes () =
-  (* The adaptive-window preprocessing is the only pool-parallel stage of
-     a pipeline run; a faulted + repaired run must be bit-identical at
-     any worker count because every random choice lives in the plan. *)
+  (* Faulted + repaired jobs batched across a worker pool must be
+     bit-identical to their serial runs at any worker count, because every
+     random choice lives in the plan. *)
   let faults = parse_exn "kill=2,stall=9@0+200000,mc=0x2" in
-  let fingerprint pool kernel =
-    let r = Pipeline.Job.run ?pool (Pipeline.Job.make ~faults ~repair:true partitioned kernel) in
+  let kernels = Suite.all () in
+  let jobs = List.map (Pipeline.Job.make ~faults ~repair:true partitioned) kernels in
+  let fingerprint (r : Pipeline.result) =
     ( Ndp_sim.Stats.to_alist r.Pipeline.stats,
       r.Pipeline.exec_time,
       r.Pipeline.node_finish,
       r.Pipeline.remapped_tasks,
       r.Pipeline.windows_chosen )
   in
+  let reference = List.map fingerprint (Pipeline.run_batch jobs) in
   List.iter
-    (fun kernel ->
-      let name = kernel.Ndp_core.Kernel.name in
-      let reference = fingerprint None kernel in
-      List.iter
-        (fun jobs ->
-          Ndp_prelude.Pool.with_pool ~jobs (fun pool ->
-              let got = fingerprint (Some pool) kernel in
+    (fun n ->
+      Ndp_prelude.Pool.with_pool ~jobs:n (fun pool ->
+          let got = List.map fingerprint (Pipeline.run_batch ~pool jobs) in
+          List.iter2
+            (fun (kernel : Ndp_core.Kernel.t) (g, r) ->
               Alcotest.(check bool)
-                (Printf.sprintf "%s identical at %d jobs" name jobs)
-                true (got = reference)))
-        [ 1; 4; 7 ])
-    (Suite.all ())
+                (Printf.sprintf "%s identical at %d jobs" kernel.Ndp_core.Kernel.name n)
+                true (g = r))
+            kernels (List.combine got reference)))
+    [ 1; 4; 7 ]
 
 let repaired_schedule_identical_across_pool_sizes () =
   (* Stronger than the stats fingerprint: the emitted task lists of the
-     repaired schedule themselves, compared task by task. *)
+     repaired schedule themselves, compared task by task, for copies of
+     the job run concurrently. *)
   let faults = parse_exn "kill=14>20,stall=9@0+200000" in
-  let kernel = Suite.find "fft" in
-  let tasks_of pool =
-    let r =
-      Pipeline.Job.run ?pool
-        (Pipeline.Job.make ~validate:true ~faults ~repair:true partitioned kernel)
-    in
+  let job =
+    Pipeline.Job.make ~validate:true ~faults ~repair:true partitioned (Suite.find "fft")
+  in
+  let tasks_of (r : Pipeline.result) =
     List.map
       (function
         | Pipeline.Serialized { t_tasks; _ } -> t_tasks
@@ -232,14 +231,17 @@ let repaired_schedule_identical_across_pool_sizes () =
           List.map fst (Lazy.force t_compiled.Ndp_core.Window.tasks))
       r.Pipeline.traces
   in
-  let reference = tasks_of None in
+  let reference = tasks_of (Pipeline.Job.run job) in
   List.iter
     (fun jobs ->
       Ndp_prelude.Pool.with_pool ~jobs (fun pool ->
-          Alcotest.(check bool)
-            (Printf.sprintf "schedules identical at %d jobs" jobs)
-            true
-            (tasks_of (Some pool) = reference)))
+          List.iter
+            (fun r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "schedules identical at %d jobs" jobs)
+                true
+                (tasks_of r = reference))
+            (Pipeline.run_batch ~pool (List.init 4 (fun _ -> job)))))
     [ 1; 4; 7 ]
 
 let tests =

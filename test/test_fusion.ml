@@ -1,5 +1,5 @@
 (* Differential fusion suite: every workload under the partitioned scheme
-   with and without --fuse, serial and with a 4-domain pool.
+   with and without --fuse, serial and across a 4-domain pool.
 
    - fused runs are deterministic: identical stats and finish time at any
      job count, and across repeated runs;
@@ -22,10 +22,10 @@ let fused = Pipeline.Partitioned { Pipeline.partitioned_defaults with Pipeline.f
    just has to not regress. *)
 let dnn_targets = [ "resnet_block"; "mobilenet_block" ]
 
-let run ?pool scheme name =
+let run scheme name =
   let kernel = Ndp_workloads.Suite.find name in
   let obs = Ndp_obs.Sink.create ~metrics:false ~trace:false ~ledger:true () in
-  let r = Pipeline.Job.run ?pool ~obs (Pipeline.Job.make scheme kernel) in
+  let r = Pipeline.Job.run ~obs (Pipeline.Job.make scheme kernel) in
   (r, Ledger.total_flit_hops obs.Ndp_obs.Sink.ledger)
 
 let check_same name what (a : Pipeline.result) (b : Pipeline.result) =
@@ -35,34 +35,39 @@ let check_same name what (a : Pipeline.result) (b : Pipeline.result) =
   if Stats.to_alist a.Pipeline.stats <> Stats.to_alist b.Pipeline.stats then
     Alcotest.failf "%s: %s changed the statistics" name what
 
+(* Each of [names] run serially under [scheme], paired with the same run
+   fanned across a 4-domain pool. *)
+let serial_and_pooled scheme names =
+  let serial = List.map (fun name -> fst (run scheme name)) names in
+  let pooled =
+    Pool.with_pool ~jobs:4 (fun pool ->
+        Pool.parallel_map pool (fun name -> fst (run scheme name)) names)
+  in
+  List.combine serial pooled
+
 let fused_deterministic () =
-  List.iter
-    (fun name ->
-      let serial, _ = run fused name in
+  let names = Ndp_workloads.Suite.names in
+  List.iter2
+    (fun name (serial, pooled) ->
       let serial2, _ = run fused name in
       check_same name "a repeated serial fused run" serial serial2;
-      Pool.with_pool ~jobs:4 (fun pool ->
-          let pooled, _ = run ~pool fused name in
-          check_same name "--jobs 4 on a fused run" serial pooled))
-    Ndp_workloads.Suite.names
+      check_same name "--jobs 4 on a fused run" serial pooled)
+    names (serial_and_pooled fused names)
 
 let unfused_unchanged () =
   (* The unfused partitioned path must be byte-identical whether or not the
      fusion code is linked in the binary: both spellings of "no fusion"
      agree, serial and pooled. *)
-  List.iter
-    (fun name ->
-      let plain, _ = run unfused name in
+  List.iter2
+    (fun name (plain, pooled) ->
       let cap0 =
         Pipeline.Partitioned
           { Pipeline.partitioned_defaults with Pipeline.fuse = true; fuse_capacity = Some 0 }
       in
       let identity, _ = run cap0 name in
       check_same name "capacity-0 fusion" plain identity;
-      Pool.with_pool ~jobs:4 (fun pool ->
-          let pooled, _ = run ~pool unfused name in
-          check_same name "--jobs 4 on an unfused run" plain pooled))
-    dnn_targets
+      check_same name "--jobs 4 on an unfused run" plain pooled)
+    dnn_targets (serial_and_pooled unfused dnn_targets)
 
 let fused_moves_no_more () =
   (* Strict on the chain workloads the pass targets. Elsewhere a fused

@@ -338,20 +338,18 @@ let ledger_attributes_and_predicts () =
   let sum_stmt = List.fold_left (fun acc (s : L.stmt_total) -> acc + s.L.s_flit_hops) 0 stmts in
   Alcotest.(check int) "statement totals partition row totals" (L.total_flit_hops ledger) sum_stmt
 
+(* [jobs] copies of [f ()] fanned across a pool of [jobs] domains. *)
+let on_pool jobs f = Pool.with_pool ~jobs (fun pool -> Pool.parallel_map pool f (List.init jobs ignore))
+
 let ledger_output_deterministic_across_jobs () =
-  let render jobs =
-    let run obs pool =
-      ignore (P.Job.run ?pool ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())))
-    in
+  let render () =
     let obs = profiled_sink () in
-    (match jobs with
-    | 1 -> run obs None
-    | j -> Pool.with_pool ~jobs:j (fun pool -> run obs (Some pool)));
+    ignore (P.Job.run ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())));
     Ndp_obs.Render.Json.to_string (L.to_json obs.Sink.ledger)
   in
-  let serial = render 1 in
-  Alcotest.(check string) "jobs=4 byte-identical" serial (render 4);
-  Alcotest.(check string) "jobs=7 byte-identical" serial (render 7)
+  let serial = render () in
+  List.iter (Alcotest.(check string) "jobs=4 byte-identical" serial) (on_pool 4 render);
+  List.iter (Alcotest.(check string) "jobs=7 byte-identical" serial) (on_pool 7 render)
 
 (* {1 Counter samples} *)
 
@@ -419,14 +417,13 @@ let observed_run_identical () =
   Alcotest.(check int) "exec_time equal under profiling" bare.P.exec_time profiled.P.exec_time
 
 let observed_run_identical_under_pool () =
-  let bare = P.Job.run (P.Job.make (P.Partitioned P.partitioned_defaults) (water ())) in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let obs = Sink.create ~metrics:true ~trace:true () in
-      let seen =
-        P.Job.run ~pool ~obs (P.Job.make (P.Partitioned P.partitioned_defaults) (water ()))
-      in
+  let job = P.Job.make (P.Partitioned P.partitioned_defaults) (water ()) in
+  let bare = P.Job.run job in
+  List.iter
+    (fun (seen : P.result) ->
       Alcotest.(check bool) "stats equal under jobs=4" true (Stats.equal bare.P.stats seen.P.stats);
       Alcotest.(check int) "exec_time equal under jobs=4" bare.P.exec_time seen.P.exec_time)
+    (on_pool 4 (fun () -> P.Job.run ~obs:(Sink.create ~metrics:true ~trace:true ()) job))
 
 (* One sink reused across runs: each result counts its own run only, and
    the registry's sim.* counters, its per-structure families and the
@@ -460,6 +457,23 @@ let reused_sink_counts_once () =
   Alcotest.(check int) "ledger total" hops (L.total_flit_hops obs.Sink.ledger);
   Alcotest.(check int) "sim.tasks" (Stats.tasks fresh.P.stats) (counter "sim.tasks");
   Alcotest.(check int) "sum of core.tasks" (counter "sim.tasks") (family "core.tasks{")
+
+(* A log reused for a second run samples that run too, from cycle 0: each
+   series holds the first run's samples followed by an identical copy. *)
+let reused_log_samples_every_run () =
+  let job = P.Job.make (P.Partitioned P.partitioned_defaults) (Ndp_workloads.Suite.find "fft") in
+  let obs = Sink.create ~timeline_interval:1000 () in
+  ignore (P.Job.run ~obs job);
+  let first = T.series obs.Sink.trace in
+  ignore (P.Job.run ~obs job);
+  List.iter2
+    (fun (s1 : T.series) (s2 : T.series) ->
+      Alcotest.(check bool) (s1.T.name ^ " sampled") true (s1.T.samples <> []);
+      Alcotest.(check int) (s1.T.name ^ " nothing dropped") 0 s2.T.dropped;
+      Alcotest.(check (list (pair int int)))
+        (s1.T.name ^ " second run sampled like the first")
+        (s1.T.samples @ s1.T.samples) s2.T.samples)
+    first (T.series obs.Sink.trace)
 
 (* {1 Stats surface} *)
 
@@ -556,25 +570,27 @@ let span_exception_safe () =
   Alcotest.(check int) "span closed by exception path" 0 (Span.depth t);
   Alcotest.(check int) "span still recorded" 1 (Span.count t)
 
-(* Byte-identical span logs at any --jobs: the pipeline's phase spans stay
-   on the calling domain's collector whatever the pool size. *)
+(* Byte-identical span logs at any pool size: jobs fanned across domains
+   each record the same phase spans as their serial runs. *)
 let span_deterministic_across_jobs () =
+  let apps = [ "water"; "fft" ] in
+  let pipeline app =
+    let spans = Span.create ~clock:(fun () -> 0.0) () in
+    let obs = { Sink.none with Sink.spans } in
+    ignore
+      (P.Job.run ~obs
+         (P.Job.make (P.Partitioned P.partitioned_defaults) (Ndp_workloads.Suite.find app)));
+    RJ.to_string (Span.to_json ~wall:false spans)
+  in
+  let serial = List.map pipeline apps in
   List.iter
-    (fun app ->
-      let kernel = Ndp_workloads.Suite.find app in
-      let pipeline jobs =
-        Pool.with_pool ~jobs (fun pool ->
-            let spans = Span.create ~clock:(fun () -> 0.0) () in
-            let obs = { Sink.none with Sink.spans } in
-            ignore
-              (P.Job.run ~pool ~obs
-                 (P.Job.make (P.Partitioned P.partitioned_defaults) kernel));
-            RJ.to_string (Span.to_json ~wall:false spans))
-      in
-      let p1 = pipeline 1 in
-      Alcotest.(check string) (app ^ " pipeline spans 4 jobs == serial") p1 (pipeline 4);
-      Alcotest.(check string) (app ^ " pipeline spans 7 jobs == serial") p1 (pipeline 7))
-    [ "water"; "fft" ]
+    (fun jobs ->
+      let pooled = Pool.with_pool ~jobs (fun pool -> Pool.parallel_map pool pipeline apps) in
+      List.iter2
+        (fun app (p1, p) ->
+          Alcotest.(check string) (Printf.sprintf "%s pipeline spans %d jobs == serial" app jobs) p1 p)
+        apps (List.combine serial pooled))
+    [ 4; 7 ]
 
 let span_pipeline_phases () =
   let phases scheme kernel =
@@ -737,6 +753,7 @@ let tests =
         Alcotest.test_case "observed run identical" `Quick observed_run_identical;
         Alcotest.test_case "observed run identical under pool" `Quick observed_run_identical_under_pool;
         Alcotest.test_case "reused sink counts each run once" `Quick reused_sink_counts_once;
+        Alcotest.test_case "reused log samples every run" `Quick reused_log_samples_every_run;
         Alcotest.test_case "stats alist shape" `Quick stats_alist_shape;
         Alcotest.test_case "stats pp no nan" `Quick stats_pp_no_nan;
         Alcotest.test_case "span nesting and attrs" `Quick span_nesting_and_attrs;

@@ -57,26 +57,18 @@ let shutdown_idempotent () =
   Alcotest.(check (list int)) "inline after shutdown" [ 1; 4; 9 ]
     (Pool.parallel_map pool (fun x -> x * x) [ 1; 2; 3 ])
 
-let run_serially_forces_serial () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let r =
-        Pool.run_serially (fun () -> Pool.parallel_map pool (fun x -> x + 10) [ 1; 2; 3 ])
-      in
-      Alcotest.(check (list int)) "serial path result" [ 11; 12; 13 ] r)
-
-(* The tentpole guarantee: fanning the whole evaluation sweep across
-   domains changes nothing about the numbers. Every (workload, scheme)
-   cell is run once on a parallel pool and once with the calling domain
-   pinned to the serial path, and the metrics the paper reports must be
-   identical field for field. *)
+(* Fanning the whole evaluation sweep across domains changes nothing
+   about the numbers. Every (workload, scheme) cell is run once across a
+   parallel pool and once serially, and the metrics the paper reports
+   must be identical field for field. *)
 let suite_determinism () =
   let kernels = List.map Ndp_workloads.Suite.find Ndp_workloads.Suite.names in
   let schemes = [ P.Default; P.Partitioned P.partitioned_defaults ] in
   let cells = List.concat_map (fun k -> List.map (fun s -> (k, s)) schemes) kernels in
   Pool.with_pool ~jobs:4 (fun pool ->
-      let run_cell (k, s) = P.Job.run ~pool (P.Job.make s k) in
+      let run_cell (k, s) = P.Job.run (P.Job.make s k) in
       let par = Pool.parallel_map pool run_cell cells in
-      let ser = Pool.run_serially (fun () -> List.map run_cell cells) in
+      let ser = List.map run_cell cells in
       List.iter2
         (fun (p : P.result) (s : P.result) ->
           let label field = Printf.sprintf "%s/%s %s" p.P.kernel_name p.P.scheme_name field in
@@ -100,9 +92,8 @@ let suite_determinism () =
 
 (* The one window sizer against the compile-every-candidate oracle, on
    every nest of the suite under all nine cluster x memory modes (the
-   default config is quadrant/flat, one of them), serially and on a
-   3-domain pool. Each sizer gets a fresh context, as the pipeline gives
-   each job one. *)
+   default config is quadrant/flat, one of them). Each sizer gets a fresh
+   context, as the pipeline gives each job one. *)
 let choose_size_matches_oracle () =
   let modes =
     List.concat_map
@@ -110,32 +101,29 @@ let choose_size_matches_oracle () =
       Ndp_noc.Cluster.all
   in
   let scheme = P.Partitioned P.partitioned_defaults in
-  Pool.with_pool ~jobs:3 (fun pool ->
+  List.iter
+    (fun (cluster, memory) ->
+      let config = Ndp_sim.Config.with_modes Ndp_sim.Config.default cluster memory in
       List.iter
-        (fun (cluster, memory) ->
-          let config = Ndp_sim.Config.with_modes Ndp_sim.Config.default cluster memory in
+        (fun name ->
+          let kernel = Ndp_workloads.Suite.find name in
           List.iter
-            (fun name ->
-              let kernel = Ndp_workloads.Suite.find name in
-              List.iter
-                (fun (nest : Ndp_ir.Loop.nest) ->
-                  let size_with sizer =
-                    let ctx = P.static_context ~config scheme kernel in
-                    sizer ctx (fst (P.nest_stream ctx nest ~first_group:0))
-                  in
-                  let oracle = size_with (Window_oracle.choose_size ~max:8) in
-                  let label what =
-                    Printf.sprintf "%s/%s %s/%s: %s" (Ndp_noc.Cluster.to_string cluster)
-                      (Ndp_sim.Config.memory_mode_to_string memory) name nest.Ndp_ir.Loop.nest_name
-                      what
-                  in
-                  Alcotest.(check int) (label "serial") oracle
-                    (size_with (Ndp_core.Window.choose_size ~max:8));
-                  Alcotest.(check int) (label "pooled") oracle
-                    (size_with (Ndp_core.Window.choose_size ~pool ~max:8)))
-                kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests)
-            Ndp_workloads.Suite.names)
-        modes)
+            (fun (nest : Ndp_ir.Loop.nest) ->
+              let size_with sizer =
+                let ctx = P.static_context ~config scheme kernel in
+                sizer ctx (fst (P.nest_stream ctx nest ~first_group:0))
+              in
+              let oracle = size_with (Window_oracle.choose_size ~max:8) in
+              let label what =
+                Printf.sprintf "%s/%s %s/%s: %s" (Ndp_noc.Cluster.to_string cluster)
+                  (Ndp_sim.Config.memory_mode_to_string memory) name nest.Ndp_ir.Loop.nest_name
+                  what
+              in
+              Alcotest.(check int) (label "serial") oracle
+                (size_with (Ndp_core.Window.choose_size ~max:8)))
+            kernel.Ndp_core.Kernel.program.Ndp_ir.Loop.nests)
+        Ndp_workloads.Suite.names)
+    modes
 
 let tests =
   [
@@ -147,7 +135,6 @@ let tests =
         Alcotest.test_case "nested use" `Quick nested_use;
         Alcotest.test_case "pool size 1" `Quick size_one_inline;
         Alcotest.test_case "shutdown idempotent" `Quick shutdown_idempotent;
-        Alcotest.test_case "run_serially" `Quick run_serially_forces_serial;
         Alcotest.test_case "suite determinism" `Slow suite_determinism;
         Alcotest.test_case "choose_size matches oracle" `Slow choose_size_matches_oracle;
       ] );
