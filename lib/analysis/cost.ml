@@ -3,12 +3,13 @@
    Everything here is compile-time only: the kernel is never simulated.
    Footprints and reuse come from the symbolic subscript analysis
    ([Affine_range]/[Reuse]); per-statement movement comes from the same
-   splitter estimates the pipeline's compiler uses, driven by the analytic
-   window model ([Window.analytic_of]) instead of compiled schedules. The
-   table's flit-hop column is therefore directly comparable to the
-   Ledger's per-statement [s_predicted] and (to the extent the prediction
-   is faithful) [s_flit_hops] columns — the [ndp_run analyze] subcommand
-   performs exactly that reconciliation. *)
+   splitter estimates the pipeline's compiler uses, read off the window
+   model the sizer decides with ([Window.curve], built for the chosen
+   size alone) instead of compiled schedules. The table's flit-hop
+   column is therefore directly comparable to the Ledger's per-statement
+   [s_predicted] and (to the extent the prediction is faithful)
+   [s_flit_hops] columns — the [ndp_run analyze] subcommand performs
+   exactly that reconciliation. *)
 
 module Config = Ndp_sim.Config
 module Pipeline = Ndp_core.Pipeline
@@ -100,23 +101,19 @@ let nest_movement ~scheme config ctx (nest : Loop.nest) metas =
         | Pipeline.Fixed k -> Int.max 1 k
         | Pipeline.Adaptive -> Window.choose_size ctx metas ~max:config.Config.max_window)
   in
-  (match window with
-  | None ->
-    List.iter
-      (fun (m : Window.meta) ->
-        let est =
-          Splitter.default_movement ctx ~store_node:m.Window.default_node m
-        in
-        let si = m.Window.inst.Dep.stmt_idx in
-        links.(si) <- links.(si) + est)
-      metas
-  | Some w ->
-    let a = Window.analytic_of ctx metas ~window:w in
-    List.iteri
-      (fun i (m : Window.meta) ->
-        let si = m.Window.inst.Dep.stmt_idx in
-        links.(si) <- links.(si) + a.Window.a_est.(i))
-      metas);
+  let est =
+    match window with
+    | None ->
+      fun _ (m : Window.meta) -> Splitter.default_movement ctx ~store_node:m.Window.default_node m
+    | Some w ->
+      let movement_of = Window.movement (Window.curve ctx metas ~sizes:[ w ]) ~window:w in
+      fun i _ -> movement_of i
+  in
+  List.iteri
+    (fun i (m : Window.meta) ->
+      let si = m.Window.inst.Dep.stmt_idx in
+      links.(si) <- links.(si) + est i m)
+    metas;
   (links, window)
 
 let table ?(config = Config.default) ~scheme kernel =
@@ -201,7 +198,7 @@ let lint_kernel ?(config = Config.default) (kernel : Kernel.t) =
         let metas, g' = Pipeline.nest_stream ctx nest ~first_group:g in
         let spi = List.length nest.Loop.body in
         if spi >= 2 then begin
-          let sample = List.filteri (fun i _ -> i < 256) metas in
+          let sample = List.filteri (fun i _ -> i < Window.preprocessing_sample) metas in
           let links = Array.make spi 0 in
           List.iter
             (fun (m : Window.meta) ->

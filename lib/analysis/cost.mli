@@ -2,8 +2,9 @@
 
     A purely compile-time counterpart of the Ledger: per statement, the
     symbolic footprint and reuse class of every array reference, plus a
-    closed-form movement estimate in the splitter's link units (and its
-    flit-hop normalization, the unit the Ledger measures). [ndp_run
+    closed-form movement estimate from the window model the pipeline's
+    sizer decides with, in the splitter's link units (and its flit-hop
+    normalization, the unit the Ledger measures). [ndp_run
     analyze] renders the table and reconciles it against a measured run;
     the W4xx lints surface the places where the static model is blind or
     fragile. *)
@@ -37,10 +38,11 @@ type t = {
 
 val table : ?config:Ndp_sim.Config.t -> scheme:Ndp_core.Pipeline.scheme -> Ndp_core.Kernel.t -> t
 (** The static cost table for a kernel under a scheme. [Default] prices
-    every instance at its default movement; partitioned schemes run the
-    analytic window model ([Window.analytic_of]) under the scheme's window
-    policy (an adaptive policy sizes nests with the pipeline's own
-    {!Ndp_core.Window.choose_size}). *)
+    every instance at its default movement; partitioned schemes sum
+    {!Ndp_core.Window.movement} over a {!Ndp_core.Window.curve} of the
+    whole stream, built for the window size the scheme's policy gives (an
+    adaptive policy sizes nests with the pipeline's own
+    {!Ndp_core.Window.choose_size}, which reads the same curve). *)
 
 val lint_kernel : ?config:Ndp_sim.Config.t -> Ndp_core.Kernel.t -> Diagnostic.t list
 (** The W4xx family, sorted by {!Diagnostic.compare_diag}:

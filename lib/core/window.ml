@@ -40,14 +40,14 @@ let chunk list size =
   in
   go [] [] 0 list
 
-(* Splitting must clear this margin over the default before it is worth
-   doing (see the comment at the use site in [compile]); the analytic
-   estimator applies the identical rule so the two agree statement by
-   statement. *)
-let margin_num, margin_den = (7, 10)
-
-let margin_ruled ~default_est est =
-  if est * margin_den < default_est * margin_num then est else default_est
+(* Splitting must satisfy the minimum-data-movement requirement: when the
+   MST saves little over fetching every operand to the store node (tiny
+   network footprints — the paper's Cholesky/LU case), the statement
+   executes whole there. The estimate counts links only, not the
+   synchronization and partial-result forwarding a split adds, so the
+   split must save 30%. [compile] and the sizing walk share this rule, so
+   the two agree statement by statement. *)
+let split_pays ~default_est est = est * 10 < default_est * 7
 
 let compile ?deps ?fusion (ctx : Context.t) metas =
   Context.clear_reuse ctx;
@@ -76,13 +76,6 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
         in
         let split = Splitter.split ctx ~store_node meta in
         let default_est = Splitter.default_movement ctx ~store_node meta in
-        (* Splitting must satisfy the minimum-data-movement requirement:
-           when the MST saves nothing over fetching every operand to the
-           store node (tiny network footprints — the paper's Cholesky/LU
-           case), the statement executes whole on its store node. *)
-        (* The estimate counts links only; synchronization and partial-
-           result forwarding are not in it, so splitting must clear a
-           margin before it is worth doing. *)
         let split =
           match fslot with
           | Some _ ->
@@ -91,7 +84,7 @@ let compile ?deps ?fusion (ctx : Context.t) metas =
                L1 its consumer loads from. *)
             { (Splitter.unsplit split) with Splitter.est_movement = default_est }
           | None ->
-            if split.Splitter.est_movement * margin_den < default_est * margin_num then split
+            if split_pays ~default_est split.Splitter.est_movement then split
             else { (Splitter.unsplit split) with Splitter.est_movement = default_est }
         in
         est_total := !est_total + split.Splitter.est_movement;
@@ -324,22 +317,14 @@ let all_non_affine metas =
        metas
 
 (* ------------------------------------------------------------------ *)
-(* Analytic (closed-form) window sizing.
+(* The analytic window model.
 
-   Pricing a candidate window by compiling it ([estimate_sliced]) means
-   splitting, scheduling, repairing and sync-minimizing every statement of
-   the sample once per candidate size. The analytic path prices the same
-   objective from one walk over the sample plus integer arithmetic per
-   candidate: movement comes from the splitter's per-statement estimates
-   under the two reuse regimes (window captures the providers / window
-   cut them off), synchronization from the dependence pairs whose
-   endpoints share a chunk. What it forgoes — schedule placements landing
-   on exec nodes, join arcs, transitive sync reduction — are second-order
-   against the movement term, and the chooser compiles candidates
-   ([estimate_sliced]) only when the analytic curve is too flat to call
+   Compiling a candidate window ([estimate_sliced]) splits, schedules,
+   repairs and sync-minimizes every statement once per size. The curve
+   prices movement from one walk instead. What it forgoes — placements on
+   exec nodes, join arcs, transitive sync reduction — is second-order, and
+   the sizer compiles candidates only when the curve is too flat to call
    the winner. *)
-
-type analytic = { a_est : int array; a_syncs : int }
 
 (* Mirror of [compile]'s variable2node propagation without running the
    scheduler. The schedule consumes a lone data item at its parent
@@ -365,79 +350,36 @@ let note_analytic (ctx : Context.t) ~store_node ~kept (split : Splitter.t) =
   | Some (va, _) -> Context.note_cached ctx ~line:(Location.line_of ctx va) ~node:store_node
   | None -> ()
 
-let analytic_of (ctx : Context.t) metas ~window =
-  if window <= 0 then invalid_arg "Window.analytic_of: window must be positive";
-  let ctx = Context.fork_for_estimate ctx in
-  let arr = Array.of_list metas in
-  let n = Array.length arr in
-  let a_est = Array.make (Int.max 1 n) 0 in
-  let syncs = ref 0 in
-  let rec go lo =
-    if lo < n then begin
-      let hi = Int.min n (lo + window) in
-      Context.clear_reuse ctx;
-      for i = lo to hi - 1 do
-        let m = arr.(i) in
-        let store_node = m.default_node in
-        let split = Splitter.split ctx ~store_node m in
-        let default_est = Splitter.default_movement ctx ~store_node m in
-        let kept = split.Splitter.est_movement * margin_den < default_est * margin_num in
-        a_est.(i) <- (if kept then split.Splitter.est_movement else default_est);
-        Context.advance_statement ctx;
-        note_analytic ctx ~store_node ~kept split
-      done;
-      (* In-chunk dependences whose endpoints sit on different nodes each
-         cost one handshake; duplicate (producer, consumer) pairs collapse
-         like [compile]'s arc set does. *)
-      let chunk_deps =
-        List.map
-          (fun (d : Dep.dep) -> { d with Dep.src = d.Dep.src + lo; Dep.dst = d.Dep.dst + lo })
-          (Dep.analyze_accesses (Staged.accesses ctx arr ~lo ~hi))
-      in
-      let pairs = Hashtbl.create 16 in
-      List.iter
-        (fun (d : Dep.dep) ->
-          if
-            arr.(d.Dep.src).default_node <> arr.(d.Dep.dst).default_node
-            && not (Hashtbl.mem pairs (d.Dep.src, d.Dep.dst))
-          then begin
-            Hashtbl.add pairs (d.Dep.src, d.Dep.dst) ();
-            incr syncs
-          end)
-        chunk_deps;
-      go hi
-    end
-  in
-  go 0;
-  { a_est = (if n = 0 then [||] else a_est); a_syncs = !syncs }
+type curve = {
+  sizes : int list;
+  est_full : int array;
+  est_none : int array;
+  providers : int list array;
+}
 
-(* Candidates whose analytic total lands within this fraction of the
-   analytic minimum are re-scored with the sampled estimator; an
-   uncontested analytic winner skips sampling entirely. *)
-let analytic_tie_margin = 0.10
+(* A window of [w] keeps instance [i]'s providers in view when they all
+   share its chunk. *)
+let rec captured providers i w =
+  match providers with [] -> true | p :: rest -> p / w = i / w && captured rest i w
 
-let choose_size (ctx : Context.t) metas ~max:max_size =
-  if max_size < 1 || metas = [] || all_non_affine metas then 1
-  else begin
-    let sample = Array.of_list (List.filteri (fun i _ -> i < preprocessing_sample) metas) in
-    let n = Array.length sample in
-    let all_deps = Dep.analyze_accesses (Staged.accesses ctx sample ~lo:0 ~hi:n) in
-    (* One un-chunked walk over the sample decomposes every candidate
-       size. Statement [i]'s estimate depends on chunking only through
-       which in-window providers survive the chunk boundary: [est_full]
-       prices it with its providers visible, [est_none] with the reuse map
-       cold. Providers are read straight off the variable2node stamps
-       ([note_cached] records the noting statement's clock, so stamp-1 is
-       the provider's sample index); entries within [reuse_horizon] can
-       never have been capacity-evicted, so the provider set is exact. *)
-    let ectx = Context.fork_for_estimate ctx in
-    Context.clear_reuse ectx;
-    let nctx = { ectx with Context.options = { ectx.Context.options with Context.reuse_aware = false } } in
-    let est_full = Array.make (Int.max 1 n) 0 in
-    let est_none = Array.make (Int.max 1 n) 0 in
-    let providers = Array.make (Int.max 1 n) [] in
-    for i = 0 to n - 1 do
-      let m = sample.(i) in
+(* Instance [i]'s estimate depends on chunking only through which
+   providers survive the chunk boundary: [est_full] prices it with them
+   visible, [est_none] with the reuse map cold. Providers are read off the
+   variable2node stamps ([note_cached] records the noting statement's
+   clock, so stamp-1 is the provider's index); entries within
+   [reuse_horizon] can never have been capacity-evicted, so the set is
+   exact. *)
+let curve (ctx : Context.t) metas ~sizes =
+  if List.exists (fun w -> w <= 0) sizes then invalid_arg "Window.curve: sizes must be positive";
+  let ectx = Context.fork_for_estimate ctx in
+  Context.clear_reuse ectx;
+  let nctx = { ectx with Context.options = { ectx.Context.options with Context.reuse_aware = false } } in
+  let n = List.length metas in
+  let est_full = Array.make n 0 in
+  let est_none = Array.make n 0 in
+  let providers = Array.make n [] in
+  List.iteri
+    (fun i (m : meta) ->
       let store_node = m.default_node in
       let provs = ref [] in
       for k = 1 to Array.length m.shape.Staged.refs - 1 do
@@ -452,59 +394,71 @@ let choose_size (ctx : Context.t) metas ~max:max_size =
       providers.(i) <- !provs;
       let split = Splitter.split ectx ~store_node m in
       let default_est = Splitter.default_movement ectx ~store_node m in
-      let kept = split.Splitter.est_movement * margin_den < default_est * margin_num in
+      let kept = split_pays ~default_est split.Splitter.est_movement in
       est_full.(i) <- (if kept then split.Splitter.est_movement else default_est);
       (* [default_movement] never consults the reuse map, so the default
          estimate is shared between the two regimes. *)
       est_none.(i) <-
-        (if !provs = [] then est_full.(i)
-         else margin_ruled ~default_est (Splitter.split nctx ~store_node m).Splitter.est_movement);
+        (if !provs = [] || List.for_all (captured !provs i) sizes then est_full.(i)
+         else
+           let cold = (Splitter.split nctx ~store_node m).Splitter.est_movement in
+           if split_pays ~default_est cold then cold else default_est);
       Context.advance_statement ectx;
-      note_analytic ectx ~store_node ~kept split
-    done;
-    let sync_links = sync_links_of ectx in
+      note_analytic ectx ~store_node ~kept split)
+    metas;
+  { sizes; est_full; est_none; providers }
+
+let movement c ~window =
+  if not (List.mem window c.sizes) then invalid_arg "Window.movement: not one of the curve's sizes";
+  fun i -> if captured c.providers.(i) i window then c.est_full.(i) else c.est_none.(i)
+
+(* Candidates whose analytic total lands within this fraction of the
+   analytic minimum are re-scored with the sampled estimator; an
+   uncontested analytic winner skips sampling entirely. *)
+let analytic_tie_margin = 0.10
+
+let choose_size (ctx : Context.t) metas ~max:max_size =
+  if max_size < 1 || metas = [] || all_non_affine metas then 1
+  else begin
+    let sample = List.filteri (fun i _ -> i < preprocessing_sample) metas in
+    let candidates = List.init max_size (fun k -> k + 1) in
+    (* The walk precedes the re-scores below: under the [Scrambled] page
+       policy first-touch order sets the page frames, and the walk touches
+       the sample in stream order. *)
+    let c = curve ctx sample ~sizes:candidates in
+    let sample = Array.of_list sample in
+    let n = Array.length sample in
+    let all_deps = Dep.analyze_accesses (Staged.accesses ctx sample ~lo:0 ~hi:n) in
+    let sync_links = sync_links_of ctx in
+    (* Synchronization: one handshake per distinct in-chunk dependence pair
+       whose endpoints sit on different nodes. *)
     let total w =
-      let movement = ref 0 in
+      let movement_w = ref 0 and movement_of = movement c ~window:w in
       for i = 0 to n - 1 do
-        let captured = providers.(i) <> [] && List.for_all (fun p -> p / w = i / w) providers.(i) in
-        movement := !movement + (if providers.(i) = [] || captured then est_full.(i) else est_none.(i))
+        movement_w := !movement_w + movement_of i
       done;
       let pairs = Hashtbl.create 64 in
-      let syncs = ref 0 in
       List.iter
         (fun (d : Dep.dep) ->
           if
             d.Dep.src / w = d.Dep.dst / w
             && sample.(d.Dep.src).default_node <> sample.(d.Dep.dst).default_node
-            && not (Hashtbl.mem pairs (d.Dep.src, d.Dep.dst))
-          then begin
-            Hashtbl.add pairs (d.Dep.src, d.Dep.dst) ();
-            incr syncs
-          end)
+          then Hashtbl.replace pairs (d.Dep.src, d.Dep.dst) ())
         all_deps;
-      !movement + (sync_links * !syncs)
+      !movement_w + (sync_links * Hashtbl.length pairs)
     in
-    let candidates = List.init max_size (fun k -> k + 1) in
-    let totals = List.map total candidates in
-    let best = List.fold_left Int.min (List.hd totals) totals in
+    let totals = List.map (fun w -> (w, total w)) candidates in
+    let best = List.fold_left (fun acc (_, t) -> Int.min acc t) max_int totals in
     let cut = float_of_int best *. (1. +. analytic_tie_margin) in
-    let ties =
-      List.filteri (fun k _ -> float_of_int (List.nth totals k) <= cut) candidates
-    in
-    match ties with
-    | [ w ] -> w
+    match List.filter (fun (_, t) -> float_of_int t <= cut) totals with
+    | [ (w, _) ] -> w
     | ties ->
       (* Too close to call analytically: re-score only the contested
          candidates by compiling them, breaking exact ties toward the
-         smallest window. The analytic walk must stay first: under the
-         [Scrambled] page policy first-touch order sets the page frames,
-         and the walk touches the sample in stream order. *)
-      let estimates = List.map (fun w -> estimate_sliced ctx sample all_deps ~window:w) ties in
-      let best_w, _ =
-        List.fold_left2
-          (fun (best_w, best_m) w m -> if m < best_m then (w, m) else (best_w, best_m))
-          (List.hd ties, List.hd estimates)
-          (List.tl ties) (List.tl estimates)
+         smallest window. *)
+      let rescore (best_w, best_m) (w, _) =
+        let m = estimate_sliced ctx sample all_deps ~window:w in
+        if m < best_m then (w, m) else (best_w, best_m)
       in
-      best_w
+      fst (List.fold_left rescore (0, max_int) ties)
   end

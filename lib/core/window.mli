@@ -65,32 +65,34 @@ val compile :
     becomes L1-local when the slot elides it. An absent array or all-
     [None] slots compile exactly as without [fusion]. *)
 
-type analytic = {
-  a_est : int array;
-      (** margin-ruled movement estimate per instance, in links — the same
-          quantity [compile] reports as [est_movement] *)
-  a_syncs : int;  (** modeled cross-node synchronization handshakes *)
-}
+type curve
+(** The analytic window model: per-instance movement estimates over a
+    stream prefix, for the window sizes the curve was built for. *)
 
-val analytic_of : Context.t -> meta list -> window:int -> analytic
-(** Closed-form counterpart of compiling the stream under a fixed window
-    size: per-statement movement from the splitter's estimates with the
-    variable2node map maintained at located (rather than scheduled) nodes,
-    and one handshake per distinct in-chunk cross-node dependence pair.
-    No tasks are built and no schedule is run. *)
+val curve : Context.t -> meta list -> sizes:int list -> curve
+(** One un-chunked walk over [metas], on a fork of the context. Each
+    instance gets the margin-ruled estimate [compile] reports as
+    [est_movement], with its L1 providers (the earlier instances whose
+    placements it reuses) in view, and a cold re-split only where one of
+    [sizes] cuts a provider off into an earlier chunk. No schedule is run
+    and no dependence analyzed. Raises [Invalid_argument] on a size < 1. *)
+
+val movement : curve -> window:int -> int -> int
+(** [movement c ~window i]: instance [i]'s movement, in links, under
+    windows of [window]. Raises [Invalid_argument] unless [window] is one
+    of the curve's sizes. *)
 
 val choose_size : Context.t -> meta list -> max:int -> int
 (** The preprocessing step of Section 4.4: pick the window size in
     [1..max] minimizing total estimated data movement plus synchronization
     over the first {!preprocessing_sample} instances of one loop nest.
-    One walk over the sample prices every candidate size analytically
-    (each statement keeps its reuse-aware estimate when its L1 providers
-    share the chunk, and its cold estimate when the boundary cuts them
-    off). Only candidates within 10% of the analytic minimum are re-scored
-    by compiling the sample under them, with the nest sample's
-    dependences analyzed once and sliced per chunk; exact ties go to the
-    smaller size. Nests with only non-affine references short-circuit to
-    size 1. *)
+    Movement is read off one {!curve} of the sample for sizes [1..max];
+    synchronization is one handshake per distinct cross-node dependence
+    pair that shares a chunk. Only candidates within 10% of the analytic
+    minimum are re-scored by compiling the sample under them, with the
+    nest sample's dependences analyzed once and sliced per chunk; exact
+    ties go to the smaller size. Nests with only non-affine references
+    short-circuit to size 1. *)
 
 val preprocessing_sample : int
 (** Length of the instance-stream prefix {!choose_size} prices. *)

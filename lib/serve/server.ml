@@ -98,19 +98,20 @@ let captured t ~spans (job : Pipeline.Job.t) =
 
 let compile_body t ~spans (job : Pipeline.Job.t) =
   let skey, r, _hit = captured t ~spans job in
-  body
-    (Json.Obj
-       [
-         ("schedule_key", Json.Str skey);
-         ("app", Json.Str r.Pipeline.kernel_name);
-         ("scheme", Json.Str r.Pipeline.scheme_name);
-         ("exec_time", Json.Int r.Pipeline.exec_time);
-         ("tasks", Json.Int r.Pipeline.tasks_emitted);
-         ("instances", Json.Int r.Pipeline.num_instances);
-         ( "windows",
-           Json.Obj (List.map (fun (n, w) -> (n, Json.Int w)) r.Pipeline.windows_chosen) );
-         ("captured_calls", Json.Int (List.length r.Pipeline.emitted));
-       ])
+  rendered spans (fun () ->
+      body
+        (Json.Obj
+           [
+             ("schedule_key", Json.Str skey);
+             ("app", Json.Str r.Pipeline.kernel_name);
+             ("scheme", Json.Str r.Pipeline.scheme_name);
+             ("exec_time", Json.Int r.Pipeline.exec_time);
+             ("tasks", Json.Int r.Pipeline.tasks_emitted);
+             ("instances", Json.Int r.Pipeline.num_instances);
+             ( "windows",
+               Json.Obj (List.map (fun (n, w) -> (n, Json.Int w)) r.Pipeline.windows_chosen) );
+             ("captured_calls", Json.Int (List.length r.Pipeline.emitted));
+           ]))
 
 let sweep_body t ~spans (job : Pipeline.Job.t) (variants : Protocol.variant list) =
   let _skey, r, _hit = captured t ~spans job in
@@ -148,17 +149,18 @@ let sweep_body t ~spans (job : Pipeline.Job.t) (variants : Protocol.variant list
   match List.find_opt Result.is_error rows with
   | Some (Error (name, msg)) -> failwith (Printf.sprintf "variant %s: %s" name msg)
   | _ ->
-    body
-      (Json.Obj
-         [
-           ("app", Json.Str r.Pipeline.kernel_name);
-           ("scheme", Json.Str r.Pipeline.scheme_name);
-           ("base_exec_time", Json.Int r.Pipeline.exec_time);
-           ("base_hops", Json.Int (Stats.hops r.Pipeline.stats));
-           ( "variants",
-             Json.List (List.filter_map (function Ok (_, j) -> Some j | Error _ -> None) rows)
-           );
-         ])
+    rendered spans (fun () ->
+        body
+          (Json.Obj
+             [
+               ("app", Json.Str r.Pipeline.kernel_name);
+               ("scheme", Json.Str r.Pipeline.scheme_name);
+               ("base_exec_time", Json.Int r.Pipeline.exec_time);
+               ("base_hops", Json.Int (Stats.hops r.Pipeline.stats));
+               ( "variants",
+                 Json.List (List.filter_map (function Ok (_, j) -> Some j | Error _ -> None) rows)
+               );
+             ]))
 
 let variants_salt (variants : Protocol.variant list) =
   String.concat ";"

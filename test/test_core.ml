@@ -264,6 +264,36 @@ let window_analytic_matches_sampled () =
       ())
     Ndp_workloads.Suite.names
 
+let window_curve_independent_of_sizes () =
+  (* The sizer builds its curve for sizes 1..8 and the static cost table
+     for the chosen size alone: an instance's movement at w must not
+     depend on which other sizes the walk was asked about, on every suite
+     nest's preprocessing sample under the default config. *)
+  let scheme = Pipeline.Partitioned Pipeline.partitioned_defaults in
+  let sizes = List.init 8 (fun k -> k + 1) in
+  List.iter
+    (fun name ->
+      let kernel = Ndp_workloads.Suite.find name in
+      List.iter
+        (fun (nest : Ndp_ir.Loop.nest) ->
+          let ctx = Pipeline.static_context scheme kernel in
+          let metas, _ = Pipeline.nest_stream ctx nest ~first_group:0 in
+          let sample = List.filteri (fun i _ -> i < Window.preprocessing_sample) metas in
+          let all = Window.curve ctx sample ~sizes in
+          List.iter
+            (fun w ->
+              let one = Window.movement (Window.curve ctx sample ~sizes:[ w ]) ~window:w in
+              let all = Window.movement all ~window:w in
+              List.iteri
+                (fun i _ ->
+                  if one i <> all i then
+                    Alcotest.failf "%s/%s w=%d instance %d: curve for [w] %d, for 1..8 %d" name
+                      nest.Ndp_ir.Loop.nest_name w i (one i) (all i))
+                sample)
+            sizes)
+        kernel.Kernel.program.Ndp_ir.Loop.nests)
+    Ndp_workloads.Suite.names
+
 let window_non_affine_short_circuit () =
   (* A nest whose every reference is indirect gives the static model
      nothing to work with: the sizer falls back to w=1. *)
@@ -576,6 +606,8 @@ let tests =
         Alcotest.test_case "window choose size bounds" `Quick window_choose_size_bounds;
         Alcotest.test_case "window reuse estimate" `Quick window_movement_estimate_reuse;
         Alcotest.test_case "window analytic = sampled (suite)" `Slow window_analytic_matches_sampled;
+        Alcotest.test_case "window curve independent of its other sizes" `Quick
+          window_curve_independent_of_sizes;
         Alcotest.test_case "window non-affine short-circuit" `Quick window_non_affine_short_circuit;
         Alcotest.test_case "baseline assignment" `Quick baseline_assignment;
         Alcotest.test_case "codegen renders" `Quick codegen_renders;

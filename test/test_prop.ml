@@ -382,9 +382,9 @@ let empty_plan_is_identity () =
    an empty chunk slice), and every subscript strides a full cache line
    (8 words at 8-byte elements), so the reuse map never hits and both
    paths price every instance with the same margin rule. On this class
-   [Window_oracle.movement_estimate] must equal the analytic total exactly, for
-   every window size, and [Window.choose_size] must pick the oracle's
-   size. *)
+   [Window_oracle.movement_estimate] must equal the {!Window.curve}'s
+   movement summed over the stream exactly, for every window size, and
+   [Window.choose_size] must pick the oracle's size. *)
 type analytic_case = { a_trip : int; a_stmts : int * int list (* inputs per stmt *) }
 
 let gen_analytic_case rng =
@@ -424,10 +424,9 @@ let analytic_equals_sampled_estimate () =
           let analytic_ctx = Pipeline.static_context scheme kernel in
           let metas, _ = Pipeline.nest_stream sampled_ctx nest ~first_group:0 in
           let sampled = Window_oracle.movement_estimate sampled_ctx metas ~window:w in
-          let a = Ndp_core.Window.analytic_of analytic_ctx metas ~window:w in
+          let c = Ndp_core.Window.curve analytic_ctx metas ~sizes:[ w ] in
           let analytic =
-            Array.fold_left ( + ) 0 a.Ndp_core.Window.a_est
-            + (Ndp_core.Window.sync_links_of analytic_ctx * a.Ndp_core.Window.a_syncs)
+            List.fold_left ( + ) 0 (List.mapi (fun i _ -> Ndp_core.Window.movement c ~window:w i) metas)
           in
           if sampled <> analytic then
             Error

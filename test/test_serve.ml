@@ -457,6 +457,20 @@ let cold_phases_cover_latency () =
         [
           Protocol.Profile { spec; interval = 1000; top = 10 };
           Protocol.Analyze { spec; threshold = 4.0 };
+          Protocol.Compile spec;
+          Protocol.Sweep
+            {
+              spec;
+              variants =
+                [
+                  { Protocol.v_name = "base"; v_overrides = []; v_tweaks = Pipeline.no_tweaks };
+                  {
+                    Protocol.v_name = "hop8";
+                    v_overrides = [ ("hop_cycles", 8) ];
+                    v_tweaks = Pipeline.no_tweaks;
+                  };
+                ];
+            };
         ])
 
 let metrics_text_exposition () =
