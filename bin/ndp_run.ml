@@ -92,8 +92,8 @@ module Args = struct
             "Maximum tolerated total divergence ratio between the static cost model and the \
              measured ledger, as max(static,measured)/min(static,measured) ($(b,analyze) \
              only). The static model prices compiler-visible movement; runtime adds traffic \
-             it cannot see (misses, syncs, inspector), so suite ratios sit between x1 and \
-             x3.2. Exceeding the threshold exits nonzero.")
+             it cannot see (misses, syncs, inspector), so suite ratios sit between x1.0 and \
+             x3.02 at the default cluster and memory modes. Exceeding it exits nonzero.")
 
   let scheme =
     Arg.(
@@ -826,9 +826,10 @@ let commands =
       name = "analyze";
       summary =
         "Static cost model: symbolic footprints, reuse classes and closed-form per-statement \
-         movement, reconciled against the measured ledger of one run; exit nonzero when the \
-         totals diverge beyond --threshold. With --fusion, report the fusion decision table \
-         (predicted vs measured saved flit-hops per fused chain) instead.";
+         movement at the windows one run chose, reconciled against that run's measured \
+         ledger; exit nonzero when the totals diverge beyond --threshold. With --fusion, \
+         report the fusion decision table (predicted vs measured saved flit-hops per fused \
+         chain) instead.";
       term =
         Term.(
           const analyze_act $ job_spec $ Args.fuse $ Args.fuse_capacity $ Args.fusion

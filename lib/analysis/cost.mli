@@ -30,19 +30,23 @@ type stmt_row = {
 
 type t = {
   rows : stmt_row list;
-  windows : (string * int) list;
-      (** analytic window size per nest (partitioned schemes only) *)
   total_links : int;
   total_flit_hops : int;
 }
 
-val table : ?config:Ndp_sim.Config.t -> scheme:Ndp_core.Pipeline.scheme -> Ndp_core.Kernel.t -> t
-(** The static cost table for a kernel under a scheme. [Default] prices
-    every instance at its default movement; partitioned schemes sum
-    {!Ndp_core.Window.movement} over a {!Ndp_core.Window.curve} of the
-    whole stream, built for the window size the scheme's policy gives (an
-    adaptive policy sizes nests with the pipeline's own
-    {!Ndp_core.Window.choose_size}, which reads the same curve). *)
+val table :
+  ?config:Ndp_sim.Config.t ->
+  scheme:Ndp_core.Pipeline.scheme ->
+  windows:(string * int) list ->
+  Ndp_core.Kernel.t ->
+  t
+(** The static cost table for a kernel under a scheme, at the window
+    sizes a run of it chose ([windows]: the run's [windows_chosen], nest
+    name to size). A nest with a size sums {!Ndp_core.Window.movement}
+    over a {!Ndp_core.Window.curve} of its whole stream, built for that
+    size alone; a nest without one (every nest under [Default]) is
+    priced at its default movement. The table sizes nothing itself, so
+    it prices exactly the windows the reconciled run compiled. *)
 
 val lint_kernel : ?config:Ndp_sim.Config.t -> Ndp_core.Kernel.t -> Diagnostic.t list
 (** The W4xx family, sorted by {!Diagnostic.compare_diag}:

@@ -144,10 +144,20 @@ let analyzable_fraction metas =
 let idle : (Machine.t * Engine.t) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+(* Place [kernel]'s hot ranges per memory mode: every machine a run or a
+   static analysis of [kernel] reads addresses off starts here. *)
+let place_hot_ranges machine config kernel =
+  match config.Config.memory_mode with
+  | Config.Flat ->
+    Machine.set_hot_ranges machine (Kernel.hot_ranges kernel ~budget:config.Config.mcdram_capacity)
+  | Config.Hybrid ->
+    Machine.set_hot_ranges machine
+      (Kernel.hot_ranges kernel ~budget:(config.Config.mcdram_capacity / 2))
+  | Config.Cache_mode -> ()
+
 (* The machine and engine a run of [kernel] simulates on: hot ranges
-   placed per memory mode, then the cost-model tweaks applied. Compilation
-   and replay both start here, so a replayed schedule sees the capture
-   run's machine. *)
+   placed, then the cost-model tweaks applied. Compilation and replay both
+   start here, so a replayed schedule sees the capture run's machine. *)
 let make_machine ?faults ~obs ~config ~tweaks kernel =
   let slot = Domain.DLS.get idle in
   let pair = !slot in
@@ -162,13 +172,7 @@ let make_machine ?faults ~obs ~config ~tweaks kernel =
       let machine = Machine.create ~obs ?faults config in
       (machine, Engine.create ~obs ?faults machine)
   in
-  (match config.Config.memory_mode with
-  | Config.Flat ->
-    Machine.set_hot_ranges machine (Kernel.hot_ranges kernel ~budget:config.Config.mcdram_capacity)
-  | Config.Hybrid ->
-    Machine.set_hot_ranges machine
-      (Kernel.hot_ranges kernel ~budget:(config.Config.mcdram_capacity / 2))
-  | Config.Cache_mode -> ());
+  place_hot_ranges machine config kernel;
   Machine.set_l1_boost machine tweaks.l1_boost;
   Ndp_sim.Network.set_distance_factor (Machine.network machine) tweaks.distance_factor;
   Machine.set_mc_overrides machine tweaks.mc_overrides;
@@ -428,50 +432,30 @@ let run_job ?(obs = Ndp_obs.Sink.none) (j : job) =
            sliced to the chunk, in the same order). Fusion is the
            exception: its first-kill and only-live-reader rules need every
            later access in view, so a fused nest is analyzed whole and the
-           in-chunk deps are cut from that list, one pointer walk in
-           ascending (src, dst) order. Fusion and fault repair do not
-           compose: repair may remap a chain member off its node,
-           stranding the L1-resident intermediate. *)
+           in-chunk deps are cut from that list ([Dep.slice]). Fusion and
+           fault repair do not compose: repair may remap a chain member
+           off its node, stranding the L1-resident intermediate. *)
         let chunks = Array.of_list (Window.chunk metas w) in
         let sp_d = Ndp_obs.Span.enter spans "deps" in
         Ndp_obs.Span.attr_str spans sp_d "nest" nest.Loop.nest_name;
         let nest_deps =
-          if opts.fuse && repair_plan = None then
-            Some (Array.of_list (Staged.deps ctx metas))
-          else None
+          if opts.fuse && repair_plan = None then Some (Staged.deps ctx metas) else None
         in
         let chunk_deps =
           match nest_deps with
-          | Some deps_arr ->
-            let dp = ref 0 in
-            Array.init (Array.length chunks) (fun ci ->
-                let lo = ci * w in
-                let hi = lo + List.length chunks.(ci) in
-                while !dp < Array.length deps_arr && deps_arr.(!dp).Dep.src < lo do
-                  incr dp
-                done;
-                let sliced = ref [] in
-                while !dp < Array.length deps_arr && deps_arr.(!dp).Dep.src < hi do
-                  let d = deps_arr.(!dp) in
-                  if d.Dep.dst < hi then
-                    sliced :=
-                      { d with Dep.src = d.Dep.src - lo; Dep.dst = d.Dep.dst - lo } :: !sliced;
-                  incr dp
-                done;
-                List.rev !sliced)
-          | None ->
-            Array.map (Staged.deps ctx) chunks
+          | Some deps -> Dep.slice ~chunk:w ~n:(List.length metas) deps
+          | None -> Array.map (Staged.deps ctx) chunks
         in
         Ndp_obs.Span.attr_int spans sp_d "deps"
           (match nest_deps with
-          | Some deps_arr -> Array.length deps_arr
+          | Some deps -> List.length deps
           | None -> Array.fold_left (fun acc ds -> acc + List.length ds) 0 chunk_deps);
         Ndp_obs.Span.exit spans sp_d;
         (* The fusion plan is computed once per nest against the full
            dependence analysis and sliced per chunk below. *)
         let fusion_slots =
           Option.map
-            (fun deps_arr ->
+            (fun deps ->
               let sp_f = Ndp_obs.Span.enter spans "fusion" in
               Ndp_obs.Span.attr_str spans sp_f "nest" nest.Loop.nest_name;
               let default_node =
@@ -480,7 +464,7 @@ let run_job ?(obs = Ndp_obs.Sink.none) (j : job) =
               let capacity = Option.value opts.fuse_capacity ~default:config.Config.l1_size in
               let slots, decs =
                 Fusion.plan ctx ~nest:nest.Loop.nest_name ~window:w ~capacity
-                  ~shared:shared_arrays ~default_node (Array.of_list metas) deps_arr
+                  ~shared:shared_arrays ~default_node (Array.of_list metas) (Array.of_list deps)
               in
               fusion_decisions := !fusion_decisions @ decs;
               Ndp_obs.Span.attr_int spans sp_f "decisions" (List.length decs);
@@ -651,15 +635,18 @@ let replay ?(config = Config.default) ?(tweaks = no_tweaks) ?(obs = Ndp_obs.Sink
   release ~obs pair;
   replayed
 
+(* Static analysis simulates nothing: it needs a machine with the hot
+   ranges placed, not an engine, and it leaves the domain's idle pair to
+   the next run. *)
 let static_context ?(config = Config.default) scheme kernel =
-  let machine, _ = make_machine ~obs:Ndp_obs.Sink.none ~config ~tweaks:no_tweaks kernel in
+  let machine = Machine.create config in
+  place_hot_ranges machine config kernel;
   make_context ~machine scheme kernel
 
 let nest_stream = instance_stream
 
 let profile_page_accesses ?(config = Config.default) kernel =
-  let machine, _ = make_machine ~obs:Ndp_obs.Sink.none ~config ~tweaks:no_tweaks kernel in
-  let ctx = make_context ~machine Default kernel in
+  let ctx = static_context ~config Default kernel in
   let acc = ref [] in
   let _ =
     List.fold_left

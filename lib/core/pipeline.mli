@@ -209,7 +209,8 @@ val profile_page_accesses :
 val static_context : ?config:Ndp_sim.Config.t -> scheme -> Kernel.t -> Context.t
 (** The compilation context exactly as {!Job.run} would build it for the
     scheme — hot ranges, inspector execution, resolver choice, context
-    options — but with no engine and no observability attached. This is
+    options — but on a fresh machine alone: no engine, no observability,
+    and the domain's idle machine pair is neither taken nor reset. This is
     the entry point for static analysis passes that must see the same
     compile-time world as the pipeline. *)
 

@@ -275,31 +275,21 @@ let sync_links_of (ctx : Context.t) =
 
 (* Compile the sample under a fixed window size, with its dependence
    analysis computed once ([all_deps], indices into [sample]) and sliced
-   per chunk: a dependence whose endpoints both fall inside a chunk is
-   exactly what analyzing the chunk alone would find (the analysis is
-   pairwise), so re-deriving it per tied candidate only repeats work. *)
+   per chunk ({!Dep.slice}): re-deriving it per tied candidate only
+   repeats work. *)
 let estimate_sliced (ctx : Context.t) sample all_deps ~window =
   let ctx = Context.fork_for_estimate ctx in
   let sync_links = sync_links_of ctx in
   let n = Array.length sample in
-  let rec go lo acc =
-    if lo >= n then acc
-    else begin
-      let hi = Int.min n (lo + window) in
-      let metas = Array.to_list (Array.sub sample lo (hi - lo)) in
-      let deps =
-        List.filter_map
-          (fun (d : Dep.dep) ->
-            if d.Dep.src >= lo && d.Dep.dst < hi then
-              Some { d with Dep.src = d.Dep.src - lo; Dep.dst = d.Dep.dst - lo }
-            else None)
-          all_deps
-      in
+  let total = ref 0 in
+  Array.iteri
+    (fun ci deps ->
+      let lo = ci * window in
+      let metas = Array.to_list (Array.sub sample lo (Int.min window (n - lo))) in
       let c = compile ~deps ctx metas in
-      go hi (acc + c.est_movement + (sync_links * c.sync_count))
-    end
-  in
-  go 0 0
+      total := !total + c.est_movement + (sync_links * c.sync_count))
+    (Dep.slice ~chunk:window ~n all_deps);
+  !total
 
 (* The preprocessing estimates movement on a prefix of the instance stream;
    loop iterations are statistically uniform, so a few hundred instances

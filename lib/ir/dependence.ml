@@ -140,6 +140,19 @@ let analyze_accesses acc = if count acc <= 12 then all_pairs acc else bucketed a
 
 let analyze resolver instances = analyze_accesses (resolve resolver instances)
 
+let slice ~chunk ~n deps =
+  if chunk <= 0 then invalid_arg "Dependence.slice: chunk must be positive";
+  let pieces = Array.make ((n + chunk - 1) / chunk) [] in
+  List.iter
+    (fun d ->
+      let c = d.src / chunk in
+      if d.dst / chunk = c then begin
+        let lo = c * chunk in
+        pieces.(c) <- { d with src = d.src - lo; dst = d.dst - lo } :: pieces.(c)
+      end)
+    deps;
+  Array.map List.rev pieces
+
 let kind_to_string = function Flow -> "flow" | Anti -> "anti" | Output -> "output"
 
 type index = (int * int, unit) Hashtbl.t

@@ -51,6 +51,14 @@ val analyze_accesses : accesses -> dep list
     slice of the list finds exactly the dependences with both ends in it.
     Both paths give the result of comparing every pair. *)
 
+val slice : chunk:int -> n:int -> dep list -> dep list array
+(** [slice ~chunk ~n deps] cuts the analysis [deps] of an [n]-instance
+    list into the list's consecutive [chunk]-instance pieces (the last may
+    be shorter): piece [c] holds the dependences with both ends in it,
+    rebased to the piece, in [deps]'s order. For the analysis of the whole
+    list that is exactly what analyzing piece [c] alone finds. One pass;
+    raises [Invalid_argument] unless [chunk > 0]. *)
+
 val kind_to_string : kind -> string
 
 type index

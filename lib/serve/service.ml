@@ -91,6 +91,11 @@ let variant_config base (v : Protocol.variant) =
 (* ------------------------------------------------------------------ *)
 (* Result rendering (shared by CLI and daemon)                         *)
 
+(* A run's chosen window sizes, as every document prints them. *)
+let windows_text ws = String.concat ", " (List.map (fun (n, w) -> Printf.sprintf "%s=%d" n w) ws)
+
+let windows_json ws = Render.Json.Obj (List.map (fun (n, w) -> (n, Render.Json.Int w)) ws)
+
 let result_human (r : Pipeline.result) =
   let s = r.Pipeline.stats in
   let buf = Buffer.create 512 in
@@ -110,11 +115,8 @@ let result_human (r : Pipeline.result) =
   pr "  energy             %.0f pJ (%s)\n"
     (Ndp_sim.Energy.total r.Pipeline.energy)
     (Format.asprintf "%a" Ndp_sim.Energy.pp r.Pipeline.energy);
-  (match r.Pipeline.windows_chosen with
-  | [] -> ()
-  | ws ->
-    pr "  windows            %s\n"
-      (String.concat ", " (List.map (fun (n, w) -> Printf.sprintf "%s=%d" n w) ws)));
+  if r.Pipeline.windows_chosen <> [] then
+    pr "  windows            %s\n" (windows_text r.Pipeline.windows_chosen);
   pr "  predictor accuracy %.1f%%" (100.0 *. r.Pipeline.predictor_accuracy);
   Buffer.contents buf
 
@@ -132,9 +134,7 @@ let result_json (r : Pipeline.result) =
       ( "stats",
         Render.Json.Obj (List.map (fun (name, v) -> (name, Render.Json.Int v)) (Stats.to_alist s))
       );
-      ( "windows",
-        Render.Json.Obj
-          (List.map (fun (n, w) -> (n, Render.Json.Int w)) r.Pipeline.windows_chosen) );
+      ("windows", windows_json r.Pipeline.windows_chosen);
       ("predictor_accuracy", Render.Json.Float r.Pipeline.predictor_accuracy);
     ]
 
@@ -418,11 +418,8 @@ let analyze_human (r : Pipeline.result) (table : Cost.t) stmt_of ~threshold ~rat
       ratio_cell ratio;
     ];
   Buffer.add_string buf (Ndp_prelude.Table.render t);
-  (match table.Cost.windows with
-  | [] -> ()
-  | ws ->
-    pr "\nanalytic windows: %s\n"
-      (String.concat ", " (List.map (fun (n, w) -> Printf.sprintf "%s=%d" n w) ws)));
+  if r.Pipeline.windows_chosen <> [] then
+    pr "\nwindows: %s\n" (windows_text r.Pipeline.windows_chosen);
   pr "\nreconciliation: static %d vs measured %d flit-hops -> %s (threshold x%.2f)"
     table.Cost.total_flit_hops measured_total
     (if within then ratio_cell ratio ^ ", ok" else ratio_cell ratio ^ ", DIVERGED")
@@ -440,17 +437,18 @@ type analyze_outcome = {
 }
 
 let analyze ?(spans = Ndp_obs.Span.none) ~threshold (job : Pipeline.Job.t) =
-  let config = job.Pipeline.Job.config in
-  let scheme_v = job.Pipeline.Job.scheme in
-  let kernel = job.Pipeline.Job.kernel in
-  (* The static model is a phase of its own, so a cold request's spans
-     cover its wall time. *)
-  let table =
-    Ndp_obs.Span.with_span spans "cost" (fun () -> Cost.table ~config ~scheme:scheme_v kernel)
-  in
+  let Pipeline.Job.{ config; scheme; kernel; _ } = job in
   let obs = Ndp_obs.Sink.create ~metrics:false ~trace:false ~ledger:true () in
   let obs = { obs with Ndp_obs.Sink.spans = spans } in
   let r = Pipeline.Job.run ~obs job in
+  (* The static model is a phase of its own, so a cold request's spans
+     cover its wall time. It prices the windows this run compiled: each
+     nest is sized once, mid-run, with the miss predictor the earlier
+     nests trained. *)
+  let table =
+    Ndp_obs.Span.with_span spans "cost" (fun () ->
+        Cost.table ~config ~scheme ~windows:r.Pipeline.windows_chosen kernel)
+  in
   let ledger = obs.Ndp_obs.Sink.ledger in
   let stmt_of =
     let tbl = Hashtbl.create 16 in
@@ -502,8 +500,7 @@ let analyze ?(spans = Ndp_obs.Span.none) ~threshold (job : Pipeline.Job.t) =
         ("app", Render.Json.Str r.Pipeline.kernel_name);
         ("scheme", Render.Json.Str r.Pipeline.scheme_name);
         ("statements", Render.Json.List (List.map stmt_json table.Cost.rows));
-        ( "windows",
-          Render.Json.Obj (List.map (fun (n, w) -> (n, Render.Json.Int w)) table.Cost.windows) );
+        ("windows", windows_json r.Pipeline.windows_chosen);
         ( "totals",
           Render.Json.Obj
             [

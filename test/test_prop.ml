@@ -254,7 +254,9 @@ let analyze_equals_oracle () =
 
 (* The pipeline analyzes each window chunk on its own: that must find
    exactly the nest-wide dependences whose two ends share a chunk, in the
-   nest analysis's order. *)
+   nest analysis's order — which is what [Dep.slice] cuts from the nest
+   analysis, chunk by chunk, for a fused nest and for the sizer's
+   re-scores. *)
 let chunk_analysis_equals_sliced () =
   forall ~count:80 ~name:"per-chunk analyze = nest analyze sliced to chunks"
     {
@@ -264,26 +266,33 @@ let chunk_analysis_equals_sliced () =
     }
     (fun (case, w) ->
       let stream = dep_stream case in
-      let sliced =
-        List.filter
-          (fun (d : Dep.dep) -> d.Dep.src / w = d.Dep.dst / w)
-          (Dep.analyze dep_resolver stream)
-      in
+      let nest_deps = Dep.analyze dep_resolver stream in
+      let sliced = List.filter (fun (d : Dep.dep) -> d.Dep.src / w = d.Dep.dst / w) nest_deps in
+      let per_chunk = List.map (Dep.analyze dep_resolver) (Ndp_core.Window.chunk stream w) in
       let chunked =
         List.concat
           (List.mapi
-             (fun ci chunk ->
+             (fun ci deps ->
                List.map
                  (fun (d : Dep.dep) ->
                    { d with Dep.src = d.Dep.src + (ci * w); dst = d.Dep.dst + (ci * w) })
-                 (Dep.analyze dep_resolver chunk))
-             (Ndp_core.Window.chunk stream w))
+                 deps)
+             per_chunk)
       in
-      if List.map dep_to_tuple chunked = List.map dep_to_tuple sliced then Ok ()
-      else
+      let tuples = List.map (List.map dep_to_tuple) in
+      let pieces = Array.to_list (Dep.slice ~chunk:w ~n:(List.length stream) nest_deps) in
+      if List.map dep_to_tuple chunked <> List.map dep_to_tuple sliced then
         Error
           (Printf.sprintf "chunks found %d deps, the sliced nest analysis %d (or different order)"
-             (List.length chunked) (List.length sliced)))
+             (List.length chunked) (List.length sliced))
+      else if tuples pieces <> tuples per_chunk then
+        Error
+          (Printf.sprintf "Dep.slice cut %d pieces (%d deps), per-chunk analysis %d (%d deps)"
+             (List.length pieces)
+             (List.length (List.concat pieces))
+             (List.length per_chunk)
+             (List.length (List.concat per_chunk)))
+      else Ok ())
 
 (* -------------------------------------------------------------------- *)
 (* Random kernels vs. the schedule race detector.                        *)
@@ -457,17 +466,20 @@ let divergence ~static ~measured =
 
 let analyze_reconciles_suite () =
   (* The same gate `ndp_run analyze` applies, over every workload and both
-     schemes: the static table must stay within the divergence threshold
-     of what the simulated NoC actually carried. *)
+     schemes: the static table, priced at the windows its own run chose,
+     must stay within the divergence threshold of what the simulated NoC
+     actually carried. *)
   let threshold = 4.0 in
   List.iter
     (fun name ->
       let kernel = Ndp_workloads.Suite.find name in
       List.iter
         (fun scheme ->
-          let table = Ndp_analysis.Cost.table ~scheme kernel in
           let obs = Ndp_obs.Sink.create ~metrics:false ~trace:false ~ledger:true () in
-          let _ = Pipeline.Job.run ~obs (Pipeline.Job.make scheme kernel) in
+          let r = Pipeline.Job.run ~obs (Pipeline.Job.make scheme kernel) in
+          let table =
+            Ndp_analysis.Cost.table ~scheme ~windows:r.Pipeline.windows_chosen kernel
+          in
           let measured = Ndp_obs.Ledger.total_flit_hops obs.Ndp_obs.Sink.ledger in
           let ratio = divergence ~static:table.Ndp_analysis.Cost.total_flit_hops ~measured in
           if ratio > threshold then
