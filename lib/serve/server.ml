@@ -108,8 +108,7 @@ let compile_body t ~spans (job : Pipeline.Job.t) =
              ("exec_time", Json.Int r.Pipeline.exec_time);
              ("tasks", Json.Int r.Pipeline.tasks_emitted);
              ("instances", Json.Int r.Pipeline.num_instances);
-             ( "windows",
-               Json.Obj (List.map (fun (n, w) -> (n, Json.Int w)) r.Pipeline.windows_chosen) );
+             ("windows", Service.windows_json r.Pipeline.windows_chosen);
              ("captured_calls", Json.Int (List.length r.Pipeline.emitted));
            ]))
 
