@@ -589,14 +589,11 @@ let demo_requests () =
   List.iteri (fun i req -> Protocol.write_request stdout ~id:(i + 1) req) session;
   flush stdout
 
-let serve_act socket stdio demo result_capacity schedule_capacity access_log slow_ms jobs =
+let serve_act socket stdio demo access_log slow_ms jobs =
   if demo then demo_requests ()
   else begin
     let access_oc = if access_log = "" then None else Some (open_out access_log) in
-    let server =
-      Ndp_serve.Server.create ?jobs ~result_capacity ~schedule_capacity ?access_log:access_oc
-        ?slow_ms ()
-    in
+    let server = Ndp_serve.Server.create ?jobs ?access_log:access_oc ?slow_ms () in
     if stdio then Ndp_serve.Server.serve_channels server stdin stdout
     else if socket = "" then begin
       prerr_endline "ndp_run serve: --socket PATH required (or --stdio / --demo-requests)";
@@ -715,18 +712,6 @@ let demo_arg =
           "Print the canonical demo request stream (a framed \
            ping/list/run/run/compile/sweep/cache-stats/shutdown session) and exit; pipe it \
            back through $(b,serve --stdio).")
-
-let result_capacity_arg =
-  Arg.(
-    value
-    & opt int 256
-    & info [ "result-cache" ] ~docv:"N" ~doc:"Result-cache capacity (rendered response bodies).")
-
-let schedule_capacity_arg =
-  Arg.(
-    value
-    & opt int 64
-    & info [ "schedule-cache" ] ~docv:"N" ~doc:"Schedule-cache capacity (captured compiles).")
 
 let meta_arg =
   Arg.(
@@ -854,8 +839,8 @@ let commands =
          schedule caches.";
       term =
         Term.(
-          const serve_act $ socket_arg $ stdio_arg $ demo_arg $ result_capacity_arg
-          $ schedule_capacity_arg $ access_log_arg $ slow_ms_arg $ Args.jobs);
+          const serve_act $ socket_arg $ stdio_arg $ demo_arg $ access_log_arg $ slow_ms_arg
+          $ Args.jobs);
     };
     {
       name = "client";

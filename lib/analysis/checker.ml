@@ -63,7 +63,7 @@ let render ?(format = D.Human) reports =
   match format with
   | D.Json ->
     (* One JSON array holding every diagnostic, parseable as a whole. *)
-    "[" ^ String.concat "," (List.map D.to_json (all_diagnostics reports)) ^ "]"
+    Ndp_obs.Render.Json.(to_string (List (List.map D.json (all_diagnostics reports))))
   | _ ->
     let lines = List.filter (fun s -> s <> "") (List.map (render_report format) reports) in
     (match format with

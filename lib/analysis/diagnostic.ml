@@ -44,28 +44,10 @@ let to_string d =
   Printf.sprintf "%s[%s] %s: %s" (severity_to_string d.severity) d.code (loc_to_string d.loc)
     d.message
 
-(* S-expression atoms: quote anything beyond a bare symbol and escape the
-   quotes/backslashes inside, so the output parses back. *)
-let atom s =
-  let bare c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '-' || c = '_' || c = '.' || c = '/'
-  in
-  if s <> "" && String.for_all bare s then s
-  else begin
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' || c = '\\' then Buffer.add_char buf '\\';
-        Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
+module Json = Ndp_obs.Render.Json
 
 let to_sexp d =
-  let field name value = Printf.sprintf "(%s %s)" name (atom value) in
+  let field name value = Printf.sprintf "(%s %s)" name (Ndp_obs.Render.sexp_atom value) in
   let opt name = function Some v -> [ field name v ] | None -> [] in
   String.concat " "
     ([
@@ -79,37 +61,21 @@ let to_sexp d =
     @ opt "ref" d.loc.reference
     @ [ field "message" d.message ^ ")" ])
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json d =
+  let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+  let str s = Json.Str s in
+  Json.Obj
+    ([
+       ("code", str d.code);
+       ("severity", str (severity_to_string d.severity));
+       ("kernel", str d.loc.kernel);
+     ]
+    @ opt "nest" str d.loc.nest
+    @ opt "stmt" (fun i -> Json.Int i) d.loc.stmt
+    @ opt "ref" str d.loc.reference
+    @ [ ("message", str d.message) ])
 
-let to_json d =
-  let field name value = Printf.sprintf "%s:%s" (json_string name) value in
-  let opt name = function Some v -> [ field name (json_string v) ] | None -> [] in
-  "{"
-  ^ String.concat ","
-      ([
-         field "code" (json_string d.code);
-         field "severity" (json_string (severity_to_string d.severity));
-         field "kernel" (json_string d.loc.kernel);
-       ]
-      @ opt "nest" d.loc.nest
-      @ (match d.loc.stmt with Some i -> [ field "stmt" (string_of_int i) ] | None -> [])
-      @ opt "ref" d.loc.reference
-      @ [ field "message" (json_string d.message) ])
-  ^ "}"
+let to_json d = Json.to_string (json d)
 
 type format = Ndp_obs.Render.format = Human | Sexp | Json | Jsonl
 

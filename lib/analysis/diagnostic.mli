@@ -43,8 +43,12 @@ val to_string : t -> string
 val to_sexp : t -> string
 (** One s-expression per diagnostic; atoms are quoted and escaped. *)
 
+val json : t -> Ndp_obs.Render.Json.t
+(** The diagnostic as one JSON object: code, severity, kernel, the
+    location's present fields, message. *)
+
 val to_json : t -> string
-(** One JSON object per diagnostic (JSON-lines friendly). *)
+(** {!json}, rendered on one line (JSON-lines friendly). *)
 
 type format = Ndp_obs.Render.format = Human | Sexp | Json | Jsonl
 (** Re-export of the shared CLI format vocabulary. For a single

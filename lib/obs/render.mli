@@ -45,6 +45,11 @@ module Json : sig
       missing key or a non-object. *)
 end
 
+val sexp_atom : string -> string
+(** An s-expression atom: [s] bare when it is a non-empty run of
+    letters, digits and [-_./], otherwise double-quoted with ['"'] and
+    ['\\'] backslash-escaped, so the output parses back. *)
+
 (** Prometheus text-exposition lexical helpers, composed by
     [Metrics.to_prometheus] (the semantic assembly lives there because
     [Metrics] depends on [Render], not the reverse). *)

@@ -5,7 +5,6 @@ type stats = { entries : int; hits : int; misses : int; evictions : int }
 type 'a entry = { value : 'a; mutable tick : int }
 
 type 'a t = {
-  name : string;
   capacity : int;
   tbl : (string, 'a entry) Hashtbl.t;
   lock : Mutex.t;
@@ -20,7 +19,6 @@ type 'a t = {
 let create ?(metrics = Metrics.none) ~name ~capacity () =
   let t =
     {
-      name;
       capacity = max 1 capacity;
       tbl = Hashtbl.create 64;
       lock = Mutex.create ();
@@ -37,8 +35,6 @@ let create ?(metrics = Metrics.none) ~name ~capacity () =
   publish "misses" (fun () -> t.n_misses);
   publish "evictions" (fun () -> t.n_evictions);
   t
-
-let name t = t.name
 
 let capacity t = t.capacity
 

@@ -21,10 +21,9 @@ type 'a t
 type stats = { entries : int; hits : int; misses : int; evictions : int }
 
 val create : ?metrics:Ndp_obs.Metrics.t -> name:string -> capacity:int -> unit -> 'a t
-(** [metrics] defaults to the disabled registry (instruments inert,
-    {!stats} still exact). [capacity] is clamped to at least 1. *)
-
-val name : _ t -> string
+(** [name] labels the instruments ([cache=NAME]). [metrics] defaults to
+    the disabled registry (instruments inert, {!stats} still exact).
+    [capacity] is clamped to at least 1. *)
 
 val capacity : _ t -> int
 

@@ -8,9 +8,14 @@
       rendered response body string, so a repeated identical request is
       answered from memory with byte-identical bytes;
     - the {e schedule} cache maps [Key.job_digest] (capture forced on) to
-      the full captured {!Ndp_core.Pipeline.result}, so [Compile] and
-      every [Sweep] over the same job share one compile and sweep
-      variants replay the captured task stream without recompiling.
+      the full captured {!Ndp_core.Pipeline.result}, so a [Compile] and
+      the [Sweep]s of the same job that follow it share one compile and
+      sweep variants replay the captured task stream without recompiling.
+
+    The capacities are fixed: 256 rendered bodies, and one captured
+    schedule (the last), since a capture is a whole compiled job and the
+    only recorded sharing pattern is a compile followed by sweeps of
+    that job.
 
     Instruments in the registry:
     [serve.requests], [serve.errors], [serve.request_ms] (aggregate plus
@@ -38,8 +43,6 @@ type reply = {
 
 val create :
   ?jobs:int ->
-  ?result_capacity:int ->
-  ?schedule_capacity:int ->
   ?metrics:Ndp_obs.Metrics.t ->
   ?clock:(unit -> float) ->
   ?access_log:out_channel ->
@@ -47,16 +50,14 @@ val create :
   unit ->
   t
 (** [jobs] sizes the embedded pool, which runs a sweep's replays and a
-    batch's jobs. Capacities default to 256 result bodies and 64
-    captured schedules. [metrics] defaults to a fresh enabled registry. [clock] (default {!Ndp_obs.Span.default_clock}, so
+    batch's jobs. [metrics] defaults to a fresh enabled registry.
+    [clock] (default {!Ndp_obs.Span.default_clock}, so
     [NDP_FAKE_CLOCK] applies) times requests and spans. [access_log]
     makes {!serve_channels} append one JSONL line per request;
     [slow_ms] makes it print a span breakdown to stderr for requests
     slower than the threshold. *)
 
 val registry : t -> Ndp_obs.Metrics.t
-
-val schedule_cache : t -> Ndp_core.Pipeline.result Cache.t
 
 val handle : t -> Protocol.request -> reply
 (** In-process dispatch — the tests and the bench exercise exactly the

@@ -116,10 +116,41 @@ let table_covers_all_combos () =
       Alcotest.(check bool) (key ^ " frozen") true (List.mem_assoc key expected))
     combos
 
+(* perfbench's compile_suite checks every Plain-mode run against its own
+   frozen copy of these digests, and that copy changes only together with
+   the benchmark. A change that moves a Plain digest here must refresh
+   perfbench/expected_digests.txt with it, or the benchmark reads the new
+   outputs as incorrect. *)
+let perfbench_digests_match () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "../perfbench/expected_digests.txt"
+  in
+  let lines =
+    In_channel.with_open_text path In_channel.input_lines |> List.filter (fun l -> l <> "")
+  in
+  let plain = List.filter (fun (k, _) -> Filename.basename k = "plain") expected in
+  Alcotest.(check int) "one perfbench line per Plain digest" (List.length plain) (List.length lines);
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ key; digest ] -> (
+        match List.assoc_opt key expected with
+        | Some want when want = digest -> ()
+        | Some want ->
+          Alcotest.failf
+            "%s: perfbench/expected_digests.txt has %s, the tier-1 table %s; a moved Plain \
+             digest needs perfbench/expected_digests.txt refreshed in a change to the benchmark"
+            key digest want
+        | None -> Alcotest.failf "%s: perfbench digest has no tier-1 entry" key)
+      | _ -> Alcotest.failf "malformed perfbench digest line %S" line)
+    lines
+
 let tests =
   [
     ( "equiv",
       Alcotest.test_case "table-covers-all-combos" `Quick table_covers_all_combos
+      :: Alcotest.test_case "perfbench's frozen digests are the tier-1 table's" `Quick
+           perfbench_digests_match
       :: List.map
            (fun ((name, scheme, mode) as combo) ->
              Alcotest.test_case

@@ -308,15 +308,37 @@ let cached_replies_byte_identical () =
           Alcotest.(check string) (ctx ^ " fresh body identical") r1.Server.body rf.Server.body)
         (specs_for_suite ()))
 
+(* The [schedules] object of the server's [cache-stats] reply. *)
+let schedule_stats server =
+  let module J = Ndp_obs.Render.Json in
+  let r = Server.handle server Protocol.Cache_stats in
+  let sched =
+    match Result.map (J.member "schedules") (J.parse r.Server.body) with
+    | Ok (Some s) -> s
+    | Ok None -> Alcotest.fail "cache-stats has no schedules object"
+    | Error m -> Alcotest.fail m
+  in
+  let field k =
+    match J.member k sched with
+    | Some (J.Int n) -> n
+    | _ -> Alcotest.failf "cache-stats schedules.%s is not an integer" k
+  in
+  {
+    Cache.entries = field "entries";
+    hits = field "hits";
+    misses = field "misses";
+    evictions = field "evictions";
+  }
+
+let sweep_variants =
+  [
+    { Protocol.v_name = "baseline"; v_overrides = []; v_tweaks = Pipeline.no_tweaks };
+    { Protocol.v_name = "hop8"; v_overrides = [ ("hop_cycles", 8) ]; v_tweaks = Pipeline.no_tweaks };
+  ]
+
 let sweep_reuses_schedule () =
   let spec = Protocol.default_spec ~app:"fft" in
-  let variants =
-    [
-      { Protocol.v_name = "baseline"; v_overrides = []; v_tweaks = Pipeline.no_tweaks };
-      { Protocol.v_name = "hop8"; v_overrides = [ ("hop_cycles", 8) ]; v_tweaks = Pipeline.no_tweaks };
-    ]
-  in
-  let sweep = Protocol.Sweep { spec; variants } in
+  let sweep = Protocol.Sweep { spec; variants = sweep_variants } in
   let warm = Server.create () in
   let fresh = Server.create () in
   Fun.protect
@@ -327,7 +349,7 @@ let sweep_reuses_schedule () =
       let compile = Server.handle warm (Protocol.Compile spec) in
       Alcotest.(check bool) "compile ok" true compile.Server.ok;
       let s1 = Server.handle warm sweep in
-      let sched = Cache.stats (Server.schedule_cache warm) in
+      let sched = schedule_stats warm in
       (* The compile populated the schedule cache; the sweep replayed it. *)
       Alcotest.(check int) "one captured compile" 1 sched.Cache.misses;
       Alcotest.(check int) "sweep reused the capture" 1 sched.Cache.hits;
@@ -338,6 +360,38 @@ let sweep_reuses_schedule () =
          cache state (cold and warm sweeps are byte-identical). *)
       let sf = Server.handle fresh sweep in
       Alcotest.(check string) "cold sweep body identical" s1.Server.body sf.Server.body)
+
+(* One captured schedule is kept, the last: a compile of a second job
+   evicts the first job's capture, a sweep of the job just compiled
+   replays it, and a sweep of the evicted job compiles again, with a body
+   no different from a fresh server's. *)
+let keeps_one_capture () =
+  let sweep app = Protocol.Sweep { spec = Protocol.default_spec ~app; variants = sweep_variants } in
+  let server = Server.create () in
+  let fresh = Server.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Server.shutdown fresh)
+    (fun () ->
+      List.iter
+        (fun req ->
+          let r = Server.handle server req in
+          Alcotest.(check bool) (Protocol.op_name req ^ " ok") true r.Server.ok)
+        [
+          Protocol.Compile (Protocol.default_spec ~app:"fft");
+          Protocol.Compile (Protocol.default_spec ~app:"lu");
+          sweep "lu";
+        ];
+      let fft = Server.handle server (sweep "fft") in
+      Alcotest.(check bool) "fft sweep ok" true fft.Server.ok;
+      let sched = schedule_stats server in
+      Alcotest.(check int) "entries" 1 sched.Cache.entries;
+      Alcotest.(check int) "hits" 1 sched.Cache.hits;
+      Alcotest.(check int) "misses" 3 sched.Cache.misses;
+      Alcotest.(check int) "evictions" 2 sched.Cache.evictions;
+      Alcotest.(check string) "fft sweep body is a fresh server's"
+        (Server.handle fresh (sweep "fft")).Server.body fft.Server.body)
 
 let errors_reported_in_band () =
   let server = Server.create () in
@@ -621,6 +675,17 @@ let cli_bodies_match_service () =
 (* -------------------------------------------------------------------- *)
 (* analyze: one window decision per job.                                 *)
 
+(* The [windows] object of an analyze or compile document. *)
+let json_windows = function
+  | RJ.Obj fields -> (
+    match List.assoc_opt "windows" fields with
+    | Some (RJ.Obj ws) ->
+      List.map
+        (function n, RJ.Int w -> (n, w) | n, _ -> Alcotest.failf "window %s is not an integer" n)
+        ws
+    | _ -> Alcotest.fail "document has no windows object")
+  | _ -> Alcotest.fail "document is not an object"
+
 (* [analyze] prices the windows its own run compiled. barnes, fft and
    raytrace are the kernels whose nests a fresh static context sizes
    differently from the run (whose miss predictor the earlier nests
@@ -630,18 +695,6 @@ let analyze_windows_are_the_runs () =
     List.concat_map
       (fun cluster -> List.map (fun memory -> (cluster, memory)) Config.all_memory_modes)
       Ndp_noc.Cluster.all
-  in
-  let json_windows = function
-    | Ndp_obs.Render.Json.Obj fields -> (
-      match List.assoc_opt "windows" fields with
-      | Some (Ndp_obs.Render.Json.Obj ws) ->
-        List.map
-          (function
-            | n, Ndp_obs.Render.Json.Int w -> (n, w)
-            | n, _ -> Alcotest.failf "window %s is not an integer" n)
-          ws
-      | _ -> Alcotest.fail "analyze document has no windows object")
-    | _ -> Alcotest.fail "analyze document is not an object"
   in
   List.iter
     (fun (cluster, memory) ->
@@ -662,6 +715,88 @@ let analyze_windows_are_the_runs () =
             a_result.Pipeline.windows_chosen (json_windows a_doc))
         [ "barnes"; "fft"; "raytrace" ])
     modes
+
+(* -------------------------------------------------------------------- *)
+(* compile and sweep: the daemon's bodies are in-process runs.           *)
+
+(* The daemon's [compile] body reports the in-process capture run, and
+   each [sweep] row is [Pipeline.replay] of that capture under the
+   variant's config and tweaks. *)
+let compile_and_sweep_bodies_are_in_process () =
+  let variants =
+    sweep_variants
+    @ [
+        {
+          Protocol.v_name = "hop8-scaled";
+          v_overrides = [ ("hop_cycles", 8) ];
+          v_tweaks = { Pipeline.no_tweaks with Pipeline.cost_scale = 2.0 };
+        };
+      ]
+  in
+  let parse (r : Server.reply) =
+    Alcotest.(check bool) "reply ok" true r.Server.ok;
+    match RJ.parse r.Server.body with Ok doc -> doc | Error m -> Alcotest.fail m
+  in
+  let field ctx k doc =
+    match RJ.member k doc with Some v -> v | None -> Alcotest.failf "%s has no %s" ctx k
+  in
+  let check_int ctx k want doc =
+    match field ctx k doc with
+    | RJ.Int got -> Alcotest.(check int) (ctx ^ " " ^ k) want got
+    | _ -> Alcotest.failf "%s %s is not an integer" ctx k
+  in
+  let server = Server.create () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown server)
+    (fun () ->
+      List.iter
+        (fun (app, scheme_name, scheme) ->
+          let ctx = app ^ "/" ^ scheme_name in
+          let spec = { (Protocol.default_spec ~app) with Protocol.scheme = scheme_name } in
+          let job = Pipeline.Job.make ~capture:true scheme (Ndp_workloads.Suite.find app) in
+          let r = Pipeline.Job.run job in
+          let compile = parse (Server.handle server (Protocol.Compile spec)) in
+          Alcotest.(check string) (ctx ^ " schedule_key")
+            (RJ.to_string (RJ.Str (Key.job_digest job)))
+            (RJ.to_string (field ctx "schedule_key" compile));
+          check_int ctx "exec_time" r.Pipeline.exec_time compile;
+          check_int ctx "tasks" r.Pipeline.tasks_emitted compile;
+          check_int ctx "instances" r.Pipeline.num_instances compile;
+          check_int ctx "captured_calls" (List.length r.Pipeline.emitted) compile;
+          Alcotest.(check (list (pair string int)))
+            (ctx ^ " windows") r.Pipeline.windows_chosen (json_windows compile);
+          let sweep = parse (Server.handle server (Protocol.Sweep { spec; variants })) in
+          let rows =
+            match field ctx "variants" sweep with
+            | RJ.List rows -> rows
+            | _ -> Alcotest.failf "%s sweep variants is not a list" ctx
+          in
+          Alcotest.(check int) (ctx ^ " one row per variant") (List.length variants)
+            (List.length rows);
+          List.iter2
+            (fun (v : Protocol.variant) row ->
+              let ctx = ctx ^ " " ^ v.Protocol.v_name in
+              let config =
+                match Ndp_serve.Service.variant_config job.Pipeline.Job.config v with
+                | Ok c -> c
+                | Error m -> Alcotest.fail m
+              in
+              let rp =
+                Pipeline.replay ~config ~tweaks:v.Protocol.v_tweaks job.Pipeline.Job.kernel
+                  r.Pipeline.emitted
+              in
+              let stats = rp.Pipeline.rp_stats in
+              check_int ctx "exec_time" rp.Pipeline.rp_exec_time row;
+              check_int ctx "hops" (Ndp_sim.Stats.hops stats) row;
+              check_int ctx "load_wait" (Ndp_sim.Stats.load_wait stats) row;
+              Alcotest.(check string) (ctx ^ " energy_pj")
+                (RJ.to_string (RJ.Float (Ndp_sim.Energy.total rp.Pipeline.rp_energy)))
+                (RJ.to_string (field ctx "energy_pj" row)))
+            variants rows)
+        [
+          ("fft", "partitioned", Pipeline.Partitioned Pipeline.partitioned_defaults);
+          ("lu", "default", Pipeline.Default);
+        ])
 
 (* -------------------------------------------------------------------- *)
 (* The socket daemon outlives a client that hangs up before its reply.   *)
@@ -778,5 +913,8 @@ let tests =
         Alcotest.test_case "CLI bodies match the service's" `Quick cli_bodies_match_service;
         Alcotest.test_case "daemon survives a client hang-up" `Quick daemon_survives_hangup;
         Alcotest.test_case "analyze windows are the run's" `Slow analyze_windows_are_the_runs;
+        Alcotest.test_case "the daemon keeps one captured schedule" `Quick keeps_one_capture;
+        Alcotest.test_case "compile and sweep bodies are the in-process run's" `Quick
+          compile_and_sweep_bodies_are_in_process;
       ] );
   ]
