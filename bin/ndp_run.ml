@@ -358,19 +358,14 @@ let link_table reg =
   Ndp_prelude.Table.render t
 
 let stats_act spec fuse format =
-  let obs = Ndp_obs.Sink.create ~metrics:true ~trace:false () in
   let job = job_of_flags ~fuse "stats" spec in
-  let r = Pipeline.Job.run ~obs job in
-  let reg = obs.Ndp_obs.Sink.metrics in
+  let o = Service.run ~metrics:true job in
+  let reg = o.Service.sink.Ndp_obs.Sink.metrics in
   let n = Ndp_noc.Mesh.size (Ndp_sim.Config.mesh job.Pipeline.Job.config) in
-  let doc =
-    Render.Json.Obj
-      [ ("result", Service.result_json r); ("metrics", Service.metrics_json reg) ]
-  in
   let human () =
     String.concat "\n"
       [
-        Service.result_human r;
+        Service.result_human o.Service.result;
         "";
         "per-node:";
         node_table reg n;
@@ -378,7 +373,7 @@ let stats_act spec fuse format =
         link_table reg;
       ]
   in
-  print_endline (Render.output format ~human doc)
+  print_endline (Render.output format ~human o.Service.doc)
 
 (* ------------------------------------------------------------------ *)
 (* inject: deterministic fault injection + schedule repair             *)

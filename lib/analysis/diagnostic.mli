@@ -32,8 +32,6 @@ val makef :
 
 val is_error : t -> bool
 
-val count : severity -> t list -> int
-
 val compare_diag : t -> t -> int
 (** Orders errors before warnings before infos, then by code. *)
 

@@ -1,18 +1,28 @@
-type options = {
+type window_policy = Adaptive | Fixed of int
+
+type part_options = {
+  window : window_policy;
   reuse_aware : bool;
   sync_minimize : bool;
   level_based : bool;
   balance_threshold : float;
-  ideal_location : bool;
+  ideal_data : bool;
+  use_inspector : bool;
+  fuse : bool;
+  fuse_capacity : int option;
 }
 
-let default_options (config : Ndp_sim.Config.t) =
+let partitioned_defaults =
   {
+    window = Adaptive;
     reuse_aware = true;
     sync_minimize = true;
     level_based = true;
-    balance_threshold = config.Ndp_sim.Config.balance_threshold;
-    ideal_location = false;
+    balance_threshold = 0.10;
+    ideal_data = false;
+    use_inspector = true;
+    fuse = false;
+    fuse_capacity = None;
   }
 
 type t = {
@@ -35,8 +45,11 @@ type t = {
   mutable next_task : int;
   repair : Ndp_fault.Plan.t option;
   mutable remapped_tasks : int;
-  options : options;
+  options : part_options;
 }
+
+(* Blocks the compiler's L2 miss predictor tracks. *)
+let predictor_capacity_blocks = 1024
 
 let create ~machine ~runtime_resolve ~indirect_known ~arrays ?repair ~options () =
   let config = Ndp_sim.Machine.config machine in
@@ -44,9 +57,7 @@ let create ~machine ~runtime_resolve ~indirect_known ~arrays ?repair ~options ()
   {
     machine;
     config;
-    predictor =
-      Ndp_mem.Miss_predictor.create
-        ~capacity_blocks:config.Ndp_sim.Config.predictor_capacity_blocks map;
+    predictor = Ndp_mem.Miss_predictor.create ~capacity_blocks:predictor_capacity_blocks map;
     runtime_resolve;
     indirect_known;
     arrays;

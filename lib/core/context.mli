@@ -1,6 +1,17 @@
 (** Shared compilation state threaded through the partitioning pass. *)
 
-type options = {
+(** {1 Pass options}
+
+    The one record of the pass's switches. {!Pipeline} re-exports it
+    under the same names as the [Partitioned] scheme's payload; the
+    context reads it directly. *)
+
+type window_policy =
+  | Adaptive  (** size each nest with {!Window.choose_size} *)
+  | Fixed of int  (** one size for every nest; non-positive runs as 1 *)
+
+type part_options = {
+  window : window_policy;
   reuse_aware : bool;
       (** consult the variable2node map when locating data (multi-statement
           L1 reuse, Section 4.3) *)
@@ -9,12 +20,22 @@ type options = {
       (** honour nested-set priority levels; when [false] the splitter
           flattens the statement (ablation) *)
   balance_threshold : float; (** load-balance slack, 0.10 in the paper *)
-  ideal_location : bool;
+  ideal_data : bool;
       (** resolve locations from ground truth instead of the predictor
           (the "ideal data analysis" scenario, Section 6.4) *)
+  use_inspector : bool; (** executor phase for indirect accesses *)
+  fuse : bool;
+      (** producer→consumer fusion ({!Fusion}): chains schedule as one
+          Kruskal vertex and intermediate write-backs never cross the NoC *)
+  fuse_capacity : int option;
+      (** footprint bound in bytes for one fused chain; [None] uses the
+          configured L1 size, [Some 0] makes fusion the identity pass *)
 }
 
-val default_options : Ndp_sim.Config.t -> options
+val partitioned_defaults : part_options
+(** Adaptive window, reuse-aware, sync-minimized, level-based, 10%
+    balance threshold, inspector enabled, no fusion — the paper's full
+    scheme. *)
 
 type t = {
   machine : Ndp_sim.Machine.t;
@@ -41,7 +62,7 @@ type t = {
       (** when set, partitioning plans against the faulted mesh *)
   mutable remapped_tasks : int;
       (** subcomputations moved off avoided nodes by {!Schedule.repair} *)
-  options : options;
+  options : part_options;
 }
 
 val create :
@@ -50,7 +71,7 @@ val create :
   indirect_known:bool ->
   arrays:Ndp_ir.Array_decl.t list ->
   ?repair:Ndp_fault.Plan.t ->
-  options:options ->
+  options:part_options ->
   unit ->
   t
 

@@ -26,7 +26,7 @@ let locate (ctx : Context.t) ~store_node (m : Staged.meta) k =
     { ref_; index = k; node = store_node; in_l1 = false; predicted_hit = None; va = None; bytes }
   | Some node -> at node ~in_l1:true None
   | None ->
-    let machine = ctx.machine and ideal = ctx.options.Context.ideal_location in
+    let machine = ctx.machine and ideal = ctx.options.Context.ideal_data in
     let hit =
       if ideal then Ndp_sim.Machine.probe_l2 machine ~va
       else

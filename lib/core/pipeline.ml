@@ -5,36 +5,23 @@ module Task = Ndp_sim.Task
 module Dep = Ndp_ir.Dependence
 module Loop = Ndp_ir.Loop
 
-type window_policy = Adaptive | Fixed of int
+type window_policy = Context.window_policy = Adaptive | Fixed of int
 
-type part_options = {
+type part_options = Context.part_options = {
   window : window_policy;
   reuse_aware : bool;
   sync_minimize : bool;
   level_based : bool;
-  balance_threshold : float option;
+  balance_threshold : float;
   ideal_data : bool;
   use_inspector : bool;
   fuse : bool;
   fuse_capacity : int option;
-      (** footprint bound in bytes for one fused chain; [None] uses the
-          configured L1 size, [Some 0] makes fusion the identity pass *)
 }
 
 type scheme = Default | Partitioned of part_options
 
-let partitioned_defaults =
-  {
-    window = Adaptive;
-    reuse_aware = true;
-    sync_minimize = true;
-    level_based = true;
-    balance_threshold = None;
-    ideal_data = false;
-    use_inspector = true;
-    fuse = false;
-    fuse_capacity = None;
-  }
+let partitioned_defaults = Context.partitioned_defaults
 
 type tweaks = {
   l1_boost : float;
@@ -191,27 +178,19 @@ let release ~obs pair =
   then Domain.DLS.get idle := Some pair
 
 let make_context ?repair ~machine scheme kernel =
-  let config = Machine.config machine in
   let opts = match scheme with Partitioned o -> o | Default -> partitioned_defaults in
   let insp = Kernel.inspector kernel in
   if opts.use_inspector then Ndp_ir.Inspector.run insp;
   let address_of = Kernel.address_of kernel in
   let runtime_resolve = Ndp_ir.Inspector.runtime_resolver insp ~address_of in
-  let ctx_options =
-    {
-      Context.reuse_aware = opts.reuse_aware;
-      sync_minimize = opts.sync_minimize;
-      level_based = opts.level_based;
-      balance_threshold =
-        Option.value opts.balance_threshold ~default:config.Config.balance_threshold;
-      ideal_location = opts.ideal_data;
-    }
-  in
   Context.create ~machine ~runtime_resolve
     ~indirect_known:(opts.ideal_data || Ndp_ir.Inspector.has_run insp)
-    ~arrays:kernel.Kernel.program.Loop.arrays ?repair ~options:ctx_options ()
+    ~arrays:kernel.Kernel.program.Loop.arrays ?repair ~options:opts ()
 
 let line_of config va = va / config.Config.line_bytes
+
+(* Largest window size the adaptive policy searches: 8 in the paper. *)
+let max_window = 8
 
 (* The record request behind every entry point: one value carries every
    input of a compile+simulate run, so jobs can be hashed
@@ -389,7 +368,7 @@ let run_job ?(obs = Ndp_obs.Sink.none) (j : job) =
         let w =
           match opts.window with
           | Fixed k -> Int.max 1 k
-          | Adaptive -> Window.choose_size ctx metas ~max:config.Config.max_window
+          | Adaptive -> Window.choose_size ctx metas ~max:max_window
         in
         Ndp_obs.Span.attr_int spans sp_w "w" w;
         Ndp_obs.Span.exit spans sp_w;

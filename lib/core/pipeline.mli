@@ -7,31 +7,28 @@
     (the profiling-on-beginning-iterations effect of Section 4.5), and the
     simulated L1s see exactly the schedule the compiler produced. *)
 
-type window_policy =
-  | Adaptive  (** size each nest with {!Window.choose_size} *)
-  | Fixed of int  (** one size for every nest; non-positive runs as 1 *)
+(** The pass options, re-exported from {!Context} where they are
+    defined and documented: the [Partitioned] scheme's one options
+    record, read by the context as is. *)
 
-type part_options = {
+type window_policy = Context.window_policy = Adaptive | Fixed of int
+
+type part_options = Context.part_options = {
   window : window_policy;
-  reuse_aware : bool; (** variable2node reuse (Section 4.3) *)
-  sync_minimize : bool; (** transitive-closure sync elimination *)
-  level_based : bool; (** nested-set priority levels *)
-  balance_threshold : float option; (** [None]: the config's 10% *)
-  ideal_data : bool; (** perfect analysis + location (Section 6.4) *)
-  use_inspector : bool; (** executor phase for indirect accesses *)
+  reuse_aware : bool;
+  sync_minimize : bool;
+  level_based : bool;
+  balance_threshold : float;
+  ideal_data : bool;
+  use_inspector : bool;
   fuse : bool;
-      (** producer→consumer fusion ({!Fusion}): chains schedule as one
-          Kruskal vertex and intermediate write-backs never cross the NoC *)
   fuse_capacity : int option;
-      (** footprint bound in bytes for one fused chain; [None] uses the
-          configured L1 size, [Some 0] makes fusion the identity pass *)
 }
 
 type scheme = Default | Partitioned of part_options
 
 val partitioned_defaults : part_options
-(** Adaptive window, reuse-aware, sync-minimized, level-based, inspector
-    enabled — the paper's full scheme. *)
+(** {!Context.partitioned_defaults}: the paper's full scheme. *)
 
 val scheme_name : scheme -> string
 

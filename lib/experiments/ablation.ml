@@ -9,16 +9,9 @@ let exec (r : Pipeline.result) = r.Pipeline.exec_time
 let imp def r = Common.improvement ~base:def ~opt:(exec r)
 
 let partitioned ?(window = Pipeline.Fixed 4) ?(reuse_aware = true) ?(sync_minimize = true)
-    ?(level_based = true) ?balance_threshold () =
+    ?(level_based = true) () =
   Pipeline.Partitioned
-    {
-      Pipeline.partitioned_defaults with
-      Pipeline.window;
-      reuse_aware;
-      sync_minimize;
-      level_based;
-      balance_threshold;
-    }
+    { Pipeline.partitioned_defaults with Pipeline.window; reuse_aware; sync_minimize; level_based }
 
 (* Like the figures, each ablation computes per-app cells across the
    common pool and renders rows serially in suite order. *)
@@ -88,7 +81,8 @@ let balance common =
             (fun b ->
               let r =
                 Common.run common
-                  (partitioned ~window:Pipeline.Adaptive ~balance_threshold:b ())
+                  (Pipeline.Partitioned
+                     { Pipeline.partitioned_defaults with Pipeline.balance_threshold = b })
                   k
               in
               Table.cell_pct (imp def r))

@@ -1,21 +1,8 @@
 (** Ablations of the design choices DESIGN.md calls out. *)
 
-val reuse : Common.t -> unit
-(** Reuse-aware vs reuse-agnostic fixed windows (Section 6.3 reports the
-    agnostic variant ~11% worse). *)
-
-val levels : Common.t -> unit
-(** Level-based nested-set splitting vs a flat splitter that ignores
-    operator priority. *)
-
-val sync_minimization : Common.t -> unit
-(** Transitive-closure sync elimination on vs off. *)
-
-val balance : Common.t -> unit
-(** Load-balance threshold sweep around the paper's 10%. *)
-
-val coloring : Common.t -> unit
-(** Page-coloring OS support vs a scrambling allocator (location inference
-    broken). *)
-
 val all : Common.t -> unit
+(** In order: reuse-aware vs reuse-agnostic fixed windows (Section 6.3
+    reports the agnostic variant ~11% worse); level-based vs flat
+    nested-set splitting; transitive-closure sync elimination on vs off;
+    the load-balance threshold sweep around the paper's 10%; page-coloring
+    OS support vs a scrambling allocator (location inference broken). *)

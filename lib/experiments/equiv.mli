@@ -10,14 +10,10 @@
 
 type mode = Plain | Faulted | Profiled
 
-val mode_name : mode -> string
-
 val modes : mode list
 
 val schemes : Ndp_core.Pipeline.scheme list
 (** [Default] and the full partitioned scheme, in that order. *)
-
-val fault_seed : int
 
 val run :
   ?config:Ndp_sim.Config.t ->

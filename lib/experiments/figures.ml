@@ -376,7 +376,7 @@ let fig23 common =
             Ndp_core.Context.create ~machine
               ~runtime_resolve:(fun _ _ -> None) ~indirect_known:false
               ~arrays:k.Ndp_core.Kernel.program.Ndp_ir.Loop.arrays
-              ~options:(Ndp_core.Context.default_options Config.default) ()
+              ~options:Ndp_core.Context.partitioned_defaults ()
           in
           Ndp_core.Data_mapping.profile ctx ~accesses
         in
@@ -495,21 +495,3 @@ let summary common =
   let acc = List.fold_left (fun acc (cell, _) -> cell :: acc) [] cells in
   Table.add_row t [ "geomean(exec)"; pct (Common.geomean_improvement acc) ];
   Table.print t
-
-let all common =
-  fig13 common;
-  fig14 common;
-  fig15 common;
-  fig16 common;
-  fig17 common;
-  fig18 common;
-  fig19 common;
-  link_heatmap common;
-  attribution common;
-  degradation common;
-  fig20 common;
-  fig21 common;
-  fig22 common;
-  fig23 common;
-  fig24 common;
-  summary common

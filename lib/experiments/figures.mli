@@ -65,5 +65,3 @@ val summary : Common.t -> unit
 (** One table with the headline per-application improvements (execution
     time, data movement, L1 hit rate, energy) — the numbers the paper's
     abstract quotes. *)
-
-val all : Common.t -> unit

@@ -11,8 +11,6 @@ module Rng = Ndp_prelude.Rng
 type t = {
   mesh : Mesh.t;
   seed : int;
-  retry_timeout : int;
-  max_retries : int;
   killed : bool array; (* by Mesh.link_index *)
   factor : float array; (* service-time multiplier, by Mesh.link_index *)
   stalls : (int * int) list array; (* per node, sorted (start, len) *)
@@ -21,9 +19,10 @@ type t = {
   dist : int array; (* n*n memo; -1 = not yet computed *)
 }
 
+let retry_timeout = 256
+let max_retries = 3
+
 let seed t = t.seed
-let retry_timeout t = t.retry_timeout
-let max_retries t = t.max_retries
 let link_killed t i = t.killed.(i)
 let link_factor t i = t.factor.(i)
 let mc_factor t node = t.mc_mult.(node)
@@ -59,7 +58,7 @@ let avoided_nodes t =
    as expensive as the simulator will make it. *)
 let link_weight t link =
   let i = Mesh.link_index t.mesh link in
-  if t.killed.(i) then max 4 (t.max_retries * t.retry_timeout / 16)
+  if t.killed.(i) then max 4 (max_retries * retry_timeout / 16)
   else int_of_float (ceil t.factor.(i))
 
 let distance t u v =
@@ -102,8 +101,7 @@ let counts t =
 let describe t =
   let buf = Buffer.create 128 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  add "seed=%d retry_timeout=%d max_retries=%d" t.seed t.retry_timeout
-    t.max_retries;
+  add "seed=%d retry_timeout=%d max_retries=%d" t.seed retry_timeout max_retries;
   List.iter
     (fun link ->
       if link.Mesh.from_node < link.Mesh.to_node then begin
@@ -151,9 +149,7 @@ let undirected_pairs mesh =
   |> List.map (fun l -> (l.Mesh.from_node, l.Mesh.to_node))
   |> Array.of_list
 
-let make ~mesh ~seed ?(retry_timeout = 256) ?(max_retries = 3) events =
-  if retry_timeout <= 0 then invalid_arg "Ndp_fault.Plan: retry_timeout <= 0";
-  if max_retries <= 0 then invalid_arg "Ndp_fault.Plan: max_retries <= 0";
+let make ~mesh ~seed events =
   let n = Mesh.size mesh in
   let num_links = Mesh.num_links mesh in
   let killed = Array.make num_links false in
@@ -224,8 +220,6 @@ let make ~mesh ~seed ?(retry_timeout = 256) ?(max_retries = 3) events =
   {
     mesh;
     seed;
-    retry_timeout;
-    max_retries;
     killed;
     factor;
     stalls;
@@ -239,7 +233,7 @@ let empty ~mesh = make ~mesh ~seed:0 []
 (* ------------------------------------------------------------------ *)
 (* Spec mini-language                                                  *)
 
-let parse ~mesh ~seed ?retry_timeout ?max_retries spec =
+let parse ~mesh ~seed spec =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let int_of s =
     match int_of_string_opt (String.trim s) with
@@ -331,6 +325,6 @@ let parse ~mesh ~seed ?retry_timeout ?max_retries spec =
         collect (ev :: acc) rest
   in
   let* events = collect [] items in
-  match make ~mesh ~seed ?retry_timeout ?max_retries events with
+  match make ~mesh ~seed events with
   | plan -> Ok plan
   | exception Invalid_argument msg -> Error msg

@@ -27,25 +27,10 @@ type event =
   | Mc_slow of int * float
       (** multiply memory latency behind the MC nearest to this node *)
 
-val make :
-  mesh:Ndp_noc.Mesh.t ->
-  seed:int ->
-  ?retry_timeout:int ->
-  ?max_retries:int ->
-  event list ->
-  t
-(** Resolve events into a concrete plan. [retry_timeout] (default 256) is
-    the cycles lost per timed-out send attempt on a killed link;
-    [max_retries] (default 3) bounds the attempts before the message is
-    forced through on the degraded maintenance path. *)
+val make : mesh:Ndp_noc.Mesh.t -> seed:int -> event list -> t
+(** Resolve events into a concrete plan. *)
 
-val parse :
-  mesh:Ndp_noc.Mesh.t ->
-  seed:int ->
-  ?retry_timeout:int ->
-  ?max_retries:int ->
-  string ->
-  (t, string) result
+val parse : mesh:Ndp_noc.Mesh.t -> seed:int -> string -> (t, string) result
 (** Parse a comma-separated fault spec. Grammar (whitespace-free):
     - [kill=N] — kill N random links; [kill=A>B] — kill link A<->B
     - [slow=NxF] — degrade N random links by factor F; [slow=A>BxF]
@@ -60,8 +45,13 @@ val empty : mesh:Ndp_noc.Mesh.t -> t
 val is_empty : t -> bool
 
 val seed : t -> int
-val retry_timeout : t -> int
-val max_retries : t -> int
+
+val retry_timeout : int
+(** 256: the cycles lost per timed-out send attempt on a killed link. *)
+
+val max_retries : int
+(** 3: the attempts on a killed link before the message is forced through
+    on the degraded maintenance path. *)
 
 val link_killed : t -> int -> bool
 (** Indexed by {!Ndp_noc.Mesh.link_index}. *)

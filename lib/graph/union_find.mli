@@ -12,9 +12,6 @@ val reset : t -> unit
 val capacity : t -> int
 (** The [n] the structure was created with. *)
 
-val find : t -> int -> int
-(** Representative of the set containing the element. *)
-
 val union : t -> int -> int -> bool
 (** Merge the two sets; [false] when already in the same set. *)
 

@@ -19,10 +19,6 @@ val run : t -> unit
 
 val has_run : t -> bool
 
-val lookup : t -> string -> int -> int
-(** Ground-truth index-array read (always available to the {e runtime}).
-    Raises [Not_found] for undeclared arrays; indices wrap. *)
-
 val runtime_resolver : t -> address_of:(string -> int -> int) -> Dependence.resolver
 (** Resolves every reference using ground truth — what the hardware does. *)
 

@@ -12,7 +12,6 @@ let create ?(line_bits = 6) ?(page_bits = 12) ?(channel_bits = 2) ?(rank_bits = 
   if num_l2_banks <= 0 then invalid_arg "Addr_map.create: need at least one L2 bank";
   { line_bits; page_bits; channel_bits; rank_bits; dram_bank_bits; num_l2_banks }
 
-let line_bits t = t.line_bits
 let page_bits t = t.page_bits
 let num_channels t = 1 lsl t.channel_bits
 

@@ -20,7 +20,6 @@ val create :
 (** Defaults follow the paper: 64B lines ([line_bits = 6]), 4KB pages
     ([page_bits = 12]), 4 channels, 4 ranks per channel, 8 banks per rank. *)
 
-val line_bits : t -> int
 val page_bits : t -> int
 val num_channels : t -> int
 

@@ -116,6 +116,3 @@ let clear t =
   t.hits <- 0;
   t.misses <- 0;
   t.evictions <- 0
-
-let num_sets t = t.num_sets
-let assoc t = t.assoc

@@ -35,6 +35,3 @@ val evictions : t -> int
 val clear : t -> unit
 (** Drop all contents and statistics: the cache is then indistinguishable
     from a freshly created one of the same geometry. *)
-
-val num_sets : t -> int
-val assoc : t -> int

@@ -40,6 +40,4 @@ let mc_node t addr =
   let channel = Addr_map.channel t.map addr in
   Ndp_noc.Cluster.mc_for t.cluster t.mesh ~home_bank ~channel
 
-let mesh t = t.mesh
-let cluster t = t.cluster
 let addr_map t = t.map

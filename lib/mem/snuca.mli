@@ -27,6 +27,4 @@ val note_lookups : t -> bank:int -> count:int -> unit
 val mc_node : t -> int -> int
 (** Node id of the memory controller servicing an L2 miss on the address. *)
 
-val mesh : t -> Ndp_noc.Mesh.t
-val cluster : t -> Ndp_noc.Cluster.t
 val addr_map : t -> Addr_map.t

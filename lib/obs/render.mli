@@ -25,9 +25,6 @@ module Json : sig
     | List of t list
     | Obj of (string * t) list
 
-  val escape : string -> string
-  (** A quoted JSON string literal with the mandatory escapes. *)
-
   val to_string : t -> string
   (** Compact single-line rendering. Non-finite floats render as [null]
       (JSON has no spelling for them). *)
@@ -63,14 +60,6 @@ module Prom : sig
   (** Split an exploded registry sample name ([base] or [base{label}])
       into the family name and its label pairs: [k=v] labels become
       [(k, v)]; a label without ['='] is kept whole as [("label", l)]. *)
-
-  val escape_label_value : string -> string
-  (** Backslash-escape backslash, double-quote and newline for a quoted
-      label value. *)
-
-  val labels_to_string : (string * string) list -> string
-  (** [{k="v",...}], or [""] for no labels. Keys are {!mangle}d, values
-      {!escape_label_value}d. *)
 
   val float_repr : float -> string
   (** Prometheus float spelling: integers bare, non-finite as

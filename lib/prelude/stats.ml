@@ -31,7 +31,5 @@ let percentile p = function
     let rank = max 1 (min n rank) in
     List.nth sorted (rank - 1)
 
-let ratio num den = if den = 0.0 then 0.0 else num /. den
-
 let improvement_pct base opt =
   if base = 0.0 then 0.0 else (base -. opt) /. base *. 100.0

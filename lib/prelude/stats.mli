@@ -16,11 +16,6 @@ val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,100\]], nearest-rank on sorted data.
     Raises [Invalid_argument] on []. *)
 
-val sum : float list -> float
-
-val ratio : float -> float -> float
-(** [ratio num den] is [num /. den], or 0 when [den = 0]. *)
-
 val improvement_pct : float -> float -> float
 (** [improvement_pct base opt] is the percent reduction of [opt] relative to
     [base]: [(base - opt) / base * 100]; 0 when [base = 0]. *)

@@ -5,8 +5,8 @@ module Plan = Ndp_fault.Plan
 
 (* Every [Config.t] field participates in the key: a key that kept only
    cluster/memory/page-policy would let configs differing in (for example)
-   balance threshold, mesh dimensions, window bound or MCDRAM capacity
-   alias each other's memoized results. Floats are rendered in hex ([%h])
+   mesh dimensions, a latency or MCDRAM capacity alias each other's
+   memoized results. Floats are rendered in hex ([%h])
    so distinct values can never round to the same key. *)
 let config (c : Config.t) =
   String.concat ","
@@ -35,12 +35,9 @@ let config (c : Config.t) =
       string_of_bool c.Config.coherence;
       string_of_bool c.Config.prefetch_next_line;
       Printf.sprintf "%h" c.Config.mlp_overlap;
-      Printf.sprintf "%h" c.Config.balance_threshold;
-      string_of_int c.Config.max_window;
       (match c.Config.page_policy with
       | Ndp_mem.Page_alloc.Coloring -> "col"
       | Ndp_mem.Page_alloc.Scrambled -> "scr");
-      string_of_int c.Config.predictor_capacity_blocks;
       string_of_int c.Config.seed;
     ]
 
@@ -57,12 +54,12 @@ let tweaks (tw : Pipeline.tweaks) =
 let scheme = function
   | Pipeline.Default -> "default"
   | Pipeline.Partitioned o ->
-    Printf.sprintf "part(w=%s,r=%b,s=%b,l=%b,bt=%s,id=%b,insp=%b,f=%b,fc=%s)"
+    Printf.sprintf "part(w=%s,r=%b,s=%b,l=%b,bt=%h,id=%b,insp=%b,f=%b,fc=%s)"
       (match o.Pipeline.window with
       | Pipeline.Adaptive -> "a"
       | Pipeline.Fixed k -> string_of_int k)
       o.Pipeline.reuse_aware o.Pipeline.sync_minimize o.Pipeline.level_based
-      (match o.Pipeline.balance_threshold with None -> "-" | Some f -> Printf.sprintf "%h" f)
+      o.Pipeline.balance_threshold
       o.Pipeline.ideal_data o.Pipeline.use_inspector o.Pipeline.fuse
       (match o.Pipeline.fuse_capacity with None -> "-" | Some c -> string_of_int c)
 
@@ -108,8 +105,7 @@ let kernel (k : Kernel.t) =
 let fault = function
   | None -> ""
   | Some p ->
-    Printf.sprintf "f(seed=%d,rt=%d,mr=%d,%s)" (Plan.seed p) (Plan.retry_timeout p)
-      (Plan.max_retries p) (Plan.describe p)
+    Printf.sprintf "f(seed=%d,%s)" (Plan.seed p) (Plan.describe p)
 
 let job (j : Pipeline.Job.t) =
   String.concat "#"

@@ -165,8 +165,8 @@ let plan_json plan ~spec ~repair =
     [
       ("spec", Render.Json.Str spec);
       ("seed", Render.Json.Int (Plan.seed plan));
-      ("retry_timeout", Render.Json.Int (Plan.retry_timeout plan));
-      ("max_retries", Render.Json.Int (Plan.max_retries plan));
+      ("retry_timeout", Render.Json.Int Plan.retry_timeout);
+      ("max_retries", Render.Json.Int Plan.max_retries);
       ("links_killed", Render.Json.Int killed);
       ("links_degraded", Render.Json.Int degraded);
       ("nodes_stalled", Render.Json.Int stalled);

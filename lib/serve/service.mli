@@ -35,8 +35,6 @@ val result_human : Ndp_core.Pipeline.result -> string
 
 val result_json : Ndp_core.Pipeline.result -> Ndp_obs.Render.Json.t
 
-val metrics_json : Ndp_obs.Metrics.t -> Ndp_obs.Render.Json.t
-
 val link_flits_total : Ndp_obs.Metrics.t -> int
 (** Sum of [noc.link_flits{..}] over every link — the ledger
     reconciliation target. *)

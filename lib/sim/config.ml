@@ -25,10 +25,7 @@ type t = {
   coherence : bool;
   prefetch_next_line : bool;
   mlp_overlap : float;
-  balance_threshold : float;
-  max_window : int;
   page_policy : Ndp_mem.Page_alloc.policy;
-  predictor_capacity_blocks : int;
   seed : int;
 }
 
@@ -58,10 +55,7 @@ let default =
     coherence = true;
     prefetch_next_line = false;
     mlp_overlap = 0.85;
-    balance_threshold = 0.10;
-    max_window = 8;
     page_policy = Ndp_mem.Page_alloc.Coloring;
-    predictor_capacity_blocks = 1024;
     seed = 42;
   }
 

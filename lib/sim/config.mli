@@ -1,4 +1,9 @@
-(** Machine configuration for the KNL-like simulated manycore.
+(** The simulated KNL-like manycore, and nothing else: mesh shape, modes,
+    cache geometry, latencies, memory-system flags, page policy and the
+    seed. The partitioning pass's switches (window policy, reuse, sync
+    minimization, levels, the load-balance threshold) are
+    [Ndp_core.Context.part_options], and the compiler's own constants
+    sit next to their readers.
 
     The default models a 6x6 tile mesh (Section 6.1) with corner memory
     controllers, quadrant cluster mode and flat memory mode. All latency
@@ -40,10 +45,7 @@ type t = {
   mlp_overlap : float;
       (** fraction of memory-stall time hidden by outstanding misses; the
           rest blocks the core's task queue *)
-  balance_threshold : float; (** load-balance slack, 10% in the paper *)
-  max_window : int; (** largest window size searched, 8 in the paper *)
   page_policy : Ndp_mem.Page_alloc.policy;
-  predictor_capacity_blocks : int;
   seed : int;
 }
 

@@ -145,8 +145,6 @@ let set_tweaks t ~cost_scale ~extra_syncs =
   t.cost_scale <- cost_scale;
   t.extra_syncs <- extra_syncs
 
-let machine t = t.machine
-
 let stats t = t.stats
 
 let no_load ~va:_ _ = ()

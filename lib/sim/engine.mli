@@ -36,8 +36,6 @@ val set_tweaks : t -> cost_scale:float -> extra_syncs:int -> unit
     and every task awaits [extra_syncs] more synchronizations. The tasks
     themselves are not changed. *)
 
-val machine : t -> Machine.t
-
 val stats : t -> Stats.t
 
 val run : ?on_load:(va:int -> Machine.level -> unit) -> t -> Task.t list -> unit

@@ -74,9 +74,6 @@ val store_local : t -> node:int -> va:int -> bytes:int -> time:int -> stats:Stat
     NoC. Legal only when the fusion pass proved every consumer of the
     value runs on this node. *)
 
-val translate : t -> int -> int
-(** VA -> PA under the configured page policy. *)
-
 val compiler_translate : t -> int -> int
 (** The compiler's view of the translation (see {!Ndp_mem.Page_alloc}). *)
 

@@ -174,10 +174,9 @@ let send t ~time ~src ~dst ~bytes ~stats =
             else int_of_float (ceil (float_of_int service *. f))
           in
           if Plan.link_killed plan idx then begin
-            let retries = Plan.max_retries plan in
-            Metrics.add t.fault_retries retries;
+            Metrics.add t.fault_retries Plan.max_retries;
             Metrics.incr t.fault_drops;
-            now := !now + (retries * Plan.retry_timeout plan)
+            now := !now + (Plan.max_retries * Plan.retry_timeout)
           end;
           now := traverse t !now idx ~flits ~service
         done);
@@ -194,5 +193,3 @@ let send t ~time ~src ~dst ~bytes ~stats =
     Trace.message t.trace ~src ~dst ~depart:time ~arrival ~bytes;
     arrival
   end
-
-let mesh t = t.mesh

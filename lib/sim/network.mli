@@ -40,5 +40,3 @@ val set_distance_factor : t -> float -> unit
     code's data-movement costs on the default placement, and with factor 0
     by the ideal-network scenario (Section 6.4). Hop and latency statistics
     are scaled accordingly. *)
-
-val mesh : t -> Ndp_noc.Mesh.t

@@ -42,7 +42,6 @@ let syncs t = t.(11)
 let tasks t = t.(12)
 let finish_time t = t.(13)
 let load_wait t = t.(14)
-let result_wait t = t.(15)
 let invalidations t = t.(16)
 let prefetches t = t.(17)
 

@@ -47,9 +47,6 @@ val finish_time : t -> int
 val load_wait : t -> int
 (** Cycles tasks waited on memory operands. *)
 
-val result_wait : t -> int
-(** Cycles tasks waited on partial results. *)
-
 val invalidations : t -> int
 (** L1 copies killed by remote stores. *)
 

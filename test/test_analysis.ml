@@ -187,7 +187,7 @@ let flow_trace ?(sync_arcs = []) ?(result_arc = false) ?(serialized = false) () 
     Ndp_core.Context.create
       ~machine:(Ndp_sim.Machine.create Ndp_sim.Config.default)
       ~runtime_resolve:resolver ~indirect_known:false ~arrays:decls
-      ~options:(Ndp_core.Context.default_options Ndp_sim.Config.default) ()
+      ~options:Ndp_core.Context.partitioned_defaults ()
   in
   let meta group stmt_idx stmt =
     List.hd (Ndp_core.Staged.make ctx [ (group, group, { Dep.stmt_idx; stmt; env }) ])

@@ -7,7 +7,7 @@ module Task = Ndp_sim.Task
    8 bytes; predictor state is cold, so locations resolve to MC nodes
    unless we warm the predictor first — [warm] marks lines recently seen
    so GetNode answers with the L2 home. *)
-let fixture ?(config = Ndp_sim.Config.default) ?(options = None) placements =
+let fixture ?(config = Ndp_sim.Config.default) ?(options = Context.partitioned_defaults) placements =
   let machine = Ndp_sim.Machine.create config in
   let arrays =
     Ndp_ir.Array_decl.layout (List.map (fun (name, _) -> (name, 64, 8)) placements)
@@ -18,12 +18,8 @@ let fixture ?(config = Ndp_sim.Config.default) ?(options = None) placements =
     | Some _ -> Some (va_of r.Ndp_ir.Reference.array)
     | None -> None
   in
-  let opts =
-    match options with Some o -> o | None -> Context.default_options config
-  in
   let ctx =
-    Context.create ~machine ~runtime_resolve:resolve ~indirect_known:false ~arrays
-      ~options:opts ()
+    Context.create ~machine ~runtime_resolve:resolve ~indirect_known:false ~arrays ~options ()
   in
   (* Warm the predictor so every placement is predicted L2-resident and
      GetNode returns the home bank, as in the paper's figures. *)
@@ -313,7 +309,7 @@ let baseline_assignment () =
   let machine = Ndp_sim.Machine.create Ndp_sim.Config.default in
   let ctx =
     Context.create ~machine ~runtime_resolve:resolve ~indirect_known:false ~arrays
-      ~options:(Context.default_options Ndp_sim.Config.default) ()
+      ~options:Context.partitioned_defaults ()
   in
   let nest =
     Ndp_ir.Loop.nest ~sweeps:2 "n"
@@ -408,6 +404,24 @@ let reference_free_group_validates () =
   in
   Alcotest.(check int) "no E301/E302" 0 (List.length races);
   Alcotest.(check bool) "tasks emitted" true (r.Pipeline.tasks_emitted > 0)
+
+(* The 10% rule's slack is a pass option: the thresholds at either end of
+   the ablation sweep must schedule fft differently, and the paper's 0.10
+   must be exactly the default scheme. *)
+let balance_threshold_reaches_balancer () =
+  let kernel = Ndp_workloads.Suite.find "fft" in
+  let emitted balance_threshold =
+    let opts = { Pipeline.partitioned_defaults with Pipeline.balance_threshold } in
+    (Pipeline.Job.run (Pipeline.Job.make ~capture:true (Pipeline.Partitioned opts) kernel))
+      .Pipeline.emitted
+  in
+  let defaults =
+    (Pipeline.Job.run
+       (Pipeline.Job.make ~capture:true (Pipeline.Partitioned Pipeline.partitioned_defaults) kernel))
+      .Pipeline.emitted
+  in
+  Alcotest.(check bool) "0.0 and 1.0 schedule differently" true (emitted 0.0 <> emitted 1.0);
+  Alcotest.(check bool) "0.10 is the default scheme" true (emitted 0.10 = defaults)
 
 let schedule_rejects_non_tree () =
   let ctx, _ = fixture figure9_placements in
@@ -516,9 +530,9 @@ let qcheck_flat_split_is_mst ~cols ~rows =
     ~count:200 arb
     (fun (rhs, nodes, store_node) ->
       let config = { Ndp_sim.Config.default with Ndp_sim.Config.mesh_cols = cols; mesh_rows = rows } in
-      let options = { (Context.default_options config) with Context.level_based = false } in
+      let options = { Context.partitioned_defaults with Context.level_based = false } in
       let ctx, _ =
-        fixture ~config ~options:(Some options)
+        fixture ~config ~options
           (List.mapi (fun k node -> (names.(k), node)) nodes)
       in
       let stmt = Ndp_ir.Stmt.make (Ndp_ir.Reference.make "a" (Ndp_ir.Subscript.var "i")) rhs in
@@ -618,6 +632,8 @@ let tests =
         Alcotest.test_case "reference-free group validates partitioned" `Quick
           reference_free_group_validates;
         Alcotest.test_case "schedule rejects a non-tree edge set" `Quick schedule_rejects_non_tree;
+        Alcotest.test_case "balance threshold reaches the balancer" `Quick
+          balance_threshold_reaches_balancer;
         Alcotest.test_case "staged addresses match the resolvers (suite)" `Slow
           staged_addresses_match_resolvers;
         QCheck_alcotest.to_alcotest (qcheck_flat_split_is_mst ~cols:6 ~rows:6);

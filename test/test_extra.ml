@@ -125,7 +125,7 @@ let codegen_window_programs () =
       ~runtime_resolve:(Ndp_ir.Inspector.runtime_resolver insp ~address_of)
       ~indirect_known:true
       ~arrays:k.Ndp_core.Kernel.program.Ndp_ir.Loop.arrays
-      ~options:(Ndp_core.Context.default_options config) ()
+      ~options:Ndp_core.Context.partitioned_defaults ()
   in
   let nest = List.hd k.Ndp_core.Kernel.program.Ndp_ir.Loop.nests in
   let env = List.hd (Ndp_ir.Loop.iterations nest) in

@@ -16,78 +16,156 @@ let water () = Ndp_workloads.Suite.find "water"
 (* -------------------------------------------------------------------- *)
 (* Key: every collision-sensitive input perturbs the canonical key.      *)
 
-(* One entry per Config.t field, in declaration order. If a field is ever
-   added without extending [Key.config], the count check below trips. *)
-let config_perturbations : (string * (Config.t -> Config.t)) list =
+(* Each perturbation table destructures the default with a record
+   pattern that names every field, and each bound value feeds its own
+   entry. A field added to the record is a compile error here (warning 9,
+   missing field in a record pattern) until it is bound, and a bound field
+   with no entry is one too (unused variable): the tables count fields
+   exactly, so a field the key forgets fails [distinct_keys]. *)
+
+(* Every entry changes the key, and no two entries share one. *)
+let distinct_keys what key base perturbations =
+  let k0 = key base in
+  let seen = Hashtbl.create 32 in
+  List.iter
+    (fun (name, v) ->
+      let k = key v in
+      if String.equal k k0 then Alcotest.failf "perturbing %s.%s does not change the key" what name;
+      (match Hashtbl.find_opt seen k with
+      | Some other -> Alcotest.failf "%s.%s and %s.%s key alike" what name what other
+      | None -> ());
+      Hashtbl.replace seen k name)
+    perturbations
+
+let config_perturbations : (string * Config.t) list =
+  let d = Config.default in
+  let {
+    Config.mesh_cols;
+    mesh_rows;
+    cluster;
+    memory_mode;
+    line_bytes;
+    l1_size;
+    l1_assoc;
+    l2_bank_size;
+    l2_assoc;
+    mcdram_capacity;
+    hop_cycles;
+    link_service_cycles;
+    flit_bytes;
+    l1_hit_cycles;
+    l2_hit_cycles;
+    mcdram_cycles;
+    ddr_cycles;
+    op_cycles;
+    sync_cycles;
+    load_issue_cycles;
+    outstanding_loads;
+    coherence;
+    prefetch_next_line;
+    mlp_overlap;
+    page_policy;
+    seed;
+  } =
+    d
+  in
   [
-    ("mesh_cols", fun d -> { d with Config.mesh_cols = d.Config.mesh_cols + 1 });
-    ("mesh_rows", fun d -> { d with Config.mesh_rows = d.Config.mesh_rows + 1 });
-    ("cluster", fun d -> { d with Config.cluster = Ndp_noc.Cluster.Snc4 });
-    ("memory_mode", fun d -> { d with Config.memory_mode = Config.Cache_mode });
-    ("line_bytes", fun d -> { d with Config.line_bytes = d.Config.line_bytes * 2 });
-    ("l1_size", fun d -> { d with Config.l1_size = d.Config.l1_size * 2 });
-    ("l1_assoc", fun d -> { d with Config.l1_assoc = d.Config.l1_assoc + 1 });
-    ("l2_bank_size", fun d -> { d with Config.l2_bank_size = d.Config.l2_bank_size * 2 });
-    ("l2_assoc", fun d -> { d with Config.l2_assoc = d.Config.l2_assoc + 1 });
-    ("mcdram_capacity", fun d -> { d with Config.mcdram_capacity = d.Config.mcdram_capacity * 2 });
-    ("hop_cycles", fun d -> { d with Config.hop_cycles = d.Config.hop_cycles + 1 });
-    ( "link_service_cycles",
-      fun d -> { d with Config.link_service_cycles = d.Config.link_service_cycles + 1 } );
-    ("flit_bytes", fun d -> { d with Config.flit_bytes = d.Config.flit_bytes * 2 });
-    ("l1_hit_cycles", fun d -> { d with Config.l1_hit_cycles = d.Config.l1_hit_cycles + 1 });
-    ("l2_hit_cycles", fun d -> { d with Config.l2_hit_cycles = d.Config.l2_hit_cycles + 1 });
-    ("mcdram_cycles", fun d -> { d with Config.mcdram_cycles = d.Config.mcdram_cycles + 1 });
-    ("ddr_cycles", fun d -> { d with Config.ddr_cycles = d.Config.ddr_cycles + 1 });
-    ("op_cycles", fun d -> { d with Config.op_cycles = d.Config.op_cycles + 1 });
-    ("sync_cycles", fun d -> { d with Config.sync_cycles = d.Config.sync_cycles + 1 });
-    ( "load_issue_cycles",
-      fun d -> { d with Config.load_issue_cycles = d.Config.load_issue_cycles + 1 } );
-    ( "outstanding_loads",
-      fun d -> { d with Config.outstanding_loads = d.Config.outstanding_loads + 1 } );
-    ("coherence", fun d -> { d with Config.coherence = not d.Config.coherence });
-    ( "prefetch_next_line",
-      fun d -> { d with Config.prefetch_next_line = not d.Config.prefetch_next_line } );
-    ("mlp_overlap", fun d -> { d with Config.mlp_overlap = d.Config.mlp_overlap +. 0.125 });
-    ( "balance_threshold",
-      fun d -> { d with Config.balance_threshold = d.Config.balance_threshold +. 0.125 } );
-    ("max_window", fun d -> { d with Config.max_window = d.Config.max_window + 1 });
-    ("page_policy", fun d -> { d with Config.page_policy = Ndp_mem.Page_alloc.Scrambled });
-    ( "predictor_capacity_blocks",
-      fun d ->
-        { d with Config.predictor_capacity_blocks = d.Config.predictor_capacity_blocks + 1 } );
-    ("seed", fun d -> { d with Config.seed = d.Config.seed + 1 });
+    ("mesh_cols", { d with Config.mesh_cols = mesh_cols + 1 });
+    ("mesh_rows", { d with Config.mesh_rows = mesh_rows + 1 });
+    ( "cluster",
+      { d with Config.cluster = (if cluster = Ndp_noc.Cluster.Snc4 then Quadrant else Snc4) } );
+    ( "memory_mode",
+      { d with Config.memory_mode = (if memory_mode = Config.Flat then Cache_mode else Flat) } );
+    ("line_bytes", { d with Config.line_bytes = line_bytes * 2 });
+    ("l1_size", { d with Config.l1_size = l1_size * 2 });
+    ("l1_assoc", { d with Config.l1_assoc = l1_assoc + 1 });
+    ("l2_bank_size", { d with Config.l2_bank_size = l2_bank_size * 2 });
+    ("l2_assoc", { d with Config.l2_assoc = l2_assoc + 1 });
+    ("mcdram_capacity", { d with Config.mcdram_capacity = mcdram_capacity * 2 });
+    ("hop_cycles", { d with Config.hop_cycles = hop_cycles + 1 });
+    ("link_service_cycles", { d with Config.link_service_cycles = link_service_cycles + 1 });
+    ("flit_bytes", { d with Config.flit_bytes = flit_bytes * 2 });
+    ("l1_hit_cycles", { d with Config.l1_hit_cycles = l1_hit_cycles + 1 });
+    ("l2_hit_cycles", { d with Config.l2_hit_cycles = l2_hit_cycles + 1 });
+    ("mcdram_cycles", { d with Config.mcdram_cycles = mcdram_cycles + 1 });
+    ("ddr_cycles", { d with Config.ddr_cycles = ddr_cycles + 1 });
+    ("op_cycles", { d with Config.op_cycles = op_cycles + 1 });
+    ("sync_cycles", { d with Config.sync_cycles = sync_cycles + 1 });
+    ("load_issue_cycles", { d with Config.load_issue_cycles = load_issue_cycles + 1 });
+    ("outstanding_loads", { d with Config.outstanding_loads = outstanding_loads + 1 });
+    ("coherence", { d with Config.coherence = not coherence });
+    ("prefetch_next_line", { d with Config.prefetch_next_line = not prefetch_next_line });
+    ("mlp_overlap", { d with Config.mlp_overlap = mlp_overlap +. 0.125 });
+    ( "page_policy",
+      {
+        d with
+        Config.page_policy =
+          (if page_policy = Ndp_mem.Page_alloc.Coloring then Scrambled else Coloring);
+      } );
+    ("seed", { d with Config.seed = seed + 1 });
   ]
 
 let key_covers_config () =
-  let base = Key.config Config.default in
-  List.iter
-    (fun (name, f) ->
-      if String.equal (Key.config (f Config.default)) base then
-        Alcotest.failf "perturbing Config.%s does not change the config key" name)
-    config_perturbations
+  distinct_keys "Config" Key.config Config.default config_perturbations
 
-let tweak_perturbations : (string * (Pipeline.tweaks -> Pipeline.tweaks)) list =
+let tweak_perturbations : (string * Pipeline.tweaks) list =
+  let d = Pipeline.no_tweaks in
+  let { Pipeline.l1_boost; distance_factor; mc_overrides; cost_scale; extra_syncs } = d in
   [
-    ("l1_boost", fun t -> { t with Pipeline.l1_boost = 0.25 });
-    ("distance_factor", fun t -> { t with Pipeline.distance_factor = 0.5 });
-    ("mc_overrides", fun t -> { t with Pipeline.mc_overrides = [ (3, 1) ] });
-    ("cost_scale", fun t -> { t with Pipeline.cost_scale = 2.0 });
-    ("extra_syncs", fun t -> { t with Pipeline.extra_syncs = 1 });
+    ("l1_boost", { d with Pipeline.l1_boost = l1_boost +. 0.25 });
+    ("distance_factor", { d with Pipeline.distance_factor = distance_factor *. 0.5 });
+    ("mc_overrides", { d with Pipeline.mc_overrides = (3, 1) :: mc_overrides });
+    ("cost_scale", { d with Pipeline.cost_scale = cost_scale *. 2.0 });
+    ("extra_syncs", { d with Pipeline.extra_syncs = extra_syncs + 1 });
   ]
 
 let key_covers_tweaks () =
   Alcotest.(check string) "no_tweaks keys empty" "" (Key.tweaks Pipeline.no_tweaks);
-  List.iter
-    (fun (name, f) ->
-      if String.equal (Key.tweaks (f Pipeline.no_tweaks)) (Key.tweaks Pipeline.no_tweaks) then
-        Alcotest.failf "perturbing tweaks.%s does not change the tweaks key" name)
-    tweak_perturbations;
+  distinct_keys "tweaks" Key.tweaks Pipeline.no_tweaks tweak_perturbations;
   (* mc_overrides must serialize pairwise: same flattened ints, different
      pairing, different key. *)
   let a = { Pipeline.no_tweaks with Pipeline.mc_overrides = [ (1, 2); (3, 0) ] } in
   let b = { Pipeline.no_tweaks with Pipeline.mc_overrides = [ (1, 23); (0, 0) ] } in
   if String.equal (Key.tweaks a) (Key.tweaks b) then
     Alcotest.fail "mc_overrides pairings collide"
+
+let option_perturbations : (string * Pipeline.part_options) list =
+  let d = Pipeline.partitioned_defaults in
+  let {
+    Pipeline.window;
+    reuse_aware;
+    sync_minimize;
+    level_based;
+    balance_threshold;
+    ideal_data;
+    use_inspector;
+    fuse;
+    fuse_capacity;
+  } =
+    d
+  in
+  [
+    ( "window",
+      {
+        d with
+        Pipeline.window =
+          (match window with Pipeline.Adaptive -> Fixed 2 | Pipeline.Fixed k -> Fixed (k + 1));
+      } );
+    ("reuse_aware", { d with Pipeline.reuse_aware = not reuse_aware });
+    ("sync_minimize", { d with Pipeline.sync_minimize = not sync_minimize });
+    ("level_based", { d with Pipeline.level_based = not level_based });
+    ("balance_threshold", { d with Pipeline.balance_threshold = balance_threshold +. 0.125 });
+    ("ideal_data", { d with Pipeline.ideal_data = not ideal_data });
+    ("use_inspector", { d with Pipeline.use_inspector = not use_inspector });
+    ("fuse", { d with Pipeline.fuse = not fuse });
+    ( "fuse_capacity",
+      { d with Pipeline.fuse_capacity = Some (Option.value fuse_capacity ~default:0 + 4096) } );
+  ]
+
+let key_covers_options () =
+  distinct_keys "part_options"
+    (fun o -> Key.scheme (Pipeline.Partitioned o))
+    Pipeline.partitioned_defaults option_perturbations
 
 let key_covers_scheme () =
   let schemes =
@@ -890,6 +968,7 @@ let tests =
         Alcotest.test_case "key covers every Config field" `Quick key_covers_config;
         Alcotest.test_case "key covers every tweak field" `Quick key_covers_tweaks;
         Alcotest.test_case "key covers scheme + window policy" `Quick key_covers_scheme;
+        Alcotest.test_case "key covers every pass option" `Quick key_covers_options;
         Alcotest.test_case "key covers fault spec + seed" `Quick key_covers_fault;
         Alcotest.test_case "key covers kernel content" `Quick key_covers_kernel_content;
         Alcotest.test_case "key covers job flags" `Quick key_covers_job_flags;
